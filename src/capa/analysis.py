@@ -160,9 +160,10 @@ def beampattern(w, cfg: PhysicalConfig, aperture: Aperture, theta, phi,
     ky = k0 * np.sin(tf) * np.sin(pf)
     pol = 1.0 - (np.sin(tf) * np.sin(pf)) ** 2
     values = np.empty(tf.size)
-    block = 4096
     px = grid.points[:, 0]
     py = grid.points[:, 1]
+    # directions per block: each block's phase matrix holds about 2**20 entries
+    block = max(1, 2 ** 20 // px.size)
     for start in range(0, tf.size, block):
         sl = slice(start, min(start + block, tf.size))
         phase = np.exp(-1j * (np.outer(kx[sl], px) + np.outer(ky[sl], py)))

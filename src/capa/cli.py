@@ -125,9 +125,9 @@ def _coerce(key: str, value: object) -> object:
             return None
         kind = "pos_float"
     if kind in ("float", "pos_float"):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} must be a number", module="cli")
-        value = float(value)
+        value = _finite_float(value)
+        if value is None:
+            raise ConfigError(f"{key} must be a finite number", module="cli")
         if kind == "pos_float" and not value > 0.0:
             raise ConfigError(f"{key} must be positive", module="cli")
         return value
@@ -146,11 +146,23 @@ def _coerce(key: str, value: object) -> object:
     raise AssertionError(kind)
 
 
+def _finite_float(value) -> float | None:
+    """value as a finite float, or None if it is not a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if np.isfinite(value) else None
+
+
 def _coerce_scalar(key: str, kind: str, constraint, item):
     if kind == "pos_float":
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or not item > 0:
-            raise ConfigError(f"{key} entries must be positive numbers", module="cli")
-        return float(item)
+        item = _finite_float(item)
+        if item is None or not item > 0:
+            raise ConfigError(f"{key} entries must be finite positive numbers", module="cli")
+        return item
     if isinstance(item, bool) or not isinstance(item, int) or item < 1 \
             or (constraint is not None and item > constraint):
         raise ConfigError(f"{key} entries must be integers in range", module="cli")
@@ -328,24 +340,31 @@ def _run_gain(config: ExperimentConfig, seed):
 def _run_convergence(config: ExperimentConfig, seed):
     v = config.values
     channel = _channel(config)
+
+    def solve_cg(order):
+        return beamform_cg(config.physical, channel, config.aperture, order,
+                           power=config.power, tol=v["cg.tol"],
+                           max_iter=v["cg.max_iter"], init=v["cg.init"],
+                           seed=seed)
+
     rows = []
+    # the history is of config.order; a sweep over that order already solved it
+    history = None
     for order in v["convergence.orders"]:
         expansion = build_expansion(config.physical, order,
                                     inner_rule=config.inner_rule)
         ka = beamform_ka(config.physical, channel, expansion, config.aperture,
                          power=config.power).gain
-        sol = beamform_cg(config.physical, channel, config.aperture, order,
-                          power=config.power, tol=v["cg.tol"],
-                          max_iter=v["cg.max_iter"], init=v["cg.init"],
-                          seed=seed)
+        sol = solve_cg(order)
+        if order == config.order:
+            history = sol
         rows.append(("gain_ka", order, ka))
         rows.append(("gain_cg", order, sol.gain))
-    sol = beamform_cg(config.physical, channel, config.aperture, config.order,
-                      power=config.power, tol=v["cg.tol"],
-                      max_iter=v["cg.max_iter"], init=v["cg.init"], seed=seed)
-    for iteration, residual in enumerate(sol.state.residual_norms, start=1):
+    if history is None:
+        history = solve_cg(config.order)
+    for iteration, residual in enumerate(history.state.residual_norms, start=1):
         rows.append(("cg_residual", iteration, residual))
-    for iteration, value in enumerate(sol.state.functional_values, start=1):
+    for iteration, value in enumerate(history.state.functional_values, start=1):
         rows.append(("cg_functional", iteration, value))
     return ("series", "index", "value"), rows, None
 

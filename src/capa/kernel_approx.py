@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import real_matvec
 from .errors import DomainError, NumericError
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, wavenumber_kernel
 from .quadrature import disk_wavenumber_grid
@@ -62,13 +63,6 @@ def build_expansion(cfg: PhysicalConfig, order: int,
     return PlaneWaveExpansion(wavenumber=cfg.wavenumber, impedance=cfg.impedance,
                               order=int(order), inner_rule=inner_rule,
                               kappa=grid.kappa, coefficients=rho)
-
-
-def _real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """matrix @ vector for a real matrix and a complex vector, without
-    upcasting the whole matrix to complex."""
-    out = matrix @ np.column_stack([vector.real, vector.imag])
-    return out[:, 0] + 1j * out[:, 1]
 
 
 def _sinc(t: np.ndarray) -> np.ndarray:
@@ -210,9 +204,9 @@ def beamform_ka(cfg: PhysicalConfig, channel: FarFieldChannel,
     # eta - penalty cancels about 1e4-fold, so the penalty comes from the
     # backward-stable Cholesky factor, not an inverse of the non-symmetric system
     root = np.sqrt(inverse.lambda_diag)
-    whitened = _real_matvec(inverse.factor_inverse, root * a)
+    whitened = real_matvec(inverse.factor_inverse, root * a)
     penalty = float(np.vdot(whitened, whitened).real)
-    b = root * _real_matvec(inverse.factor_inverse.T, whitened)
+    b = root * real_matvec(inverse.factor_inverse.T, whitened)
     eta = aperture.area * abs(channel.amplitude) ** 2
     net = eta - penalty
     if net <= 0.0:

@@ -10,6 +10,7 @@ from capa import (
     NumericError,
     PhysicalConfig,
     Z0,
+    aperture_grid,
     beamform_ka,
     build_expansion,
     far_field_channel,
@@ -97,6 +98,20 @@ def test_beampattern_peaks_at_steering(cfg, aperture):
     peak_angle = phi[int(np.argmax(pat.values))]
     assert abs(peak_angle - steer) < np.deg2rad(1.0)
     assert pat.peak > 0.0
+
+
+def test_beampattern_blocks_match_one_product(cfg, aperture, oblique_channel):
+    # order 40 puts 1600 points on the grid, so 3000 directions span several blocks
+    bf = beamform_ka(cfg, oblique_channel, build_expansion(cfg, 20), aperture)
+    theta = np.linspace(0.0, 2.0 * np.pi, 3000)
+    phi = np.linspace(0.0, 1.4, 3000)
+    pat = beampattern(bf, cfg, aperture, theta, phi, order=40)
+    grid = aperture_grid(aperture, 40)
+    kx = cfg.wavenumber * np.cos(theta) * np.sin(phi)
+    ky = cfg.wavenumber * np.sin(theta) * np.sin(phi)
+    phase = np.exp(-1j * (np.outer(kx, grid.points[:, 0]) + np.outer(ky, grid.points[:, 1])))
+    raw = (1.0 - (np.sin(theta) * np.sin(phi)) ** 2) * np.abs(phase @ (grid.weights * bf(grid.points)))
+    assert np.allclose(pat.values * pat.peak, raw, rtol=1e-13, atol=0.0)
 
 
 def test_beampattern_rejects_zero_field(cfg, aperture):

@@ -8,6 +8,7 @@ from capa import (
     ConvergenceError,
     Direction,
     DomainError,
+    NumericError,
     PhysicalConfig,
     aperture_grid,
     beamform_cg,
@@ -15,6 +16,7 @@ from capa import (
     radiation_kernel,
 )
 from capa.cg_solver import (
+    DiscretizedOperator,
     apply_operator,
     discretize_operator,
     solve_fredholm,
@@ -133,3 +135,64 @@ def test_gain_stable_under_grid_refinement(cfg, aperture):
     coarse = beamform_cg(cfg, channel, aperture, order=20).gain
     fine = beamform_cg(cfg, channel, aperture, order=30).gain
     assert abs(coarse - fine) / fine < 1e-3
+
+
+CRITERION_04_DIRECTIONS = ((0.0, 0.0), (0.0, 60.0), (90.0, 30.0))
+
+
+def _criterion_04_channels(cfg):
+    return [far_field_channel(cfg, Direction(np.deg2rad(th), np.deg2rad(ph)), 50.0)
+            for th, ph in CRITERION_04_DIRECTIONS]
+
+
+def test_apply_operator_matches_dense_product(cfg, aperture, oblique_channel):
+    grid = aperture_grid(aperture, 12)
+    op = discretize_operator(cfg, grid)
+    vals = oblique_channel(grid.points) * (1.0 + 0.3j * grid.points[:, 0])
+    want = _dense_system(cfg, grid).astype(complex) @ vals
+    got = apply_operator(op, vals)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
+
+
+def test_gains_match_dense_solve_at_order_20(cfg, aperture):
+    grid = aperture_grid(aperture, 20)
+    op = discretize_operator(cfg, grid)
+    dense = _dense_system(cfg, grid)
+    for channel in _criterion_04_channels(cfg):
+        h = channel(grid.points)
+        sol = synthesize_beamformer(op, channel, solve_fredholm(op, np.conj(h)))
+        want = 2.0 * np.real(np.sum(grid.weights * h * np.linalg.solve(dense, np.conj(h))))
+        assert abs(sol.gain - want) / want < 1e-11
+
+
+@pytest.mark.parametrize("order", [20, 30])
+def test_preconditioned_iterations_bounded(cfg, aperture, order):
+    grid = aperture_grid(aperture, order)
+    op = discretize_operator(cfg, grid)
+    for channel in _criterion_04_channels(cfg):
+        state = solve_fredholm(op, np.conj(channel(grid.points)))
+        assert state.converged
+        assert state.iterations <= 30
+        assert 0 < state.preconditioner_rank <= grid.points.shape[0] // 2
+
+
+def test_identical_solves_are_bit_identical(cfg, aperture, oblique_channel):
+    first = beamform_cg(cfg, oblique_channel, aperture, order=20)
+    second = beamform_cg(cfg, oblique_channel, aperture, order=20)
+    assert first.gain == second.gain
+    assert np.array_equal(first.grid_values, second.grid_values)
+
+
+def test_non_finite_input_raises_numeric_error_at_once(cfg, aperture, front_channel):
+    grid = aperture_grid(aperture, 8)
+    op = discretize_operator(cfg, grid)
+    rhs = np.conj(front_channel(grid.points))
+    rhs[3] = np.nan
+    with pytest.raises(NumericError, match="not finite after 0 iterations") as exc:
+        solve_fredholm(op, rhs)
+    assert not isinstance(exc.value, ConvergenceError)
+    kernel = op.kernel_matrix.copy()
+    kernel[2, 5] = np.nan
+    broken = DiscretizedOperator(config=cfg, grid=grid, kernel_matrix=kernel)
+    with pytest.raises(NumericError):
+        solve_fredholm(broken, np.conj(front_channel(grid.points)))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from capa import C0, ConfigError
+from capa import C0, ConfigError, beamform_cg, cli
 from capa.cli import load_config, main
 
 X_FIRST_NULL_EPS = 2.7437072699727789
@@ -155,6 +155,18 @@ def test_config_error_exit_code_and_record(capsys):
     assert "aperture.L_x" in record["message"]
 
 
+@pytest.mark.parametrize("setting", ["frequency=Infinity", "receiver.phi_deg=NaN",
+                                     "receiver.theta_deg=-Infinity", "aperture.L_x=1e400",
+                                     "spda.sides_m=[0.5, NaN]"])
+def test_non_finite_value_is_config_error(capsys, setting):
+    code, out, err = _run(capsys, ["gain", "--set", setting])
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["code"] == 2
+    assert record["module"] == "cli"
+    assert setting.partition("=")[0] in record["message"]
+
+
 def test_numeric_error_exit_code_and_record(capsys):
     code, out, err = _run(capsys, [
         "gain", "--set", "gain.method=cg", "--set", "cg.max_iter=2",
@@ -207,6 +219,21 @@ def test_convergence_series(capsys):
     assert names == {"gain_ka", "gain_cg", "cg_residual", "cg_functional"}
     ka_rows = [r for r in rows if r[0] == "gain_ka"]
     assert [int(r[1]) for r in ka_rows] == [4, 6]
+
+
+@pytest.mark.parametrize("orders, solves", [("4,6", 2), ("4,5", 3)])
+def test_convergence_solves_default_order_once(capsys, monkeypatch, orders, solves):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return beamform_cg(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "beamform_cg", counted)
+    code, _, _ = _run(capsys, ["convergence", "--orders", orders,
+                               "--set", "quadrature.M=6"])
+    assert code == 0
+    assert len(calls) == solves and calls.count(6) == 1
 
 
 def test_directivity_smoke(capsys):
