@@ -9,9 +9,8 @@ from .physics import (C0, Z0, MU0, COPPER_CONDUCTIVITY, Aperture, Direction,
 from .quadrature import (ApertureGrid, GaussLegendreRule, WavenumberDiskGrid,
                          aperture_grid, disk_wavenumber_grid, legendre_rule)
 from .kernel_approx import (ClosedFormBeamformer, InverseOperatorData,
-                            PlaneWaveExpansion, array_gain_ka, beamform_ka,
-                            build_expansion, channel_moments, gram_matrix,
-                            inverse_operator)
+                            PlaneWaveExpansion, beamform_ka, build_expansion,
+                            channel_moments, gram_matrix, inverse_operator)
 from .cg_solver import (CgState, DiscretizedOperator, FredholmSolution,
                         apply_operator, beamform_cg, discretize_operator,
                         solve_fredholm, synthesize_beamformer)

@@ -2,21 +2,27 @@
 
 Configuration is a flat ``key=value`` map.  Precedence, lowest to
 highest: built-in defaults, ``--config`` JSON file, repeated ``--set``
-overrides, dedicated subcommand flags.  Every output embeds the
-effective configuration and the library version, so identical
-configuration and seed reproduce byte-identical files.
+overrides, dedicated subcommand flags; ``_KEYS`` lists every key.
+Angles are in degrees, ``receiver.phi_deg`` in [-90, 90].  The default
+``spda.spacings_wl`` (1, 1/2, 1/4, 1/8) stays at or above the default
+0.1-wavelength element.  Every output embeds the effective configuration
+and the library version, so identical configuration and seed reproduce
+byte-identical files.
 
-Exit codes: 0 on success, 2 for configuration or domain errors, 3 for
-numeric failures.  Errors print a JSON record to stderr.
+Exit codes: 0 on success, 2 for configuration or domain errors
+(``DomainError``, ``ConfigError`` included), 3 for numeric failures
+(``NumericError`` and any other ``ValueError``, such as
+``numpy.linalg.LinAlgError``).  Errors print a JSON record to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,142 +37,105 @@ from .physics import (COPPER_CONDUCTIVITY, MU0, Aperture, Direction,
                       radiation_kernel, wavenumber_kernel)
 from .spda import aperture_sweep, spacing_sweep
 
-_DEFAULTS: dict[str, object] = {
-    "frequency": 2.4e9,
-    "material.mu_s": MU0,
-    "material.sigma_s": COPPER_CONDUCTIVITY,
-    "material.surface_resistance": None,
-    "aperture.L_x": 0.5,
-    "aperture.L_y": 0.5,
-    "receiver.R0": 50.0,
-    "receiver.theta_deg": 0.0,
-    "receiver.phi_deg": 0.0,
-    "quadrature.M": 20,
-    "quadrature.inner_rule": "chebyshev",
-    "cg.tol": 1e-8,
-    "cg.max_iter": 10000,
-    "cg.init": "zero",
-    "power.P_t": 1.0,
-    "kernel.polarized": True,
-    "kernel.line": "x",
-    "kernel.rmax_wl": 2.5,
-    "kernel.samples": 1000,
-    "nulls.count": 3,
-    "wavenumber.line": "x",
-    "wavenumber.samples": 400,
-    "gain.method": "both",
-    "convergence.orders": [10, 15, 20, 25, 30],
-    "directivity.plane": "both",
-    "directivity.step_deg": 1.0,
-    "beampattern.phi_step_deg": 2.0,
-    "beampattern.theta_step_deg": 4.0,
-    "spda.spacing_wl": 0.5,
-    "spda.element_wl": 0.1,
-    "spda.order": 6,
-    "spda.mode": "exact",
-    "spda.spacings_wl": [1.0, 0.5, 0.25, 0.125, 0.0625],
-    "spda.sides_m": [0.25, 0.35, 0.45, 0.55, 0.65, 0.75],
-}
 
-# key -> (kind, constraint) drives coercion and the error message
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "frequency": ("pos_float", None),
-    "material.mu_s": ("pos_float", None),
-    "material.sigma_s": ("pos_float", None),
-    "material.surface_resistance": ("opt_pos_float", None),
-    "aperture.L_x": ("pos_float", None),
-    "aperture.L_y": ("pos_float", None),
-    "receiver.R0": ("pos_float", None),
-    "receiver.theta_deg": ("float", None),
-    "receiver.phi_deg": ("float", None),
-    "quadrature.M": ("pos_int", 512),
-    "quadrature.inner_rule": ("choice", ("legendre", "chebyshev")),
-    "cg.tol": ("pos_float", None),
-    "cg.max_iter": ("pos_int", None),
-    "cg.init": ("choice", ("zero", "random")),
-    "power.P_t": ("pos_float", None),
-    "kernel.polarized": ("bool", None),
-    "kernel.line": ("choice", ("x", "y")),
-    "kernel.rmax_wl": ("pos_float", None),
-    "kernel.samples": ("pos_int", None),
-    "nulls.count": ("pos_int", None),
-    "wavenumber.line": ("choice", ("x", "y")),
-    "wavenumber.samples": ("pos_int", None),
-    "gain.method": ("choice", ("ka", "cg", "both")),
-    "convergence.orders": ("pos_int_list", 512),
-    "directivity.plane": ("choice", ("E", "H", "both")),
-    "directivity.step_deg": ("pos_float", None),
-    "beampattern.phi_step_deg": ("pos_float", None),
-    "beampattern.theta_step_deg": ("pos_float", None),
-    "spda.spacing_wl": ("pos_float", None),
-    "spda.element_wl": ("pos_float", None),
-    "spda.order": ("pos_int", None),
-    "spda.mode": ("choice", ("exact", "point")),
-    "spda.spacings_wl": ("pos_float_list", None),
-    "spda.sides_m": ("pos_float_list", None),
+class _Key(NamedTuple):
+    """One configuration key: its default, kind and constraint, and flag.
+
+    kind is bool, choice, float, pos_float or pos_int, where an ``opt_``
+    prefix admits None and a ``_list`` suffix a non-empty list.  constraint
+    is the choices, or an inclusive (lo, hi) range; flag is (subcommand, option).
+    """
+
+    default: object
+    kind: str
+    constraint: tuple | None = None
+    flag: tuple[str, str] | None = None
+
+
+_KEYS: dict[str, _Key] = {
+    "frequency": _Key(2.4e9, "pos_float"),
+    "material.mu_s": _Key(MU0, "pos_float"),
+    "material.sigma_s": _Key(COPPER_CONDUCTIVITY, "pos_float"),
+    "material.surface_resistance": _Key(None, "opt_pos_float"),
+    "aperture.L_x": _Key(0.5, "pos_float"),
+    "aperture.L_y": _Key(0.5, "pos_float"),
+    "receiver.R0": _Key(50.0, "pos_float"),
+    "receiver.theta_deg": _Key(0.0, "float"),
+    "receiver.phi_deg": _Key(0.0, "float", (-90.0, 90.0)),
+    "quadrature.M": _Key(20, "pos_int", (1, 512)),
+    "quadrature.inner_rule": _Key("chebyshev", "choice", ("legendre", "chebyshev")),
+    "cg.tol": _Key(1e-8, "pos_float"),
+    "cg.max_iter": _Key(10000, "pos_int"),
+    "cg.init": _Key("zero", "choice", ("zero", "random")),
+    "power.P_t": _Key(1.0, "pos_float"),
+    "kernel.polarized": _Key(True, "bool"),
+    "kernel.line": _Key("x", "choice", ("x", "y"), ("kernel", "--line")),
+    "kernel.rmax_wl": _Key(2.5, "pos_float", None, ("kernel", "--rmax")),
+    "kernel.samples": _Key(1000, "pos_int", None, ("kernel", "--samples")),
+    "nulls.count": _Key(3, "pos_int", None, ("nulls", "--count")),
+    "wavenumber.line": _Key("x", "choice", ("x", "y"), ("wavenumber", "--line")),
+    "wavenumber.samples": _Key(400, "pos_int", None, ("wavenumber", "--samples")),
+    "gain.method": _Key("both", "choice", ("ka", "cg", "both"), ("gain", "--method")),
+    "convergence.orders": _Key([10, 15, 20, 25, 30], "pos_int_list", (1, 512),
+                               ("convergence", "--orders")),
+    "directivity.plane": _Key("both", "choice", ("E", "H", "both"),
+                              ("directivity", "--plane")),
+    "directivity.step_deg": _Key(1.0, "pos_float"),
+    "beampattern.phi_step_deg": _Key(2.0, "pos_float"),
+    "beampattern.theta_step_deg": _Key(4.0, "pos_float"),
+    "spda.spacing_wl": _Key(0.5, "pos_float"),
+    "spda.element_wl": _Key(0.1, "pos_float"),
+    "spda.order": _Key(6, "pos_int"),
+    "spda.mode": _Key("exact", "choice", ("exact", "point")),
+    "spda.spacings_wl": _Key([1.0, 0.5, 0.25, 0.125], "pos_float_list", None,
+                             ("spda-spacing", "--spacings")),
+    "spda.sides_m": _Key([0.25, 0.35, 0.45, 0.55, 0.65, 0.75], "pos_float_list", None,
+                         ("spda-aperture", "--sides")),
 }
 
 
-def _coerce(key: str, value: object) -> object:
-    if key not in _SCHEMA:
+def _coerce(key: str, value: object, kind: str | None = None) -> object:
+    """value checked against key's kind (or the given entry kind) and constraint."""
+    if key not in _KEYS:
         raise ConfigError(f"unknown configuration key '{key}'", module="cli")
-    kind, constraint = _SCHEMA[key]
+    row = _KEYS[key]
+    kind = kind or row.kind
+    if kind.endswith("_list"):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{key} must be a non-empty list", module="cli")
+        return [_coerce(key, item, kind[: -len("_list")]) for item in value]
     if kind == "bool":
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false", module="cli")
         return value
     if kind == "choice":
-        if value not in constraint:
-            allowed = ", ".join(constraint)
+        if value not in row.constraint:
+            allowed = ", ".join(row.constraint)
             raise ConfigError(f"{key} must be one of: {allowed}", module="cli")
         return value
-    if kind == "opt_pos_float":
+    if kind.startswith("opt_"):
         if value is None:
             return None
-        kind = "pos_float"
-    if kind in ("float", "pos_float"):
-        value = _finite_float(value)
-        if value is None:
-            raise ConfigError(f"{key} must be a finite number", module="cli")
-        if kind == "pos_float" and not value > 0.0:
-            raise ConfigError(f"{key} must be positive", module="cli")
-        return value
-    if kind == "pos_int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer", module="cli")
-        if value < 1 or (constraint is not None and value > constraint):
-            hi = f" and at most {constraint}" if constraint is not None else ""
-            raise ConfigError(f"{key} must be at least 1{hi}", module="cli")
-        return value
-    if kind.endswith("_list"):
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError(f"{key} must be a non-empty list", module="cli")
-        inner = kind[: -len("_list")]
-        return [_coerce_scalar(key, inner, constraint, item) for item in value]
-    raise AssertionError(kind)
-
-
-def _finite_float(value) -> float | None:
-    """value as a finite float, or None if it is not a finite number."""
+        kind = kind[len("opt_"):]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if np.isfinite(value) else None
-
-
-def _coerce_scalar(key: str, kind: str, constraint, item):
-    if kind == "pos_float":
-        item = _finite_float(item)
-        if item is None or not item > 0:
-            raise ConfigError(f"{key} entries must be finite positive numbers", module="cli")
-        return item
-    if isinstance(item, bool) or not isinstance(item, int) or item < 1 \
-            or (constraint is not None and item > constraint):
-        raise ConfigError(f"{key} entries must be integers in range", module="cli")
-    return item
+        value = math.nan  # fails the integer or the finite check below
+    if kind == "pos_int":
+        if not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer", module="cli")
+    else:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number", module="cli")
+    if kind.startswith("pos_") and not value > 0:
+        raise ConfigError(f"{key} must be positive", module="cli")
+    if row.constraint is not None:
+        lo, hi = row.constraint
+        if not lo <= value <= hi:
+            raise ConfigError(f"{key} must lie in [{lo}, {hi}]", module="cli")
+    return value
 
 
 @dataclass(frozen=True)
@@ -195,9 +164,10 @@ class ExperimentConfig:
         return self.values["quadrature.inner_rule"]
 
 
-def load_config(path: str | None = None, overrides: tuple[str, ...] = ()) -> ExperimentConfig:
-    """Merge defaults, a JSON file, and key=value overrides, then validate."""
-    values = dict(_DEFAULTS)
+def load_config(path: str | None = None, overrides: tuple[str, ...] = (),
+                flags: Mapping[str, object] | None = None) -> ExperimentConfig:
+    """Merge defaults, a JSON file, key=value overrides and flag values, then validate."""
+    values = {key: row.default for key, row in _KEYS.items()}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -218,6 +188,8 @@ def load_config(path: str | None = None, overrides: tuple[str, ...] = ()) -> Exp
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        values[key] = _coerce(key, value)
+    for key, value in (flags or {}).items():
         values[key] = _coerce(key, value)
     physical = PhysicalConfig(
         frequency=values["frequency"],
@@ -269,7 +241,7 @@ def _channel(config: ExperimentConfig):
                              config.distance, config.aperture)
 
 
-def _run_kernel(config: ExperimentConfig):
+def _run_kernel(config: ExperimentConfig, seed):
     v = config.values
     wavelength = config.physical.wavelength
     n = v["kernel.samples"]
@@ -284,7 +256,7 @@ def _run_kernel(config: ExperimentConfig):
     return ("separation_wl", "separation_m", "kernel"), rows, None
 
 
-def _run_nulls(config: ExperimentConfig):
+def _run_nulls(config: ExperimentConfig, seed):
     v = config.values
     rows = []
     for axis, u in (("x", 0.0), ("y", 1.0)):
@@ -295,7 +267,7 @@ def _run_nulls(config: ExperimentConfig):
     return ("axis", "index", "eps", "spacing_wl"), rows, None
 
 
-def _run_wavenumber(config: ExperimentConfig):
+def _run_wavenumber(config: ExperimentConfig, seed):
     v = config.values
     k0 = config.physical.wavenumber
     n = v["wavenumber.samples"]
@@ -369,7 +341,7 @@ def _run_convergence(config: ExperimentConfig, seed):
     return ("series", "index", "value"), rows, None
 
 
-def _run_directivity(config: ExperimentConfig):
+def _run_directivity(config: ExperimentConfig, seed):
     v = config.values
     planes = ("E", "H") if v["directivity.plane"] == "both" \
         else (v["directivity.plane"],)
@@ -389,7 +361,7 @@ def _run_directivity(config: ExperimentConfig):
     return ("series", "plane", "angle_deg", "value"), rows, None
 
 
-def _run_beampattern(config: ExperimentConfig):
+def _run_beampattern(config: ExperimentConfig, seed):
     v = config.values
     channel = _channel(config)
     expansion = build_expansion(config.physical, config.order,
@@ -414,7 +386,7 @@ def _run_beampattern(config: ExperimentConfig):
     return ("pattern", "theta_deg", "phi_deg", "normalized", "absolute"), rows, None
 
 
-def _run_spda_spacing(config: ExperimentConfig):
+def _run_spda_spacing(config: ExperimentConfig, seed):
     v = config.values
     wavelength = config.physical.wavelength
     channel = _channel(config)
@@ -431,7 +403,7 @@ def _run_spda_spacing(config: ExperimentConfig):
             "gain_uncoupled", "gain_reference"), rows, None
 
 
-def _run_spda_aperture(config: ExperimentConfig):
+def _run_spda_aperture(config: ExperimentConfig, seed):
     v = config.values
     wavelength = config.physical.wavelength
     channel = _channel(config)
@@ -457,20 +429,26 @@ def _wavelengths(text: str) -> float:
     return float(text)
 
 
-def _number_list(text: str, cast) -> list:
-    return [cast(part) for part in text.split(",") if part]
+def _flag_type(key: str, kind: str):
+    """A number (in wavelengths, wl/λ suffix allowed, for ``_wl`` keys) or a comma list."""
+    scalar = _wavelengths if key.endswith("_wl") else int if "int" in kind else float
+    if kind.endswith("_list"):
+        return lambda text: [scalar(part) for part in text.split(",") if part]
+    return scalar
 
 
-_FLAG_KEYS = {
-    "kernel": {"line": "kernel.line", "rmax": "kernel.rmax_wl",
-               "samples": "kernel.samples"},
-    "nulls": {"count": "nulls.count"},
-    "wavenumber": {"line": "wavenumber.line", "samples": "wavenumber.samples"},
-    "gain": {"method": "gain.method"},
-    "convergence": {"orders": "convergence.orders"},
-    "directivity": {"plane": "directivity.plane"},
-    "spda-spacing": {"spacings": "spda.spacings_wl"},
-    "spda-aperture": {"sides": "spda.sides_m"},
+# subcommand -> (runner, help); every runner takes (config, seed) and returns
+# (header, rows, json payload or None)
+_COMMANDS = {
+    "kernel": (_run_kernel, "spatial coupling kernel along an axis"),
+    "nulls": (_run_nulls, "kernel zero crossings per axis"),
+    "wavenumber": (_run_wavenumber, "wavenumber spectrum along an axis"),
+    "gain": (_run_gain, "single-direction array gain"),
+    "convergence": (_run_convergence, "gain versus quadrature order plus solver history"),
+    "directivity": (_run_directivity, "principal-plane gain profiles"),
+    "beampattern": (_run_beampattern, "coupled and coupling-blind radiation patterns"),
+    "spda-spacing": (_run_spda_spacing, "discrete-array gain versus element pitch"),
+    "spda-aperture": (_run_spda_aperture, "discrete-array gain versus aperture side"),
 }
 
 
@@ -490,72 +468,27 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized solver starts")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("kernel", parents=[common],
-                       help="spatial coupling kernel along an axis")
-    p.add_argument("--line", choices=("x", "y"))
-    p.add_argument("--rmax", type=_wavelengths, metavar="R[wl]",
-                   help="maximum separation in wavelengths")
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("nulls", parents=[common],
-                       help="kernel zero crossings per axis")
-    p.add_argument("--count", type=int)
-
-    p = sub.add_parser("wavenumber", parents=[common],
-                       help="wavenumber spectrum along an axis")
-    p.add_argument("--line", choices=("x", "y"))
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("gain", parents=[common],
-                       help="single-direction array gain")
-    p.add_argument("--method", choices=("ka", "cg", "both"))
-
-    p = sub.add_parser("convergence", parents=[common],
-                       help="gain versus quadrature order plus solver history")
-    p.add_argument("--orders", type=lambda t: _number_list(t, int),
-                   metavar="M1,M2,...")
-
-    p = sub.add_parser("directivity", parents=[common],
-                       help="principal-plane gain profiles")
-    p.add_argument("--plane", choices=("E", "H", "both"))
-
-    sub.add_parser("beampattern", parents=[common],
-                   help="coupled and coupling-blind radiation patterns")
-
-    p = sub.add_parser("spda-spacing", parents=[common],
-                       help="discrete-array gain versus element pitch")
-    p.add_argument("--spacings", type=lambda t: _number_list(t, _wavelengths),
-                   metavar="S1,S2,...[wl]")
-
-    p = sub.add_parser("spda-aperture", parents=[common],
-                       help="discrete-array gain versus aperture side")
-    p.add_argument("--sides", type=lambda t: _number_list(t, float),
-                   metavar="L1,L2,...")
+    subparsers = {name: sub.add_parser(name, parents=[common], help=text)
+                  for name, (_, text) in _COMMANDS.items()}
+    for key, row in _KEYS.items():
+        if row.flag is None:
+            continue
+        if row.kind == "choice":
+            kwargs = {"choices": row.constraint}
+        else:
+            metavar = ("V1,V2,..." if row.kind.endswith("_list") else "V") \
+                + ("[wl]" if key.endswith("_wl") else "")
+            kwargs = {"type": _flag_type(key, row.kind), "metavar": metavar}
+        command, option = row.flag
+        subparsers[command].add_argument(option, dest=key, help=f"sets {key}", **kwargs)
     return parser
 
 
 def run(command: str, config: ExperimentConfig, seed=None):
     """Dispatch one experiment; returns (header, rows, json payload)."""
-    if command == "kernel":
-        return _run_kernel(config)
-    if command == "nulls":
-        return _run_nulls(config)
-    if command == "wavenumber":
-        return _run_wavenumber(config)
-    if command == "gain":
-        return _run_gain(config, seed)
-    if command == "convergence":
-        return _run_convergence(config, seed)
-    if command == "directivity":
-        return _run_directivity(config)
-    if command == "beampattern":
-        return _run_beampattern(config)
-    if command == "spda-spacing":
-        return _run_spda_spacing(config)
-    if command == "spda-aperture":
-        return _run_spda_aperture(config)
-    raise ConfigError(f"unknown command '{command}'", module="cli")
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command '{command}'", module="cli")
+    return _COMMANDS[command][0](config, seed)
 
 
 def _emit(args, config: ExperimentConfig, header, rows, payload) -> None:
@@ -576,29 +509,20 @@ def _emit(args, config: ExperimentConfig, header, rows, payload) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a flag's dest is the key it sets; flags left out read None
+    flags = {key: value for key, value in vars(args).items()
+             if key in _KEYS and value is not None}
     try:
-        overrides = list(args.set)
-        config = load_config(args.config, tuple(overrides))
-        values = dict(config.values)
-        for flag, key in _FLAG_KEYS.get(args.command, {}).items():
-            flagged = getattr(args, flag, None)
-            if flagged is not None:
-                values[key] = _coerce(key, flagged)
-        config = ExperimentConfig(values=values, physical=config.physical,
-                                  aperture=config.aperture,
-                                  direction=config.direction)
+        config = load_config(args.config, tuple(args.set), flags)
         header, rows, payload = run(args.command, config, seed=args.seed)
         _emit(args, config, header, rows, payload)
-    except NumericError as exc:
-        record = {"code": 3, "module": getattr(exc, "module", "cli") or "cli",
+    except (DomainError, NumericError, ValueError) as exc:
+        # a ValueError that is not a DomainError (LinAlgError, say) is numeric
+        code = 2 if isinstance(exc, DomainError) else 3
+        record = {"code": code, "module": getattr(exc, "module", "cli") or "cli",
                   "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
-        return 3
-    except (DomainError, ValueError) as exc:
-        record = {"code": 2, "module": getattr(exc, "module", "cli") or "cli",
-                  "message": str(exc)}
-        print(json.dumps(record), file=sys.stderr)
-        return 2
+        return code
     return 0
 
 

@@ -217,8 +217,3 @@ def beamform_ka(cfg: PhysicalConfig, channel: FarFieldChannel,
                                 surface_resistance=cfg.surface_resistance, power=power,
                                 moments=a, projection=b, matched_energy=eta,
                                 penalty=penalty, scale=scale)
-
-
-def array_gain_ka(beamformer: ClosedFormBeamformer) -> float:
-    """Array gain of the closed-form beamformer."""
-    return beamformer.gain

@@ -10,21 +10,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .physics import Aperture
 
 _MAX_ORDER = 512
-
-
-def _legendre_pair(order: int, x: np.ndarray):
-    """Legendre polynomial of the given order and its derivative, by recurrence."""
-    p_prev = np.ones_like(x)
-    p = np.array(x, copy=True)
-    for n in range(2, order + 1):
-        p, p_prev = ((2.0 * n - 1.0) * x * p - (n - 1.0) * p_prev) / n, p
-    dp = order * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
 
 
 @dataclass(frozen=True)
@@ -36,31 +27,16 @@ class GaussLegendreRule:
 
 @lru_cache(maxsize=None)
 def legendre_rule(order: int) -> GaussLegendreRule:
-    """Gauss-Legendre nodes and weights on [-1, 1].
+    """Gauss-Legendre nodes and weights on [-1, 1], nodes ascending.
 
-    Nodes are the roots of the Legendre polynomial, found by Newton iteration
-    from Chebyshev-point initial guesses; weights follow from the derivative.
+    numpy's leggauss takes the nodes from the eigenvalues of the symmetric
+    companion matrix, polishes them by one Newton step and symmetrizes nodes
+    and weights about 0.
     """
     if order < 1 or order > _MAX_ORDER:
         raise DomainError(f"order must lie in [1, {_MAX_ORDER}]", module="quadrature")
     order = int(order)
-    i = np.arange(1, order + 1)
-    x = np.cos(np.pi * (i - 0.25) / (order + 0.5))
-    for _ in range(100):
-        p, dp = _legendre_pair(order, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    else:
-        raise NumericError("Newton iteration for Legendre nodes did not converge",
-                           module="quadrature")
-    _, dp = _legendre_pair(order, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    x, w = x[::-1].copy(), w[::-1].copy()
-    # the roots are symmetric about 0; enforce the symmetry exactly
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
+    x, w = leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
     return GaussLegendreRule(order=order, nodes=x, weights=w)

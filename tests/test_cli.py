@@ -146,6 +146,31 @@ def test_rmax_flag_accepts_wavelength_suffix(capsys):
     assert echo["kernel.rmax_wl"] == 1.5
 
 
+@pytest.mark.parametrize("argv, key, expected", [
+    (["kernel", "--line", "y", "--samples", "5"], "kernel.line", "y"),
+    (["kernel", "--rmax", "2λ", "--samples", "5"], "kernel.rmax_wl", 2.0),
+    (["kernel", "--samples", "5"], "kernel.samples", 5),
+    (["nulls", "--count", "2"], "nulls.count", 2),
+    (["wavenumber", "--line", "y", "--samples", "5"], "wavenumber.line", "y"),
+    (["wavenumber", "--samples", "5"], "wavenumber.samples", 5),
+    (["gain", "--method", "ka", "--format", "csv", "--set", "quadrature.M=6"],
+     "gain.method", "ka"),
+    (["convergence", "--orders", "4,6", "--set", "quadrature.M=6"],
+     "convergence.orders", [4, 6]),
+    (["directivity", "--plane", "E", "--set", "directivity.step_deg=45",
+      "--set", "quadrature.M=6"], "directivity.plane", "E"),
+    (["spda-spacing", "--spacings", "0.5wl,0.25", "--set", "aperture.L_x=0.125",
+      "--set", "aperture.L_y=0.125", "--set", "quadrature.M=6"],
+     "spda.spacings_wl", [0.5, 0.25]),
+    (["spda-aperture", "--sides", "0.125", "--set", "quadrature.M=6"],
+     "spda.sides_m", [0.125]),
+])
+def test_each_flag_sets_its_key(capsys, argv, key, expected):
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert _config_echo(out)[key] == expected
+
+
 def test_config_error_exit_code_and_record(capsys):
     code, out, err = _run(capsys, ["gain", "--set", "aperture.L_x=-1"])
     assert code == 2 and out == ""
@@ -167,6 +192,24 @@ def test_non_finite_value_is_config_error(capsys, setting):
     assert setting.partition("=")[0] in record["message"]
 
 
+@pytest.mark.parametrize("phi", ["120", "-91"])
+def test_phi_outside_plus_minus_90_is_config_error(capsys, phi):
+    code, out, err = _run(capsys, ["gain", "--set", f"receiver.phi_deg={phi}",
+                                   "--method", "ka", "--set", "quadrature.M=8"])
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["code"] == 2
+    assert "receiver.phi_deg" in record["message"]
+    with pytest.raises(ConfigError, match="receiver.phi_deg"):
+        load_config(overrides=(f"receiver.phi_deg={phi}",))
+
+
+@pytest.mark.parametrize("phi", [90.0, -90.0])
+def test_phi_at_plus_minus_90_is_accepted(phi):
+    config = load_config(overrides=(f"receiver.phi_deg={phi}",))
+    assert config.values["receiver.phi_deg"] == phi
+
+
 def test_numeric_error_exit_code_and_record(capsys):
     code, out, err = _run(capsys, [
         "gain", "--set", "gain.method=cg", "--set", "cg.max_iter=2",
@@ -175,6 +218,17 @@ def test_numeric_error_exit_code_and_record(capsys):
     record = json.loads(err)
     assert record["code"] == 3
     assert record["module"] == "cg_solver"
+
+
+def test_linalg_error_exits_three_with_record(capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "beamform_cg", singular)
+    code, out, err = _run(capsys, ["gain", "--method", "cg", "--set", "quadrature.M=6"])
+    assert code == 3 and out == ""
+    record = json.loads(err)
+    assert record == {"code": 3, "module": "cli", "message": "Singular matrix"}
 
 
 def test_missing_config_file_is_config_error(capsys):
@@ -272,6 +326,15 @@ def test_spda_spacing_smoke(capsys):
     assert header[:3] == ["spacing_wl", "spacing_m", "n_elements"]
     assert len(rows) == 2
     assert int(rows[1][2]) > int(rows[0][2])
+
+
+def test_spda_spacing_runs_at_default_spacings(capsys):
+    code, out, err = _run(capsys, [
+        "spda-spacing", "--set", "aperture.L_x=0.125", "--set", "aperture.L_y=0.125",
+        "--set", "quadrature.M=6"])
+    assert code == 0 and err == ""
+    _, rows = _csv_rows(out)
+    assert [float(r[0]) for r in rows] == [1.0, 0.5, 0.25, 0.125]
 
 
 def test_spda_aperture_smoke(capsys):
