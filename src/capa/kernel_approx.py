@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import real_matvec
+from ._linalg import lower_triangular_inverse, real_matvec
 from .errors import DomainError, NumericError
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, wavenumber_kernel
 from .quadrature import disk_wavenumber_grid
@@ -91,28 +91,7 @@ class InverseOperatorData:
     """
 
     lambda_diag: np.ndarray = field(repr=False)
-    gram: np.ndarray = field(repr=False)
     factor_inverse: np.ndarray = field(repr=False)
-
-
-def _lower_triangular_inverse(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by recursive 2x2 blocking.
-
-    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]; numpy has no
-    triangular solve, and a general inverse of the factor costs several times
-    the flops of this one.
-    """
-    n = lower.shape[0]
-    if n <= 128:
-        return np.tril(np.linalg.inv(lower))
-    h = n // 2
-    top = _lower_triangular_inverse(lower[:h, :h])
-    bottom = _lower_triangular_inverse(lower[h:, h:])
-    out = np.zeros_like(lower)
-    out[:h, :h] = top
-    out[h:, h:] = bottom
-    out[h:, :h] = -(bottom @ lower[h:, :h]) @ top
-    return out
 
 
 def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
@@ -136,8 +115,7 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
         cond = np.linalg.cond(system)
         raise NumericError(f"resolvent system is not positive definite: {exc} "
                            f"(condition estimate {cond:.3e})", module="kernel_approx") from exc
-    return InverseOperatorData(lambda_diag=lam, gram=gram,
-                               factor_inverse=_lower_triangular_inverse(lower))
+    return InverseOperatorData(lambda_diag=lam, factor_inverse=lower_triangular_inverse(lower))
 
 
 def channel_moments(channel: FarFieldChannel, expansion: PlaneWaveExpansion,

@@ -12,7 +12,9 @@ from functools import cached_property
 
 import numpy as np
 
+from ._linalg import lower_triangular_inverse, real_matvec
 from .errors import DomainError, NumericError
+from .kernel_approx import beamform_ka, build_expansion
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
 from .quadrature import aperture_grid
 
@@ -24,9 +26,10 @@ class SpdaModel:
     """Element geometry of a discrete array.
 
     centers has shape (N, 3) in the aperture plane; every element is the same
-    element_x by element_y rectangle.  profile maps local coordinates to the
-    complex current distribution; None means the uniform unit-energy profile
-    1/sqrt(element area).
+    element_x by element_y rectangle; coupling_matrix needs a full grid of
+    centers in z = 0, as element_layout builds.  profile maps local
+    coordinates to the complex current distribution; None means the uniform
+    unit-energy profile 1/sqrt(element area).
     """
 
     centers: np.ndarray = field(repr=False)
@@ -37,11 +40,11 @@ class SpdaModel:
 
     def __post_init__(self):
         c = np.asarray(self.centers, dtype=float)
-        if c.ndim != 2 or c.shape[1] != 3 or c.shape[0] < 1:
-            raise DomainError("centers must have shape (N, 3) with N >= 1", module="spda")
-        if self.element_x <= 0 or self.element_y <= 0:
-            raise DomainError("element side lengths must be positive", module="spda")
-        if self.order < 1:
+        if c.ndim != 2 or c.shape[1] != 3 or c.shape[0] < 1 or not np.isfinite(c).all():
+            raise DomainError("centers must be finite with shape (N, 3), N >= 1", module="spda")
+        if not (0 < self.element_x < np.inf and 0 < self.element_y < np.inf):
+            raise DomainError("element side lengths must be positive and finite", module="spda")
+        if not self.order >= 1:
             raise DomainError("element quadrature order must be at least 1", module="spda")
         object.__setattr__(self, "centers", c)
 
@@ -67,8 +70,8 @@ def element_layout(aperture: Aperture, spacing: float, element_x: float,
     The element count per axis is the number of whole pitches that fit; the
     lattice is centered so every element lies inside the aperture.
     """
-    if spacing <= 0:
-        raise DomainError("element spacing must be positive", module="spda")
+    if not 0 < spacing < np.inf:
+        raise DomainError("element spacing must be positive and finite", module="spda")
     if element_x > spacing or element_y > spacing:
         raise DomainError("element does not fit inside the lattice pitch", module="spda")
     # tiny slack so representable lengths like L = n*d count n pitches
@@ -83,19 +86,36 @@ def element_layout(aperture: Aperture, spacing: float, element_x: float,
                      element_y=float(element_y), order=int(order))
 
 
-def _check_disjoint(model: SpdaModel) -> None:
-    c = model.centers
-    n = model.n_elements
-    block = max(1, 2 ** 22 // max(n, 1))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        dx = np.abs(c[start:stop, None, 0] - c[None, :, 0])
-        dy = np.abs(c[start:stop, None, 1] - c[None, :, 1])
-        ok = (dx >= model.element_x - 1e-12) | (dy >= model.element_y - 1e-12)
-        idx = np.arange(start, stop)
-        ok[idx - start, idx] = True
-        if not np.all(ok):
+def _lattice_offsets(model: SpdaModel):
+    """Per axis: distinct center offsets, the offset index of each coordinate
+    pair, and each element's coordinate index.  DomainError unless the centers
+    form a full grid of disjoint elements in z = 0."""
+    if np.any(model.centers[:, 2] != 0.0):
+        raise DomainError("element centers must lie in the z = 0 plane", module="spda")
+    axes = [np.unique(model.centers[:, k], return_inverse=True) for k in (0, 1)]
+    occupied = np.zeros((axes[0][0].size, axes[1][0].size), dtype=bool)
+    occupied[axes[0][1], axes[1][1]] = True
+    if occupied.size != model.n_elements or not occupied.all():
+        raise DomainError("element centers must form a full rectangular grid", module="spda")
+    out = []
+    for (coords, index), side in zip(axes, (model.element_x, model.element_y)):
+        if np.any(np.diff(coords) < side - 1e-12):
             raise DomainError("element surfaces overlap", module="spda")
+        offsets, pair = np.unique(np.round(coords[:, None] - coords, 12), return_inverse=True)
+        out.append((offsets, pair.reshape(coords.size, -1), index))
+    return out
+
+
+def _pair_integrals(offsets: np.ndarray, egrid, wa: np.ndarray, cfg: PhysicalConfig):
+    """Kernel integrated over two elements whose centers are offsets (K, 3) apart."""
+    pair_disp = egrid.points[:, None, :] - egrid.points[None, :, :]
+    vals = np.empty(offsets.shape[0])
+    block = max(1, 2 ** 20 // (egrid.points.shape[0] ** 2))
+    for start in range(0, offsets.shape[0], block):
+        disp = pair_disp[None, :, :, :] + offsets[start:start + block, None, None, :]
+        kern = radiation_kernel(disp, cfg.wavenumber, cfg.impedance)
+        vals[start:start + block] = np.real(np.einsum("i,uij,j->u", np.conj(wa), kern, wa))
+    return vals
 
 
 @dataclass(frozen=True)
@@ -108,7 +128,6 @@ class CouplingMatrix:
 
     radiation: np.ndarray = field(repr=False)
     self_impedance: float
-    mode: str
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -117,7 +136,7 @@ class CouplingMatrix:
     def diagonal_only(self) -> "CouplingMatrix":
         """Coupling-blind variant: off-diagonal radiation terms dropped."""
         return CouplingMatrix(radiation=np.diag(np.diag(self.radiation)),
-                              self_impedance=self.self_impedance, mode=self.mode)
+                              self_impedance=self.self_impedance)
 
 
 def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
@@ -127,46 +146,30 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
     mode "exact" integrates the kernel over both element surfaces with the
     per-element quadrature; "point" collapses off-diagonal pairs to the
     kernel at the center separation scaled by the element areas (the
-    diagonal stays exact).  Identical translated elements share their
-    integrals, so the cost scales with the number of distinct separations.
+    diagonal stays exact).  Centers must form a full n_x by n_y grid in z = 0
+    (DomainError otherwise); one table then holds the (2 n_x - 1)(2 n_y - 1)
+    x/y offsets of a uniform lattice, and the few that rounding splits.
     """
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
-    _check_disjoint(model)
-    n = model.n_elements
-    k0 = cfg.wavenumber
-    z0 = cfg.impedance
+    (dx, kx, ix), (dy, ky, iy) = _lattice_offsets(model)
+    offsets = np.column_stack([np.repeat(dx, dy.size), np.tile(dy, dx.size),
+                               np.zeros(dx.size * dy.size)])
     egrid = aperture_grid(Aperture(model.element_x, model.element_y), model.order)
     amp = model.profile_values(egrid.points)
     wa = egrid.weights * amp
-    self_impedance = cfg.surface_resistance * float(
-        np.real(np.sum(egrid.weights * np.abs(amp) ** 2)))
-
-    deltas = (model.centers[:, None, :] - model.centers[None, :, :]).reshape(-1, 3)
-    uniq, inverse = np.unique(np.round(deltas, 12), axis=0, return_inverse=True)
-    pair_disp = egrid.points[:, None, :] - egrid.points[None, :, :]
+    self_impedance = cfg.surface_resistance * float(np.sum(egrid.weights * np.abs(amp) ** 2))
 
     if mode == "exact":
-        vals = np.empty(uniq.shape[0])
-        block = max(1, 2 ** 20 // (egrid.points.shape[0] ** 2))
-        for start in range(0, uniq.shape[0], block):
-            stop = min(start + block, uniq.shape[0])
-            disp = pair_disp[None, :, :, :] + uniq[start:stop, None, None, :]
-            kern = radiation_kernel(disp, k0, z0)
-            vals[start:stop] = np.real(np.einsum("i,uij,j->u", np.conj(wa), kern, wa))
-        radiation = vals[inverse].reshape(n, n)
+        table = _pair_integrals(offsets, egrid, wa, cfg)
     else:
-        center_kernel = radiation_kernel(uniq, k0, z0)
-        amp0 = model.profile_values(np.zeros(3))
-        point_vals = model.element_area ** 2 * np.abs(amp0) ** 2 * center_kernel
-        self_disp = pair_disp
-        kern = radiation_kernel(self_disp, k0, z0)
-        exact_self = float(np.real(np.conj(wa) @ kern @ wa))
-        is_zero = np.all(uniq == 0.0, axis=1)
-        vals = np.where(is_zero, exact_self, point_vals)
-        radiation = vals[inverse].reshape(n, n)
+        table = model.element_area ** 2 * np.abs(model.profile_values(np.zeros(3))) ** 2 \
+            * radiation_kernel(offsets, cfg.wavenumber, cfg.impedance)
+        zero = kx[0, 0] * dy.size + ky[0, 0]
+        table[zero] = _pair_integrals(offsets[zero:zero + 1], egrid, wa, cfg)[0]
+    radiation = table.reshape(dx.size, dy.size)[kx[np.ix_(ix, ix)], ky[np.ix_(iy, iy)]]
     radiation = 0.5 * (radiation + radiation.T)
-    return CouplingMatrix(radiation=radiation, self_impedance=self_impedance, mode=mode)
+    return CouplingMatrix(radiation=radiation, self_impedance=self_impedance)
 
 
 def discrete_channel(model: SpdaModel, channel) -> np.ndarray:
@@ -202,14 +205,16 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
         raise DomainError("channel vector length does not match the coupling matrix",
                           module="spda")
     try:
-        np.linalg.cholesky(psi)
+        lower = np.linalg.cholesky(psi)
     except np.linalg.LinAlgError as exc:
         raise NumericError("coupling matrix is not positive definite", module="spda") from exc
-    x = np.linalg.solve(psi, h)
-    inner = float(np.real(np.vdot(h, x)))
+    # psi = L L^T: h^H psi^-1 h = ||L^-1 h||^2 and psi^-1 h = L^-T (L^-1 h)
+    factor_inverse = lower_triangular_inverse(lower)
+    whitened = real_matvec(factor_inverse, h)
+    inner = float(np.vdot(whitened, whitened).real)
     if inner <= 0.0:
         raise NumericError("whitened channel energy is non-positive", module="spda")
-    weights = np.sqrt(2.0 * power / inner) * x
+    weights = np.sqrt(2.0 * power / inner) * real_matvec(factor_inverse.T, whitened)
     return DiscreteBeamformer(weights=weights, gain=2.0 * inner, power=power)
 
 
@@ -232,8 +237,6 @@ def spacing_sweep(cfg: PhysicalConfig, aperture: Aperture, channel: FarFieldChan
     closed-form gain for the same aperture and channel is attached to every
     row as the reference.
     """
-    from .kernel_approx import beamform_ka, build_expansion
-
     ex = 0.1 * cfg.wavelength if element_x is None else element_x
     ey = 0.1 * cfg.wavelength if element_y is None else element_y
     expansion = build_expansion(cfg, reference_order)
@@ -264,8 +267,6 @@ def aperture_sweep(cfg: PhysicalConfig, spacing: float, channel: FarFieldChannel
                    element_y: float | None = None, mode: str = "exact",
                    reference_order: int = 20) -> list[ApertureSweepRow]:
     """Coupled discrete gain and continuous reference versus aperture size."""
-    from .kernel_approx import beamform_ka, build_expansion
-
     ex = 0.1 * cfg.wavelength if element_x is None else element_x
     ey = 0.1 * cfg.wavelength if element_y is None else element_y
     expansion = build_expansion(cfg, reference_order)

@@ -59,6 +59,26 @@ def test_layout_rejects_bad_geometry(cfg, aperture):
                             element_x=d, element_y=d)
     with pytest.raises(DomainError):
         coupling_matrix(overlapping, cfg)
+    nan = float("nan")
+    with pytest.raises(DomainError):
+        element_layout(aperture, nan, 0.1 * d, 0.1 * d)
+    with pytest.raises(DomainError):
+        element_layout(aperture, d, nan, 0.1 * d)
+    with pytest.raises(DomainError):
+        SpdaModel(centers=[[nan, 0.0, 0.0]], element_x=d, element_y=d)
+    with pytest.raises(DomainError):
+        SpdaModel(centers=np.zeros((1, 3)), element_x=nan, element_y=d)
+    with pytest.raises(DomainError):
+        SpdaModel(centers=np.zeros((1, 3)), element_x=d, element_y=np.inf)
+    side = 0.1 * cfg.wavelength
+    below_side = side - 1e-9 * cfg.wavelength
+    for centers, reason in (([[0.0, 0.0, 0.0], [d, d, 0.0]], "full rectangular grid"),
+                            ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "full rectangular grid"),
+                            ([[0.0, 0.0, 0.01], [d, 0.0, 0.01]], "z = 0 plane"),
+                            ([[0.0, 0.0, 0.0], [below_side, 0.0, 0.0]], "overlap")):
+        model = SpdaModel(centers=np.array(centers), element_x=side, element_y=side)
+        with pytest.raises(DomainError, match=reason):
+            coupling_matrix(model, cfg)
 
 
 def test_single_element_gain_formula(cfg, front_channel):
@@ -170,11 +190,10 @@ def test_coupling_translation_invariant(cfg, oblique_channel):
     assert gain_b == pytest.approx(gain_a, rel=1e-12)
 
 
-def test_exact_mode_matches_brute_force_pair(cfg):
-    model = _two_element_model(cfg, 0.3 * cfg.wavelength, element_wl=0.08, order=6)
-    got = coupling_matrix(model, cfg, mode="exact").radiation[0, 1]
-    # independent 4-D tensor quadrature over both element surfaces
-    nodes, weights = np.polynomial.legendre.leggauss(6)
+def _brute_force_pair(model, cfg, offset):
+    """Coupling of two elements offset apart by an independent 4-D tensor
+    quadrature over both element surfaces."""
+    nodes, weights = np.polynomial.legendre.leggauss(model.order)
     sx = 0.5 * model.element_x * nodes
     wx = 0.5 * model.element_x * weights
     sy = 0.5 * model.element_y * nodes
@@ -182,16 +201,43 @@ def test_exact_mode_matches_brute_force_pair(cfg):
     px, py = np.meshgrid(sx, sy, indexing="ij")
     pw = np.outer(wx, wy).ravel()
     pts = np.column_stack([px.ravel(), py.ravel(), np.zeros(px.size)])
-    offset = model.centers[0] - model.centers[1]
     disp = pts[:, None, :] - pts[None, :, :] + offset
     kern = radiation_kernel(disp, cfg.wavenumber, cfg.impedance)
     amp2 = 1.0 / model.element_area
-    want = float(pw @ kern @ pw) * amp2
+    return float(pw @ kern @ pw) * amp2
+
+
+def test_exact_mode_matches_brute_force_pair(cfg):
+    model = _two_element_model(cfg, 0.3 * cfg.wavelength, element_wl=0.08, order=6)
+    got = coupling_matrix(model, cfg, mode="exact").radiation[0, 1]
+    want = _brute_force_pair(model, cfg, model.centers[0] - model.centers[1])
     assert got == pytest.approx(want, rel=1e-10)
     refined = SpdaModel(centers=model.centers, element_x=model.element_x,
                         element_y=model.element_y, order=12)
     finer = coupling_matrix(refined, cfg, mode="exact").radiation[0, 1]
     assert got == pytest.approx(finer, rel=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["exact", "point"])
+def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode):
+    # 3 x 4 grid with unequal pitches, listed in shuffled order
+    wl = cfg.wavelength
+    xs = (np.arange(3) - 1.0) * 0.4 * wl + 0.013
+    ys = (np.arange(4) - 1.5) * 0.55 * wl - 0.021
+    centers = np.column_stack([np.repeat(xs, 4), np.tile(ys, 3), np.zeros(12)])
+    centers = centers[np.random.default_rng(7).permutation(12)]
+    side = 0.08 * wl
+    model = SpdaModel(centers=centers, element_x=side, element_y=side)
+    got = coupling_matrix(model, cfg, mode=mode).radiation
+    want = np.empty_like(got)
+    for i, ci in enumerate(centers):
+        for j, cj in enumerate(centers):
+            if mode == "exact" or i == j:
+                want[i, j] = _brute_force_pair(model, cfg, ci - cj)
+            else:
+                want[i, j] = model.element_area * radiation_kernel(
+                    ci - cj, cfg.wavenumber, cfg.impedance)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_spacing_sweep_table_shape(cfg, front_channel):
