@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
+from .kernel_approx import (_closed_form_gains, build_expansion, channel_moments,
+                            gram_matrix, inverse_operator)
 from .physics import (Aperture, Direction, FarFieldChannel, PhysicalConfig,
                       far_field_channel, wavenumber_kernel)
 from .quadrature import aperture_grid
@@ -151,23 +153,20 @@ def beampattern(w, cfg: PhysicalConfig, aperture: Aperture, theta, phi,
     ph = np.asarray(phi, dtype=float)
     th, ph = np.broadcast_arrays(th, ph)
     shape = th.shape
+    # on the tensor grid exp(-j(kx x_i + ky y_j)) = exp(-j kx x_i) exp(-j ky y_j),
+    # so the transform is one (D, M) x (M, M) product against per-axis phases
     grid = aperture_grid(aperture, order)
-    wq = grid.weights * np.asarray(w(grid.points), dtype=complex)
+    samples = (grid.weights * np.asarray(w(grid.points), dtype=complex)).reshape(order, order)
+    nodes = grid.points.reshape(order, order, 3)
     k0 = cfg.wavenumber
     tf = th.ravel()
     pf = ph.ravel()
     kx = k0 * np.cos(tf) * np.sin(pf)
     ky = k0 * np.sin(tf) * np.sin(pf)
     pol = 1.0 - (np.sin(tf) * np.sin(pf)) ** 2
-    values = np.empty(tf.size)
-    px = grid.points[:, 0]
-    py = grid.points[:, 1]
-    # directions per block: each block's phase matrix holds about 2**20 entries
-    block = max(1, 2 ** 20 // px.size)
-    for start in range(0, tf.size, block):
-        sl = slice(start, min(start + block, tf.size))
-        phase = np.exp(-1j * (np.outer(kx[sl], px) + np.outer(ky[sl], py)))
-        values[sl] = pol[sl] * np.abs(phase @ wq)
+    ex = np.exp(-1j * np.outer(kx, nodes[:, 0, 0]))
+    ey = np.exp(-1j * np.outer(ky, nodes[0, :, 1]))
+    values = pol * np.abs(np.sum((ex @ samples) * ey, axis=1))
     peak = float(np.max(values))
     if peak == 0.0:
         raise NumericError("beampattern is identically zero over the requested grid",
@@ -229,22 +228,27 @@ def coupling_ratio(cfg: PhysicalConfig, kappa):
 def steered_gain_profile(cfg: PhysicalConfig, aperture: Aperture, plane: str,
                          phi, distance: float, order: int = 20,
                          power: float = 1.0) -> np.ndarray:
-    """Closed-form array gain of the finite aperture along a principal plane."""
-    from .kernel_approx import (beamform_ka, build_expansion, gram_matrix,
-                                inverse_operator)
+    """Closed-form array gain of the finite aperture along a principal plane.
+
+    One factorization serves every angle, and the whitened moments of all
+    angles come from one block product with its triangular factor.
+    """
     if plane not in ("E", "H"):
         raise DomainError("plane must be 'E' or 'H'", module="analysis")
+    if power <= 0:
+        raise DomainError("transmit power must be positive", module="analysis")
     ph = np.atleast_1d(np.asarray(phi, dtype=float))
     theta = np.pi / 2 if plane == "E" else 0.0
     expansion = build_expansion(cfg, order)
     inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),
                                cfg.surface_resistance)
-    gains = np.empty(ph.size)
-    for i, p in enumerate(ph):
-        channel = far_field_channel(cfg, Direction(theta, float(p)), distance)
-        if channel.amplitude == 0.0:
-            gains[i] = 0.0
-            continue
-        bf = beamform_ka(cfg, channel, expansion, aperture, power=power, inverse=inverse)
-        gains[i] = bf.gain
+    channels = [far_field_channel(cfg, Direction(theta, float(p)), distance) for p in ph]
+    # the polarization null (E plane at grazing) radiates nothing: gain 0
+    live = [i for i, ch in enumerate(channels) if ch.amplitude != 0.0]
+    gains = np.zeros(ph.size)
+    if live:
+        moments = np.column_stack([channel_moments(channels[i], expansion, aperture)
+                                   for i in live])
+        eta = aperture.area * np.array([abs(channels[i].amplitude) ** 2 for i in live])
+        gains[live] = _closed_form_gains(inverse, moments, eta, cfg.surface_resistance)[2]
     return gains

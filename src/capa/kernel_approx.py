@@ -9,10 +9,11 @@ the number of expansion terms, independent of any surface discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import lower_triangular_inverse, real_matvec
+from ._linalg import lower_matvec, lower_triangular_inverse
 from .errors import DomainError, NumericError
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, wavenumber_kernel
 from .quadrature import disk_wavenumber_grid
@@ -72,9 +73,12 @@ def _sinc(t: np.ndarray) -> np.ndarray:
 
 def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray:
     """Aperture inner products between the expansion's plane waves."""
-    kx = expansion.kappa[:, 0]
+    # kappa_x takes only `order` distinct values, each repeated over one chord
+    m = expansion.order
+    kx = expansion.kappa[::m, 0]
     ky = expansion.kappa[:, 1]
     qx = _sinc((kx[:, None] - kx[None, :]) * (0.5 * aperture.length_x))
+    qx = np.repeat(np.repeat(qx, m, axis=0), m, axis=1)
     qy = _sinc((ky[:, None] - ky[None, :]) * (0.5 * aperture.length_y))
     return aperture.area * qx * qy
 
@@ -127,12 +131,32 @@ def channel_moments(channel: FarFieldChannel, expansion: PlaneWaveExpansion,
     return np.conj(channel.amplitude) * aperture.area * mx * my
 
 
+def _closed_form_gains(inverse: InverseOperatorData, moments: np.ndarray,
+                       matched_energy, surface_resistance: float):
+    """Whitened moments L^-1 Lambda^1/2 a, penalties and gains 2 (eta - penalty) / Zs
+    of one direction (moments (n,)) or of D directions (moments (n, D)).
+
+    penalty = a^H (I + Lambda Q)^-1 Lambda a = ||L^-1 Lambda^1/2 a||^2; the gain
+    eta - penalty cancels about 1e4-fold, so the penalty comes from the
+    backward-stable Cholesky factor, not an inverse of the non-symmetric system.
+    """
+    root = np.sqrt(inverse.lambda_diag).reshape((-1,) + (1,) * (moments.ndim - 1))
+    whitened = lower_matvec(inverse.factor_inverse, root * moments)
+    penalty = np.sum(whitened.real ** 2 + whitened.imag ** 2, axis=0)
+    net = matched_energy - penalty
+    if np.any(net <= 0.0):
+        raise NumericError("matched energy does not exceed the coupling penalty; "
+                           "closed form is numerically inconsistent", module="kernel_approx")
+    return whitened, penalty, 2.0 * net / surface_resistance
+
+
 @dataclass(frozen=True)
 class ClosedFormBeamformer:
     """Optimal transmit distribution under the plane-wave kernel approximation.
 
     Calling the object with surface points evaluates the distribution:
     scale * (conjugate channel minus its projection onto the expansion waves).
+    The projection is computed from the whitened moments on first evaluation.
     """
 
     channel: FarFieldChannel
@@ -141,21 +165,28 @@ class ClosedFormBeamformer:
     surface_resistance: float
     power: float
     moments: np.ndarray = field(repr=False)
-    projection: np.ndarray = field(repr=False)
+    whitened: np.ndarray = field(repr=False)
+    inverse: InverseOperatorData = field(repr=False)
     matched_energy: float
     penalty: float
+    gain: float
     scale: float
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        """Lambda^1/2 L^-T L^-1 Lambda^1/2 a, the expansion-wave amplitudes."""
+        return np.sqrt(self.inverse.lambda_diag) * lower_matvec(
+            self.inverse.factor_inverse, self.whitened, transpose=True)
 
     def __call__(self, points) -> np.ndarray:
         s = np.asarray(points, dtype=float)
         conj_channel = np.conj(self.channel(s))
-        waves = np.exp(1j * (s @ self.expansion.kappa.T)) @ self.projection
+        # exponentiated in place: on an aperture grid the phase matrix is the
+        # largest array a closed-form pass allocates
+        phases = 1j * (s @ self.expansion.kappa.T)
+        waves = np.exp(phases, out=phases) @ self.projection
         out = self.scale * (conj_channel - waves)
         return complex(out) if np.ndim(out) == 0 else out
-
-    @property
-    def gain(self) -> float:
-        return 2.0 * (self.matched_energy - self.penalty) / self.surface_resistance
 
     @property
     def uncoupled_bound(self) -> float:
@@ -178,20 +209,12 @@ def beamform_ka(cfg: PhysicalConfig, channel: FarFieldChannel,
         inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),
                                    cfg.surface_resistance)
     a = channel_moments(channel, expansion, aperture)
-    # penalty = a^H (I + Lambda Q)^-1 Lambda a = ||L^-1 Lambda^1/2 a||^2; the gain
-    # eta - penalty cancels about 1e4-fold, so the penalty comes from the
-    # backward-stable Cholesky factor, not an inverse of the non-symmetric system
-    root = np.sqrt(inverse.lambda_diag)
-    whitened = real_matvec(inverse.factor_inverse, root * a)
-    penalty = float(np.vdot(whitened, whitened).real)
-    b = root * real_matvec(inverse.factor_inverse.T, whitened)
     eta = aperture.area * abs(channel.amplitude) ** 2
-    net = eta - penalty
-    if net <= 0.0:
-        raise NumericError("matched energy does not exceed the coupling penalty; "
-                           "closed form is numerically inconsistent", module="kernel_approx")
-    scale = float(np.sqrt(2.0 * power / (cfg.surface_resistance * net)))
+    whitened, penalty, gain = _closed_form_gains(inverse, a, eta, cfg.surface_resistance)
+    # power = scale^2 * Zs * (eta - penalty) / 2 = (scale * Zs)^2 * gain / 4
+    scale = float(np.sqrt(4.0 * power / gain) / cfg.surface_resistance)
     return ClosedFormBeamformer(channel=channel, expansion=expansion, aperture=aperture,
                                 surface_resistance=cfg.surface_resistance, power=power,
-                                moments=a, projection=b, matched_energy=eta,
-                                penalty=penalty, scale=scale)
+                                moments=a, whitened=whitened, inverse=inverse,
+                                matched_energy=eta, penalty=float(penalty),
+                                gain=float(gain), scale=scale)

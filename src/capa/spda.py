@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import lower_triangular_inverse, real_matvec
+from ._linalg import lower_matvec, lower_triangular_inverse
 from .errors import DomainError, NumericError
 from .kernel_approx import beamform_ka, build_expansion
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
@@ -210,11 +210,12 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
         raise NumericError("coupling matrix is not positive definite", module="spda") from exc
     # psi = L L^T: h^H psi^-1 h = ||L^-1 h||^2 and psi^-1 h = L^-T (L^-1 h)
     factor_inverse = lower_triangular_inverse(lower)
-    whitened = real_matvec(factor_inverse, h)
+    whitened = lower_matvec(factor_inverse, h)
     inner = float(np.vdot(whitened, whitened).real)
     if inner <= 0.0:
         raise NumericError("whitened channel energy is non-positive", module="spda")
-    weights = np.sqrt(2.0 * power / inner) * real_matvec(factor_inverse.T, whitened)
+    weights = np.sqrt(2.0 * power / inner) \
+        * lower_matvec(factor_inverse, whitened, transpose=True)
     return DiscreteBeamformer(weights=weights, gain=2.0 * inner, power=power)
 
 

@@ -14,6 +14,8 @@ from capa import (
     beamform_ka,
     build_expansion,
     far_field_channel,
+    gram_matrix,
+    inverse_operator,
 )
 from capa.analysis import (
     beampattern,
@@ -100,18 +102,27 @@ def test_beampattern_peaks_at_steering(cfg, aperture):
     assert pat.peak > 0.0
 
 
-def test_beampattern_blocks_match_one_product(cfg, aperture, oblique_channel):
-    # order 40 puts 1600 points on the grid, so 3000 directions span several blocks
+def test_beampattern_matches_long_double_transform(cfg, aperture, oblique_channel):
+    # the separable per-axis transform against the direct sum over all grid
+    # points in 80-bit arithmetic; both sum the same M^2 terms, so they may differ
+    # by the summation error, about eps * pol * sum|w_q| (1e-13 leaves margin)
     bf = beamform_ka(cfg, oblique_channel, build_expansion(cfg, 20), aperture)
     theta = np.linspace(0.0, 2.0 * np.pi, 3000)
     phi = np.linspace(0.0, 1.4, 3000)
     pat = beampattern(bf, cfg, aperture, theta, phi, order=40)
     grid = aperture_grid(aperture, 40)
+    wq = grid.weights * bf(grid.points)
     kx = cfg.wavenumber * np.cos(theta) * np.sin(phi)
     ky = cfg.wavenumber * np.sin(theta) * np.sin(phi)
-    phase = np.exp(-1j * (np.outer(kx, grid.points[:, 0]) + np.outer(ky, grid.points[:, 1])))
-    raw = (1.0 - (np.sin(theta) * np.sin(phi)) ** 2) * np.abs(phase @ (grid.weights * bf(grid.points)))
-    assert np.allclose(pat.values * pat.peak, raw, rtol=1e-13, atol=0.0)
+    pol = 1.0 - (np.sin(theta) * np.sin(phi)) ** 2
+    points = grid.points.astype(np.longdouble)
+    ref = np.empty(theta.size)
+    for sl in np.array_split(np.arange(theta.size), 10):
+        arg = (np.outer(kx[sl].astype(np.longdouble), points[:, 0])
+               + np.outer(ky[sl].astype(np.longdouble), points[:, 1]))
+        ref[sl] = np.abs(np.exp(-1j * arg) @ wq.astype(np.clongdouble))
+    bound = 1e-13 * pol * np.sum(np.abs(wq))
+    assert np.all(np.abs(pat.values * pat.peak - pol * ref) <= bound)
 
 
 def test_beampattern_rejects_zero_field(cfg, aperture):
@@ -164,3 +175,16 @@ def test_steered_profile_grazing_polarization_null(cfg, aperture):
     assert prof[1] == 0.0
     with pytest.raises(DomainError):
         steered_gain_profile(cfg, aperture, "D", [0.0], 50.0)
+
+
+def test_steered_profile_block_matches_per_direction_loop(cfg, aperture):
+    # one block product against per-direction matvecs: the ~1e4-fold cancellation
+    # in eta - penalty turns their last-digit differences into up to about 2e-10
+    phi = np.deg2rad(np.arange(0.0, 90.0, 1.0))
+    exp = build_expansion(cfg, 30)
+    inverse = inverse_operator(exp, gram_matrix(exp, aperture), cfg.surface_resistance)
+    for plane, theta in (("E", np.pi / 2), ("H", 0.0)):
+        prof = steered_gain_profile(cfg, aperture, plane, phi, 50.0, order=30)
+        loop = [beamform_ka(cfg, far_field_channel(cfg, Direction(theta, p), 50.0), exp,
+                            aperture, inverse=inverse).gain for p in phi]
+        assert prof == pytest.approx(loop, rel=1e-9)

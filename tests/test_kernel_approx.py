@@ -83,6 +83,17 @@ def test_gram_matrix_matches_quadrature(cfg, aperture):
             assert gram[i, l] == pytest.approx(val, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("order", [20, 30, 40])
+def test_gram_matrix_equals_full_pairwise_formula(cfg, aperture, order):
+    # the kappa_x table expanded per chord does the same arithmetic per entry
+    exp = build_expansion(cfg, order)
+    kx, ky = exp.kappa[:, 0], exp.kappa[:, 1]
+    sinc = lambda t: np.sinc(t / np.pi)
+    qx = sinc((kx[:, None] - kx[None, :]) * (0.5 * aperture.length_x))
+    qy = sinc((ky[:, None] - ky[None, :]) * (0.5 * aperture.length_y))
+    assert np.array_equal(gram_matrix(exp, aperture), aperture.area * qx * qy)
+
+
 def resolvent(data):
     """(I + Lambda Q)^-1 = Lambda^1/2 L^-T L^-1 Lambda^-1/2 from the factored data."""
     root = np.sqrt(data.lambda_diag)
@@ -146,6 +157,28 @@ def test_closed_form_matches_dense_solve_of_same_kernel(cfg, aperture,
     dense = 2.0 * np.real(np.sum(grid.weights * front_channel(grid.points)
                                  * solution))
     assert closed == pytest.approx(dense, rel=1e-6)
+
+
+def test_projection_matches_eager_formula(cfg, aperture, oblique_channel):
+    exp = build_expansion(cfg, 30)
+    bf = beamform_ka(cfg, oblique_channel, exp, aperture)
+    data = inverse_operator(exp, gram_matrix(exp, aperture), cfg.surface_resistance)
+    root = np.sqrt(data.lambda_diag)
+    lower = data.factor_inverse
+    x = root * channel_moments(oblique_channel, exp, aperture)
+    eager = root * (lower.T @ (lower @ x))
+    # relative to the magnitudes the two products sum: L^-1 is ill-conditioned,
+    # so any two summation orders differ by about 1e-12 of the result's norm
+    scale = root * (np.abs(lower).T @ (np.abs(lower) @ np.abs(x)))
+    assert np.all(np.abs(bf.projection - eager) <= 1e-13 * scale)
+
+
+def test_gain_alone_leaves_projection_uncomputed(cfg, aperture, oblique_channel):
+    bf = beamform_ka(cfg, oblique_channel, build_expansion(cfg, 20), aperture)
+    assert bf.gain > 0.0
+    assert "projection" not in bf.__dict__
+    bf(np.zeros(3))
+    assert "projection" in bf.__dict__
 
 
 def test_front_fire_gain_regression(cfg, aperture, front_channel):
