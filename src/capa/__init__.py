@@ -3,9 +3,8 @@
 from .physics import (C0, Z0, MU0, COPPER_CONDUCTIVITY, Aperture, Direction,
                       FarFieldChannel, PhysicalConfig, exact_channel,
                       far_field_channel, fraunhofer_distance, kernel_nulls,
-                      null_condition, radiation_kernel, scalar_green,
-                      surface_point, surface_resistance, wavelength_of,
-                      wavenumber_kernel, wavenumber_of)
+                      null_condition, radiation_kernel, surface_resistance,
+                      wavelength_of, wavenumber_kernel, wavenumber_of)
 from .quadrature import (ApertureGrid, GaussLegendreRule, WavenumberDiskGrid,
                          aperture_grid, disk_wavenumber_grid, legendre_rule)
 from .kernel_approx import (ClosedFormBeamformer, InverseOperatorData,

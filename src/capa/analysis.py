@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .kernel_approx import (_closed_form_gains, build_expansion, channel_moments,
-                            gram_matrix, inverse_operator)
+from .kernel_approx import (InverseOperatorData, _closed_form_gains, build_expansion,
+                            channel_moments, gram_matrix, inverse_operator)
 from .physics import (Aperture, Direction, FarFieldChannel, PhysicalConfig,
                       far_field_channel, wavenumber_kernel)
 from .quadrature import aperture_grid
@@ -227,11 +227,15 @@ def coupling_ratio(cfg: PhysicalConfig, kappa):
 
 def steered_gain_profile(cfg: PhysicalConfig, aperture: Aperture, plane: str,
                          phi, distance: float, order: int = 20,
-                         power: float = 1.0) -> np.ndarray:
+                         power: float = 1.0,
+                         inverse: InverseOperatorData | None = None) -> np.ndarray:
     """Closed-form array gain of the finite aperture along a principal plane.
 
     One factorization serves every angle, and the whitened moments of all
-    angles come from one block product with its triangular factor.
+    angles come from one block product with its triangular factor.  inverse
+    is the resolvent of build_expansion(cfg, order) on this aperture, as
+    inverse_operator returns it; it is built when None, and passing it lets
+    several planes share one factorization.
     """
     if plane not in ("E", "H"):
         raise DomainError("plane must be 'E' or 'H'", module="analysis")
@@ -240,8 +244,9 @@ def steered_gain_profile(cfg: PhysicalConfig, aperture: Aperture, plane: str,
     ph = np.atleast_1d(np.asarray(phi, dtype=float))
     theta = np.pi / 2 if plane == "E" else 0.0
     expansion = build_expansion(cfg, order)
-    inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),
-                               cfg.surface_resistance)
+    if inverse is None:
+        inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),
+                                   cfg.surface_resistance)
     channels = [far_field_channel(cfg, Direction(theta, float(p)), distance) for p in ph]
     # the polarization null (E plane at grazing) radiates nothing: gain 0
     live = [i for i, ch in enumerate(channels) if ch.amplitude != 0.0]

@@ -31,7 +31,7 @@ from .analysis import (beampattern, directivity_plane, steered_gain_profile,
                        uncoupled_beamformer)
 from .cg_solver import beamform_cg
 from .errors import ConfigError, DomainError, NumericError
-from .kernel_approx import beamform_ka, build_expansion
+from .kernel_approx import beamform_ka, build_expansion, gram_matrix, inverse_operator
 from .physics import (COPPER_CONDUCTIVITY, MU0, Aperture, Direction,
                       PhysicalConfig, far_field_channel, kernel_nulls,
                       radiation_kernel, wavenumber_kernel)
@@ -348,6 +348,10 @@ def _run_directivity(config: ExperimentConfig, seed):
     # stop short of grazing, where the per-area limit degenerates
     angles = np.arange(0.0, 90.0, v["directivity.step_deg"])
     phi = np.deg2rad(angles)
+    # one factored resolvent serves both planes
+    expansion = build_expansion(config.physical, config.order)
+    inverse = inverse_operator(expansion, gram_matrix(expansion, config.aperture),
+                               config.physical.surface_resistance)
     rows = []
     for plane in planes:
         profile = directivity_plane(config.physical, plane, phi)
@@ -355,7 +359,7 @@ def _run_directivity(config: ExperimentConfig, seed):
             rows.append(("infinite_per_area", plane, a, value))
         gains = steered_gain_profile(config.physical, config.aperture, plane,
                                      phi, config.distance, order=config.order,
-                                     power=config.power)
+                                     power=config.power, inverse=inverse)
         for a, value in zip(angles, gains):
             rows.append(("steered_gain", plane, a, value))
     return ("series", "plane", "angle_deg", "value"), rows, None

@@ -128,21 +128,6 @@ class Direction:
                          0.0])
 
 
-def surface_point(s_x: float, s_y: float) -> np.ndarray:
-    """A point of the transmit surface as a 3-vector in the z = 0 plane."""
-    return np.array([float(s_x), float(s_y), 0.0])
-
-
-def scalar_green(displacement, wavenumber: float):
-    """Scalar free-space Green function exp(j*k*r)/(4*pi*r)."""
-    s = np.asarray(displacement, dtype=float)
-    r = np.linalg.norm(s, axis=-1)
-    if np.any(r == 0.0):
-        raise DomainError("Green function is singular at zero separation", module="physics")
-    out = np.exp(1j * wavenumber * r) / (4.0 * np.pi * r)
-    return complex(out) if out.ndim == 0 else out
-
-
 def radiation_kernel(displacement, wavenumber: float, impedance: float = Z0,
                      polarized: bool = True):
     """Real radiation-coupling kernel between two points of the surface.

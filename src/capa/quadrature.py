@@ -65,6 +65,22 @@ class ApertureGrid:
         return np.asarray(values) @ self.weights
 
 
+def _axis_offsets(coords: np.ndarray, decimals: int | None = None):
+    """Distinct |c_i - c_j| over all pairs of a coordinate set, ascending, and
+    the (n, n) index of each pair's value in them.
+
+    A kernel even in each axis offset is then tabulated once on the product
+    of two axes' values and gathered for every pair of a tensor grid.  With
+    decimals the offsets are rounded first, so values that differ only by
+    rounding share an entry; without it the index is exact.
+    """
+    diffs = np.abs(coords[:, None] - coords)
+    if decimals is not None:
+        diffs = np.round(diffs, decimals)
+    values, index = np.unique(diffs, return_inverse=True)
+    return values, index.reshape(coords.size, coords.size)
+
+
 def aperture_grid(aperture: Aperture, order: int) -> ApertureGrid:
     rule = legendre_rule(order)
     xs = 0.5 * aperture.length_x * rule.nodes

@@ -2,8 +2,10 @@
 
 Each element is a small rectangle carrying a fixed current profile; mutual
 coupling between elements integrates the radiation kernel over both element
-surfaces.  The optimal drive vector and its gain follow from one symmetric
-positive-definite solve.
+surfaces.  On a lattice it depends only on the center offset, so one table
+over the distinct per-axis |offsets| fills the coupling matrix.  The optimal
+drive vector and its gain follow from one symmetric positive-definite solve,
+elementwise for the coupling-blind diagonal model.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from ._linalg import lower_matvec, lower_triangular_inverse
 from .errors import DomainError, NumericError
 from .kernel_approx import beamform_ka, build_expansion
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
-from .quadrature import aperture_grid
+from .quadrature import _axis_offsets, aperture_grid
 
 _DEFAULT_ELEMENT_ORDER = 6
 
@@ -87,9 +89,10 @@ def element_layout(aperture: Aperture, spacing: float, element_x: float,
 
 
 def _lattice_offsets(model: SpdaModel):
-    """Per axis: distinct center offsets, the offset index of each coordinate
-    pair, and each element's coordinate index.  DomainError unless the centers
-    form a full grid of disjoint elements in z = 0."""
+    """Per axis: distinct |center offsets| rounded to 1e-12 m, the offset index
+    of each coordinate pair, and each element's coordinate index, coordinates
+    ascending.  DomainError unless the centers form a full grid of disjoint
+    elements in z = 0."""
     if np.any(model.centers[:, 2] != 0.0):
         raise DomainError("element centers must lie in the z = 0 plane", module="spda")
     axes = [np.unique(model.centers[:, k], return_inverse=True) for k in (0, 1)]
@@ -101,8 +104,7 @@ def _lattice_offsets(model: SpdaModel):
     for (coords, index), side in zip(axes, (model.element_x, model.element_y)):
         if np.any(np.diff(coords) < side - 1e-12):
             raise DomainError("element surfaces overlap", module="spda")
-        offsets, pair = np.unique(np.round(coords[:, None] - coords, 12), return_inverse=True)
-        out.append((offsets, pair.reshape(coords.size, -1), index))
+        out.append(_axis_offsets(coords, decimals=12) + (index,))
     return out
 
 
@@ -122,7 +124,8 @@ def _pair_integrals(offsets: np.ndarray, egrid, wa: np.ndarray, cfg: PhysicalCon
 class CouplingMatrix:
     """Mutual-impedance data of a discrete array.
 
-    radiation holds the pairwise radiated-coupling integrals; the full matrix
+    radiation holds the pairwise radiated-coupling integrals, N x N, or for
+    a coupling-blind model only their diagonal, shape (N,); the full matrix
     adds the per-element self impedance on the diagonal.
     """
 
@@ -131,11 +134,13 @@ class CouplingMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        if self.radiation.ndim == 1:
+            return np.diag(self.radiation + self.self_impedance)
         return self.radiation + self.self_impedance * np.eye(self.radiation.shape[0])
 
     def diagonal_only(self) -> "CouplingMatrix":
         """Coupling-blind variant: off-diagonal radiation terms dropped."""
-        return CouplingMatrix(radiation=np.diag(np.diag(self.radiation)),
+        return CouplingMatrix(radiation=np.diag(self.radiation).copy(),
                               self_impedance=self.self_impedance)
 
 
@@ -147,28 +152,39 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
     per-element quadrature; "point" collapses off-diagonal pairs to the
     kernel at the center separation scaled by the element areas (the
     diagonal stays exact).  Centers must form a full n_x by n_y grid in z = 0
-    (DomainError otherwise); one table then holds the (2 n_x - 1)(2 n_y - 1)
-    x/y offsets of a uniform lattice, and the few that rounding splits.
+    (DomainError otherwise).  One table over the distinct |dx| and |dy| of
+    the lattice then holds every value: the kernel is even, so a pair
+    integral is unchanged by reflecting the offset through the origin, and
+    with element weights mirror-symmetric in x or y (the uniform profile) it
+    is even in each axis.  Other profiles add a second plane of the table
+    for (|dx|, -|dy|), read by pairs whose dx and dy differ in sign.
     """
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
     (dx, kx, ix), (dy, ky, iy) = _lattice_offsets(model)
-    offsets = np.column_stack([np.repeat(dx, dy.size), np.tile(dy, dx.size),
-                               np.zeros(dx.size * dy.size)])
     egrid = aperture_grid(Aperture(model.element_x, model.element_y), model.order)
     amp = model.profile_values(egrid.points)
     wa = egrid.weights * amp
     self_impedance = cfg.surface_resistance * float(np.sum(egrid.weights * np.abs(amp) ** 2))
+    w = wa.reshape(model.order, model.order)
+    even = mode == "point" or np.array_equal(w, w[::-1]) or np.array_equal(w, w[:, ::-1])
+    signs = (1.0,) if even else (1.0, -1.0)
+    offsets = np.zeros((dx.size, dy.size, len(signs), 3))
+    offsets[..., 0] = dx[:, None, None]
+    offsets[..., 1] = dy[:, None] * np.array(signs)
+    offsets = offsets.reshape(-1, 3)
 
     if mode == "exact":
         table = _pair_integrals(offsets, egrid, wa, cfg)
     else:
         table = model.element_area ** 2 * np.abs(model.profile_values(np.zeros(3))) ** 2 \
             * radiation_kernel(offsets, cfg.wavenumber, cfg.impedance)
-        zero = kx[0, 0] * dy.size + ky[0, 0]
-        table[zero] = _pair_integrals(offsets[zero:zero + 1], egrid, wa, cfg)[0]
-    radiation = table.reshape(dx.size, dy.size)[kx[np.ix_(ix, ix)], ky[np.ix_(iy, iy)]]
-    radiation = 0.5 * (radiation + radiation.T)
+        # the smallest |dx| and |dy| are the diagonal's 0: entry 0 is the zero offset
+        table[0] = _pair_integrals(offsets[:1], egrid, wa, cfg)[0]
+    table = table.reshape(dx.size, dy.size, len(signs))
+    # sign of an element pair's dx (dy) is the sign of its x (y) index difference
+    opposite = 0 if even else ((ix[:, None] - ix) * (iy[:, None] - iy) < 0).astype(int)
+    radiation = table[kx[np.ix_(ix, ix)], ky[np.ix_(iy, iy)], opposite]
     return CouplingMatrix(radiation=radiation, self_impedance=self_impedance)
 
 
@@ -196,26 +212,36 @@ class DiscreteBeamformer:
 
 def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
                                 power: float = 1.0) -> DiscreteBeamformer:
-    """Optimal drive vector under the coupling model, with its array gain."""
+    """Optimal drive vector under the coupling model, with its array gain.
+
+    A diagonal coupling (from diagonal_only) is solved elementwise.
+    """
     if power <= 0:
         raise DomainError("transmit power must be positive", module="spda")
     h = np.asarray(h, dtype=complex)
-    psi = coupling.matrix
-    if h.shape != (psi.shape[0],):
+    if h.shape != (coupling.radiation.shape[0],):
         raise DomainError("channel vector length does not match the coupling matrix",
                           module="spda")
-    try:
-        lower = np.linalg.cholesky(psi)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("coupling matrix is not positive definite", module="spda") from exc
-    # psi = L L^T: h^H psi^-1 h = ||L^-1 h||^2 and psi^-1 h = L^-T (L^-1 h)
-    factor_inverse = lower_triangular_inverse(lower)
-    whitened = lower_matvec(factor_inverse, h)
+    if coupling.radiation.ndim == 1:
+        diag = coupling.radiation + coupling.self_impedance
+        if not np.all(diag > 0.0):
+            raise NumericError("coupling matrix is not positive definite", module="spda")
+        # psi = D: h^H psi^-1 h = ||D^-1/2 h||^2 and psi^-1 h = D^-1 h
+        whitened = h / np.sqrt(diag)
+        direction = h / diag
+    else:
+        try:
+            lower = np.linalg.cholesky(coupling.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError("coupling matrix is not positive definite", module="spda") from exc
+        # psi = L L^T: h^H psi^-1 h = ||L^-1 h||^2 and psi^-1 h = L^-T (L^-1 h)
+        factor_inverse = lower_triangular_inverse(lower)
+        whitened = lower_matvec(factor_inverse, h)
+        direction = lower_matvec(factor_inverse, whitened, transpose=True)
     inner = float(np.vdot(whitened, whitened).real)
     if inner <= 0.0:
         raise NumericError("whitened channel energy is non-positive", module="spda")
-    weights = np.sqrt(2.0 * power / inner) \
-        * lower_matvec(factor_inverse, whitened, transpose=True)
+    weights = np.sqrt(2.0 * power / inner) * direction
     return DiscreteBeamformer(weights=weights, gain=2.0 * inner, power=power)
 
 

@@ -33,6 +33,15 @@ def _dense_system(cfg, grid):
     return kern * grid.weights[None, :] + cfg.surface_resistance * np.eye(grid.points.shape[0])
 
 
+@pytest.mark.parametrize("order", [7, 12])
+def test_kernel_matrix_equals_per_pair_kernel(cfg, order):
+    # the offset table must reproduce each pair's own kernel value exactly
+    grid = aperture_grid(Aperture(0.3, 0.5), order)
+    diffs = grid.points[:, None, :] - grid.points[None, :, :]
+    want = radiation_kernel(diffs, cfg.wavenumber, cfg.impedance)
+    assert np.array_equal(discretize_operator(cfg, grid).kernel_matrix, want)
+
+
 def test_solution_matches_dense_inverse(cfg, aperture, oblique_channel):
     grid = aperture_grid(aperture, 12)
     op = discretize_operator(cfg, grid)

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from capa import (C0, MU0, Z0, Aperture, Direction, DomainError,
                   PhysicalConfig, exact_channel, far_field_channel,
                   fraunhofer_distance, kernel_nulls, null_condition,
-                  radiation_kernel, scalar_green, surface_point,
-                  surface_resistance, wavelength_of, wavenumber_kernel,
-                  wavenumber_of)
+                  radiation_kernel, surface_resistance, wavelength_of,
+                  wavenumber_kernel, wavenumber_of)
 
 # values frozen from an independent high-precision evaluation
 COPPER_RS_2G4 = 1.2781195929854964e-2
@@ -78,21 +77,6 @@ def test_direction_vectors(cfg):
     assert kt[1] == pytest.approx(0.5 * k0, rel=1e-12)
     assert kt[2] == 0.0
     assert np.linalg.norm(d.unit_vector) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_surface_point_lies_in_plane():
-    p = surface_point(0.1, -0.2)
-    assert p.shape == (3,)
-    assert p[2] == 0.0
-
-
-def test_scalar_green_values(cfg):
-    k0 = cfg.wavenumber
-    r = cfg.wavelength / 4.0
-    val = scalar_green(np.array([r, 0.0, 0.0]), k0)
-    assert val == pytest.approx(np.exp(1j * k0 * r) / (4.0 * np.pi * r), rel=1e-14)
-    with pytest.raises(DomainError):
-        scalar_green(np.zeros(3), k0)
 
 
 def test_kernel_small_separation_limit(cfg):

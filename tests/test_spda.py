@@ -7,11 +7,13 @@ from capa import (
     Aperture,
     Direction,
     DomainError,
+    NumericError,
     PhysicalConfig,
     far_field_channel,
     radiation_kernel,
 )
 from capa.spda import (
+    CouplingMatrix,
     SpdaModel,
     aperture_sweep,
     coupling_matrix,
@@ -175,6 +177,9 @@ def test_diagonal_coupling_reduces_to_matched_filter(cfg, oblique_channel):
     matched = h / np.linalg.norm(h)
     direction = bf.weights / np.linalg.norm(bf.weights)
     assert abs(np.vdot(matched, direction)) == pytest.approx(1.0, rel=1e-12)
+    lossy = CouplingMatrix(radiation=-np.diag(coupling.matrix), self_impedance=0.0)
+    with pytest.raises(NumericError):
+        optimal_discrete_beamformer(h, lossy)
 
 
 def test_coupling_translation_invariant(cfg, oblique_channel):
@@ -199,12 +204,20 @@ def _brute_force_pair(model, cfg, offset):
     sy = 0.5 * model.element_y * nodes
     wy = 0.5 * model.element_y * weights
     px, py = np.meshgrid(sx, sy, indexing="ij")
-    pw = np.outer(wx, wy).ravel()
     pts = np.column_stack([px.ravel(), py.ravel(), np.zeros(px.size)])
+    pw = np.outer(wx, wy).ravel() * model.profile_values(pts)
     disp = pts[:, None, :] - pts[None, :, :] + offset
     kern = radiation_kernel(disp, cfg.wavenumber, cfg.impedance)
-    amp2 = 1.0 / model.element_area
-    return float(pw @ kern @ pw) * amp2
+    return float(np.real(np.conj(pw) @ kern @ pw))
+
+
+def _skewed_profile(side):
+    """A current profile mirror-symmetric in neither x nor y."""
+    def profile(p):
+        x = p[..., 0] / side
+        y = p[..., 1] / side
+        return 1.0 + 2.0 * x + 1j * y + 3.0 * x * y
+    return profile
 
 
 def test_exact_mode_matches_brute_force_pair(cfg):
@@ -218,8 +231,9 @@ def test_exact_mode_matches_brute_force_pair(cfg):
     assert got == pytest.approx(finer, rel=1e-6)
 
 
-@pytest.mark.parametrize("mode", ["exact", "point"])
-def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode):
+@pytest.mark.parametrize("mode, skewed", [("exact", False), ("point", False), ("exact", True)],
+                         ids=["exact", "point", "exact-skewed"])
+def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode, skewed):
     # 3 x 4 grid with unequal pitches, listed in shuffled order
     wl = cfg.wavelength
     xs = (np.arange(3) - 1.0) * 0.4 * wl + 0.013
@@ -227,17 +241,25 @@ def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode):
     centers = np.column_stack([np.repeat(xs, 4), np.tile(ys, 3), np.zeros(12)])
     centers = centers[np.random.default_rng(7).permutation(12)]
     side = 0.08 * wl
-    model = SpdaModel(centers=centers, element_x=side, element_y=side)
+    model = SpdaModel(centers=centers, element_x=side, element_y=side,
+                      profile=_skewed_profile(side) if skewed else None)
     got = coupling_matrix(model, cfg, mode=mode).radiation
+    assert np.array_equal(got, got.T)
     want = np.empty_like(got)
     for i, ci in enumerate(centers):
         for j, cj in enumerate(centers):
             if mode == "exact" or i == j:
-                want[i, j] = _brute_force_pair(model, cfg, ci - cj)
+                # the table rounds offsets to 1e-12 m, which alone moves a
+                # pair integral by up to about 1e-11 relative
+                want[i, j] = _brute_force_pair(model, cfg, np.round(ci - cj, 12))
             else:
                 want[i, j] = model.element_area * radiation_kernel(
                     ci - cj, cfg.wavenumber, cfg.impedance)
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
+    if skewed:
+        # only point reflection may fold this table; an axis fold errs by 3e-3
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    else:
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_spacing_sweep_table_shape(cfg, front_channel):
