@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericError
+
 # rows per panel of lower_matvec
 _PANEL = 256
 
@@ -56,3 +58,15 @@ def lower_triangular_inverse(lower: np.ndarray) -> np.ndarray:
     out[h:, h:] = bottom
     out[h:, :h] = -(bottom @ lower[h:, :h]) @ top
     return out
+
+
+def cholesky_inverse(matrix: np.ndarray, message: str, module: str) -> np.ndarray:
+    """L^-1 of the Cholesky factor L L^T = matrix; a matrix that is not positive
+    definite raises NumericError with message and a condition estimate."""
+    try:
+        lower = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        cond = np.linalg.cond(matrix)
+        raise NumericError(f"{message}: {exc} (condition estimate {cond:.3e})",
+                           module=module) from exc
+    return lower_triangular_inverse(lower)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .kernel_approx import (InverseOperatorData, _closed_form_gains, build_expansion,
+from .kernel_approx import (InverseOperatorData, PlaneWaveExpansion, _closed_form_gains,
                             channel_moments, gram_matrix, inverse_operator)
 from .physics import (Aperture, Direction, FarFieldChannel, PhysicalConfig,
                       far_field_channel, wavenumber_kernel)
@@ -225,25 +225,21 @@ def coupling_ratio(cfg: PhysicalConfig, kappa):
     return float(out) if out.ndim == 0 else out
 
 
-def steered_gain_profile(cfg: PhysicalConfig, aperture: Aperture, plane: str,
-                         phi, distance: float, order: int = 20,
-                         power: float = 1.0,
+def steered_gain_profile(cfg: PhysicalConfig, expansion: PlaneWaveExpansion,
+                         aperture: Aperture, plane: str, phi, distance: float,
                          inverse: InverseOperatorData | None = None) -> np.ndarray:
     """Closed-form array gain of the finite aperture along a principal plane.
 
     One factorization serves every angle, and the whitened moments of all
     angles come from one block product with its triangular factor.  inverse
-    is the resolvent of build_expansion(cfg, order) on this aperture, as
-    inverse_operator returns it; it is built when None, and passing it lets
-    several planes share one factorization.
+    is the resolvent of expansion on this aperture, as inverse_operator
+    returns it; it is built when None, and passing it lets several planes
+    share one factorization.
     """
     if plane not in ("E", "H"):
         raise DomainError("plane must be 'E' or 'H'", module="analysis")
-    if power <= 0:
-        raise DomainError("transmit power must be positive", module="analysis")
     ph = np.atleast_1d(np.asarray(phi, dtype=float))
     theta = np.pi / 2 if plane == "E" else 0.0
-    expansion = build_expansion(cfg, order)
     if inverse is None:
         inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),
                                    cfg.surface_resistance)

@@ -10,9 +10,9 @@ and the library version, so identical configuration and seed reproduce
 byte-identical files.
 
 Exit codes: 0 on success, 2 for configuration or domain errors
-(``DomainError``, ``ConfigError`` included), 3 for numeric failures
-(``NumericError`` and any other ``ValueError``, such as
-``numpy.linalg.LinAlgError``).  Errors print a JSON record to stderr.
+(``DomainError``, ``ConfigError`` and an unwritable ``--out`` included), 3 for
+numeric failures (``NumericError``, ``MemoryError`` and any other ``ValueError``,
+such as ``numpy.linalg.LinAlgError``).  Errors print a JSON record to stderr.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ _KEYS: dict[str, _Key] = {
     "beampattern.theta_step_deg": _Key(4.0, "pos_float"),
     "spda.spacing_wl": _Key(0.5, "pos_float"),
     "spda.element_wl": _Key(0.1, "pos_float"),
-    "spda.order": _Key(6, "pos_int"),
     "spda.mode": _Key("exact", "choice", ("exact", "point")),
     "spda.spacings_wl": _Key([1.0, 0.5, 0.25, 0.125], "pos_float_list", None,
                              ("spda-spacing", "--spacings")),
@@ -241,6 +240,19 @@ def _channel(config: ExperimentConfig):
                              config.distance, config.aperture)
 
 
+def _expansion(config: ExperimentConfig, order: int | None = None):
+    """The closed form's expansion: the configured disk rule at quadrature.M or order."""
+    return build_expansion(config.physical, config.order if order is None else order,
+                           inner_rule=config.inner_rule)
+
+
+def _solve_cg(config: ExperimentConfig, channel, order: int, seed):
+    v = config.values
+    return beamform_cg(config.physical, channel, config.aperture, order,
+                       power=config.power, tol=v["cg.tol"], max_iter=v["cg.max_iter"],
+                       init=v["cg.init"], seed=seed)
+
+
 def _run_kernel(config: ExperimentConfig, seed):
     v = config.values
     wavelength = config.physical.wavelength
@@ -282,22 +294,16 @@ def _run_wavenumber(config: ExperimentConfig, seed):
 
 
 def _run_gain(config: ExperimentConfig, seed):
-    v = config.values
     channel = _channel(config)
-    method = v["gain.method"]
+    method = config.values["gain.method"]
     payload: dict[str, object] = {"method": method}
     if method in ("ka", "both"):
-        expansion = build_expansion(config.physical, config.order,
-                                    inner_rule=config.inner_rule)
-        bf = beamform_ka(config.physical, channel, expansion, config.aperture,
+        bf = beamform_ka(config.physical, channel, _expansion(config), config.aperture,
                          power=config.power)
         payload["gain_ka"] = bf.gain
         payload["uncoupled_bound"] = bf.uncoupled_bound
     if method in ("cg", "both"):
-        sol = beamform_cg(config.physical, channel, config.aperture,
-                          config.order, power=config.power, tol=v["cg.tol"],
-                          max_iter=v["cg.max_iter"], init=v["cg.init"],
-                          seed=seed)
+        sol = _solve_cg(config, channel, config.order, seed)
         payload["gain_cg"] = sol.gain
         payload["cg_iterations"] = sol.state.iterations
         payload["cg_residual"] = sol.state.residual_norms[-1]
@@ -310,30 +316,20 @@ def _run_gain(config: ExperimentConfig, seed):
 
 
 def _run_convergence(config: ExperimentConfig, seed):
-    v = config.values
     channel = _channel(config)
-
-    def solve_cg(order):
-        return beamform_cg(config.physical, channel, config.aperture, order,
-                           power=config.power, tol=v["cg.tol"],
-                           max_iter=v["cg.max_iter"], init=v["cg.init"],
-                           seed=seed)
-
     rows = []
     # the history is of config.order; a sweep over that order already solved it
     history = None
-    for order in v["convergence.orders"]:
-        expansion = build_expansion(config.physical, order,
-                                    inner_rule=config.inner_rule)
-        ka = beamform_ka(config.physical, channel, expansion, config.aperture,
-                         power=config.power).gain
-        sol = solve_cg(order)
+    for order in config.values["convergence.orders"]:
+        ka = beamform_ka(config.physical, channel, _expansion(config, order),
+                         config.aperture, power=config.power).gain
+        sol = _solve_cg(config, channel, order, seed)
         if order == config.order:
             history = sol
         rows.append(("gain_ka", order, ka))
         rows.append(("gain_cg", order, sol.gain))
     if history is None:
-        history = solve_cg(config.order)
+        history = _solve_cg(config, channel, config.order, seed)
     for iteration, residual in enumerate(history.state.residual_norms, start=1):
         rows.append(("cg_residual", iteration, residual))
     for iteration, value in enumerate(history.state.functional_values, start=1):
@@ -348,8 +344,8 @@ def _run_directivity(config: ExperimentConfig, seed):
     # stop short of grazing, where the per-area limit degenerates
     angles = np.arange(0.0, 90.0, v["directivity.step_deg"])
     phi = np.deg2rad(angles)
-    # one factored resolvent serves both planes
-    expansion = build_expansion(config.physical, config.order)
+    # one expansion and factored resolvent serve both planes
+    expansion = _expansion(config)
     inverse = inverse_operator(expansion, gram_matrix(expansion, config.aperture),
                                config.physical.surface_resistance)
     rows = []
@@ -357,9 +353,8 @@ def _run_directivity(config: ExperimentConfig, seed):
         profile = directivity_plane(config.physical, plane, phi)
         for a, value in zip(angles, profile.values):
             rows.append(("infinite_per_area", plane, a, value))
-        gains = steered_gain_profile(config.physical, config.aperture, plane,
-                                     phi, config.distance, order=config.order,
-                                     power=config.power, inverse=inverse)
+        gains = steered_gain_profile(config.physical, expansion, config.aperture,
+                                     plane, phi, config.distance, inverse=inverse)
         for a, value in zip(angles, gains):
             rows.append(("steered_gain", plane, a, value))
     return ("series", "plane", "angle_deg", "value"), rows, None
@@ -368,10 +363,8 @@ def _run_directivity(config: ExperimentConfig, seed):
 def _run_beampattern(config: ExperimentConfig, seed):
     v = config.values
     channel = _channel(config)
-    expansion = build_expansion(config.physical, config.order,
-                                inner_rule=config.inner_rule)
-    coupled = beamform_ka(config.physical, channel, expansion, config.aperture,
-                          power=config.power)
+    coupled = beamform_ka(config.physical, channel, _expansion(config),
+                          config.aperture, power=config.power)
     blind = uncoupled_beamformer(config.physical, channel, config.aperture,
                                  power=config.power)
     phi_deg = np.arange(0.0, 90.0 + 1e-9, v["beampattern.phi_step_deg"])
@@ -396,10 +389,9 @@ def _run_spda_spacing(config: ExperimentConfig, seed):
     channel = _channel(config)
     element = v["spda.element_wl"] * wavelength
     spacings = [s * wavelength for s in v["spda.spacings_wl"]]
-    table = spacing_sweep(config.physical, config.aperture, channel, spacings,
-                          power=config.power, element_x=element,
-                          element_y=element, mode=v["spda.mode"],
-                          reference_order=config.order)
+    table = spacing_sweep(config.physical, _expansion(config), config.aperture,
+                          channel, spacings, element_x=element, element_y=element,
+                          mode=v["spda.mode"])
     rows = [(row.spacing / wavelength, row.spacing, row.n_elements,
              row.gain_coupled, row.gain_uncoupled, row.gain_reference)
             for row in table]
@@ -414,10 +406,9 @@ def _run_spda_aperture(config: ExperimentConfig, seed):
     element = v["spda.element_wl"] * wavelength
     spacing = v["spda.spacing_wl"] * wavelength
     apertures = [Aperture(side, side) for side in v["spda.sides_m"]]
-    table = aperture_sweep(config.physical, spacing, channel, apertures,
-                           power=config.power, element_x=element,
-                           element_y=element, mode=v["spda.mode"],
-                           reference_order=config.order)
+    table = aperture_sweep(config.physical, _expansion(config), spacing, channel,
+                           apertures, element_x=element, element_y=element,
+                           mode=v["spda.mode"])
     rows = [(side, row.area, row.n_elements, row.gain_discrete,
              row.gain_reference)
             for side, row in zip(v["spda.sides_m"], table)]
@@ -499,8 +490,10 @@ def _emit(args, config: ExperimentConfig, header, rows, payload) -> None:
     fmt = args.format or ("json" if args.command == "gain" else "csv")
     if payload is None:
         payload = {"rows": [dict(zip(header, row)) for row in rows]}
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out \
-        else sys.stdout
+    try:
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}", module="cli")
     try:
         if fmt == "csv":
             _write_csv(out, config.values, header, rows)
@@ -520,8 +513,8 @@ def main(argv=None) -> int:
         config = load_config(args.config, tuple(args.set), flags)
         header, rows, payload = run(args.command, config, seed=args.seed)
         _emit(args, config, header, rows, payload)
-    except (DomainError, NumericError, ValueError) as exc:
-        # a ValueError that is not a DomainError (LinAlgError, say) is numeric
+    except (DomainError, NumericError, ValueError, MemoryError) as exc:
+        # a MemoryError, or a ValueError that is not a DomainError (LinAlgError), is numeric
         code = 2 if isinstance(exc, DomainError) else 3
         record = {"code": code, "module": getattr(exc, "module", "cli") or "cli",
                   "message": str(exc)}

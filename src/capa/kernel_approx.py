@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import lower_matvec, lower_triangular_inverse
+from ._linalg import cholesky_inverse, lower_matvec
 from .errors import DomainError, NumericError
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, wavenumber_kernel
 from .quadrature import disk_wavenumber_grid
@@ -113,13 +113,9 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
     root = np.sqrt(lam)
     system = root[:, None] * gram * root[None, :]
     system[np.diag_indices_from(system)] += 1.0
-    try:
-        lower = np.linalg.cholesky(system)
-    except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(system)
-        raise NumericError(f"resolvent system is not positive definite: {exc} "
-                           f"(condition estimate {cond:.3e})", module="kernel_approx") from exc
-    return InverseOperatorData(lambda_diag=lam, factor_inverse=lower_triangular_inverse(lower))
+    factor_inverse = cholesky_inverse(system, "resolvent system is not positive definite",
+                                      "kernel_approx")
+    return InverseOperatorData(lambda_diag=lam, factor_inverse=factor_inverse)
 
 
 def channel_moments(channel: FarFieldChannel, expansion: PlaneWaveExpansion,

@@ -14,9 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import lower_matvec, lower_triangular_inverse
+from ._linalg import cholesky_inverse, lower_matvec
 from .errors import DomainError, NumericError
-from .kernel_approx import beamform_ka, build_expansion
+from .kernel_approx import PlaneWaveExpansion, beamform_ka
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
 from .quadrature import _axis_offsets, aperture_grid
 
@@ -230,12 +230,9 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
         whitened = h / np.sqrt(diag)
         direction = h / diag
     else:
-        try:
-            lower = np.linalg.cholesky(coupling.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("coupling matrix is not positive definite", module="spda") from exc
         # psi = L L^T: h^H psi^-1 h = ||L^-1 h||^2 and psi^-1 h = L^-T (L^-1 h)
-        factor_inverse = lower_triangular_inverse(lower)
+        factor_inverse = cholesky_inverse(coupling.matrix,
+                                          "coupling matrix is not positive definite", "spda")
         whitened = lower_matvec(factor_inverse, h)
         direction = lower_matvec(factor_inverse, whitened, transpose=True)
     inner = float(np.vdot(whitened, whitened).real)
@@ -254,27 +251,25 @@ class SpacingSweepRow:
     gain_reference: float
 
 
-def spacing_sweep(cfg: PhysicalConfig, aperture: Aperture, channel: FarFieldChannel,
-                  spacings, power: float = 1.0, element_x: float | None = None,
-                  element_y: float | None = None, mode: str = "exact",
-                  reference_order: int = 20) -> list[SpacingSweepRow]:
+def spacing_sweep(cfg: PhysicalConfig, expansion: PlaneWaveExpansion, aperture: Aperture,
+                  channel: FarFieldChannel, spacings, element_x: float | None = None,
+                  element_y: float | None = None, mode: str = "exact") -> list[SpacingSweepRow]:
     """Coupled and coupling-blind discrete gains versus lattice pitch.
 
-    Element sides default to a tenth of a wavelength.  The continuous-surface
-    closed-form gain for the same aperture and channel is attached to every
-    row as the reference.
+    Element sides default to a tenth of a wavelength.  Every row carries the
+    same reference: the closed-form gain of the continuous surface under
+    expansion, for the same aperture and channel.
     """
     ex = 0.1 * cfg.wavelength if element_x is None else element_x
     ey = 0.1 * cfg.wavelength if element_y is None else element_y
-    expansion = build_expansion(cfg, reference_order)
-    reference = beamform_ka(cfg, channel, expansion, aperture, power=power).gain
+    reference = beamform_ka(cfg, channel, expansion, aperture).gain
     rows = []
     for d in np.asarray(spacings, dtype=float):
         model = element_layout(aperture, float(d), ex, ey)
         coupling = coupling_matrix(model, cfg, mode=mode)
         h = discrete_channel(model, channel)
-        coupled = optimal_discrete_beamformer(h, coupling, power=power)
-        blind = optimal_discrete_beamformer(h, coupling.diagonal_only(), power=power)
+        coupled = optimal_discrete_beamformer(h, coupling)
+        blind = optimal_discrete_beamformer(h, coupling.diagonal_only())
         rows.append(SpacingSweepRow(spacing=float(d), n_elements=model.n_elements,
                                     gain_coupled=coupled.gain, gain_uncoupled=blind.gain,
                                     gain_reference=reference))
@@ -289,21 +284,21 @@ class ApertureSweepRow:
     gain_reference: float
 
 
-def aperture_sweep(cfg: PhysicalConfig, spacing: float, channel: FarFieldChannel,
-                   apertures, power: float = 1.0, element_x: float | None = None,
-                   element_y: float | None = None, mode: str = "exact",
-                   reference_order: int = 20) -> list[ApertureSweepRow]:
-    """Coupled discrete gain and continuous reference versus aperture size."""
+def aperture_sweep(cfg: PhysicalConfig, expansion: PlaneWaveExpansion, spacing: float,
+                   channel: FarFieldChannel, apertures, element_x: float | None = None,
+                   element_y: float | None = None,
+                   mode: str = "exact") -> list[ApertureSweepRow]:
+    """Coupled discrete gain versus aperture size, with the closed-form gain of
+    the continuous surface under expansion as each row's reference."""
     ex = 0.1 * cfg.wavelength if element_x is None else element_x
     ey = 0.1 * cfg.wavelength if element_y is None else element_y
-    expansion = build_expansion(cfg, reference_order)
     rows = []
     for ap in apertures:
-        reference = beamform_ka(cfg, channel, expansion, ap, power=power).gain
+        reference = beamform_ka(cfg, channel, expansion, ap).gain
         model = element_layout(ap, spacing, ex, ey)
         coupling = coupling_matrix(model, cfg, mode=mode)
         h = discrete_channel(model, channel)
-        coupled = optimal_discrete_beamformer(h, coupling, power=power)
+        coupled = optimal_discrete_beamformer(h, coupling)
         rows.append(ApertureSweepRow(area=ap.area, n_elements=model.n_elements,
                                      gain_discrete=coupled.gain, gain_reference=reference))
     return rows

@@ -162,19 +162,20 @@ def test_coupling_ratio_reference_points(cfg):
 
 def test_steered_profile_matches_pointwise_solution(cfg, aperture):
     angle = np.deg2rad(40.0)
-    prof = steered_gain_profile(cfg, aperture, "H", [angle], 50.0, order=20)
-    channel = far_field_channel(cfg, Direction(0.0, angle), 50.0)
     exp = build_expansion(cfg, 20)
+    prof = steered_gain_profile(cfg, exp, aperture, "H", [angle], 50.0)
+    channel = far_field_channel(cfg, Direction(0.0, angle), 50.0)
     direct = beamform_ka(cfg, channel, exp, aperture).gain
     assert prof[0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_steered_profile_grazing_polarization_null(cfg, aperture):
-    prof = steered_gain_profile(cfg, aperture, "E", [0.0, np.pi / 2], 50.0, order=10)
+    prof = steered_gain_profile(cfg, build_expansion(cfg, 10), aperture, "E",
+                                [0.0, np.pi / 2], 50.0)
     assert prof[0] > 0.0
     assert prof[1] == 0.0
     with pytest.raises(DomainError):
-        steered_gain_profile(cfg, aperture, "D", [0.0], 50.0)
+        steered_gain_profile(cfg, build_expansion(cfg, 20), aperture, "D", [0.0], 50.0)
 
 
 def test_steered_profile_block_matches_per_direction_loop(cfg, aperture):
@@ -184,7 +185,7 @@ def test_steered_profile_block_matches_per_direction_loop(cfg, aperture):
     exp = build_expansion(cfg, 30)
     inverse = inverse_operator(exp, gram_matrix(exp, aperture), cfg.surface_resistance)
     for plane, theta in (("E", np.pi / 2), ("H", 0.0)):
-        prof = steered_gain_profile(cfg, aperture, plane, phi, 50.0, order=30)
+        prof = steered_gain_profile(cfg, exp, aperture, plane, phi, 50.0)
         loop = [beamform_ka(cfg, far_field_channel(cfg, Direction(theta, p), 50.0), exp,
                             aperture, inverse=inverse).gain for p in phi]
         assert prof == pytest.approx(loop, rel=1e-9)

@@ -1,11 +1,13 @@
 """Tests for the experiment command-line driver."""
 
+import dataclasses
 import json
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from capa import C0, ConfigError, beamform_cg, cli
+from capa import C0, ConfigError, beamform_cg, build_expansion, cli, steered_gain_profile
 from capa.cli import load_config, main
 
 X_FIRST_NULL_EPS = 2.7437072699727789
@@ -345,3 +347,96 @@ def test_spda_aperture_smoke(capsys):
     assert header[0] == "side_m"
     assert len(rows) == 2
     assert float(rows[1][3]) > float(rows[0][3])
+
+
+def test_memory_error_exits_three_with_record(capsys, monkeypatch):
+    def exhausted(config, seed):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setitem(cli._COMMANDS, "kernel", (exhausted, "kernel"))
+    code, out, err = _run(capsys, ["kernel"])
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"code": 3, "module": "cli",
+                               "message": "Unable to allocate 7.28 TiB for an array"}
+
+
+def test_unwritable_output_is_config_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "nulls.csv"
+    code, out, err = _run(capsys, ["nulls", "--out", str(target)])
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["code"] == 2 and record["module"] == "cli"
+    assert record["message"].startswith("cannot write output file: ")
+    assert not target.parent.exists()
+
+
+def test_directivity_honors_inner_rule():
+    base = ("quadrature.M=6", "directivity.step_deg=30")
+    config = load_config(overrides=base + ("quadrature.inner_rule=legendre",))
+    _, rows, _ = cli.run("directivity", config)
+    _, default_rows, _ = cli.run("directivity", load_config(overrides=base))
+    expansion = build_expansion(config.physical, 6, inner_rule="legendre")
+    phi = np.deg2rad([0.0, 30.0, 60.0])
+    for plane in ("E", "H"):
+        got = [r[3] for r in rows if r[:2] == ("steered_gain", plane)]
+        default = [r[3] for r in default_rows if r[:2] == ("steered_gain", plane)]
+        want = steered_gain_profile(config.physical, expansion, config.aperture, plane,
+                                    phi, config.distance)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got != pytest.approx(default, rel=1e-6)
+
+
+def test_spda_reference_honors_inner_rule():
+    legendre = ("quadrature.inner_rule=legendre",)
+    _, _, gain = cli.run("gain", load_config(overrides=legendre + ("gain.method=ka",)))
+    _, rows, _ = cli.run("spda-spacing",
+                         load_config(overrides=legendre + ("spda.spacings_wl=[1]",)))
+    assert rows[0][5] == gain["gain_ka"]
+    assert gain["gain_ka"] == pytest.approx(3.6153478804406984, rel=1e-9)
+    assert gain["gain_ka"] != pytest.approx(3.614759790019557, rel=1e-6)
+
+
+class _ReadLog(Mapping):
+    """A configuration mapping that records every key read from it."""
+
+    def __init__(self, values, log):
+        self._values = values
+        self._log = log
+
+    def __getitem__(self, key):
+        self._log.add(key)
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
+# per subcommand, settings that keep its run small
+_SMOKE = {
+    "kernel": ("kernel.samples=8",),
+    "nulls": (),
+    "wavenumber": ("wavenumber.samples=8",),
+    "gain": ("quadrature.M=6",),
+    "convergence": ("quadrature.M=6", "convergence.orders=[4,6]"),
+    "directivity": ("quadrature.M=6", "directivity.step_deg=30"),
+    "beampattern": ("quadrature.M=6", "beampattern.phi_step_deg=30",
+                    "beampattern.theta_step_deg=90"),
+    "spda-spacing": ("quadrature.M=6", "aperture.L_x=0.125", "aperture.L_y=0.125",
+                     "spda.spacings_wl=[0.5]"),
+    "spda-aperture": ("quadrature.M=6", "spda.sides_m=[0.125]"),
+}
+
+
+def test_every_key_is_read():
+    assert set(_SMOKE) == set(cli._COMMANDS)
+    read = set()
+    for command, overrides in _SMOKE.items():
+        config = load_config(overrides=overrides)
+        cli.run(command, dataclasses.replace(config, values=_ReadLog(config.values, read)))
+    # load_config consumes the model keys when it builds the physical objects
+    model = {key for key in cli._KEYS if key.startswith(("material.", "aperture."))}
+    model |= {"frequency", "receiver.theta_deg", "receiver.phi_deg"}
+    assert read | model == set(cli._KEYS)

@@ -9,6 +9,7 @@ from capa import (
     DomainError,
     NumericError,
     PhysicalConfig,
+    build_expansion,
     far_field_channel,
     radiation_kernel,
 )
@@ -264,8 +265,8 @@ def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode, skewed):
 
 def test_spacing_sweep_table_shape(cfg, front_channel):
     wl = cfg.wavelength
-    rows = spacing_sweep(cfg, Aperture(0.125, 0.125), front_channel,
-                         [0.5 * wl, 0.25 * wl], mode="exact")
+    rows = spacing_sweep(cfg, build_expansion(cfg, 20), Aperture(0.125, 0.125),
+                         front_channel, [0.5 * wl, 0.25 * wl], mode="exact")
     assert len(rows) == 2
     refs = {row.gain_reference for row in rows}
     assert len(refs) == 1
@@ -278,7 +279,7 @@ def test_spacing_sweep_table_shape(cfg, front_channel):
 def test_aperture_sweep_plateau_between_pitch_multiples(cfg, front_channel):
     wl = cfg.wavelength
     d = 0.5 * wl
-    rows = aperture_sweep(cfg, d, front_channel,
+    rows = aperture_sweep(cfg, build_expansion(cfg, 20), d, front_channel,
                           [Aperture(0.30, 0.30), Aperture(0.31, 0.31)], mode="point")
     assert rows[0].n_elements == rows[1].n_elements == 16
     assert rows[1].gain_discrete == pytest.approx(rows[0].gain_discrete, rel=1e-12)
