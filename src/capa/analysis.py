@@ -1,4 +1,4 @@
-"""Large-aperture limits, directivity profiles, beampatterns, and benchmarks."""
+"""Large-aperture limits, directivity profiles and beampatterns."""
 from __future__ import annotations
 
 import warnings

@@ -31,11 +31,12 @@ import numpy as np
 from ._linalg import real_matvec
 from .errors import ConvergenceError, DomainError, NumericError
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
-from .quadrature import ApertureGrid, _axis_offsets, aperture_grid
+from .quadrature import ApertureGrid, _pair_matrix, aperture_grid
 
 _SKETCH_SEED = 20251
 _SKETCH_START_RANK = 32
 _RANK_MARGIN = 10.0
+_RETRY_SHIFT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,19 +62,27 @@ class NystromPreconditioner:
         return y / self.root_weights
 
 
-def _nystrom_factors(test: np.ndarray, sketch: np.ndarray):
+def _nystrom_factors(test: np.ndarray, sketch: np.ndarray, surface_resistance: float):
     """Eigenpairs of the Nystrom approximation from an orthonormal test matrix
-    and its image under H, with the shift that keeps the core factorable."""
+    and its image under H, with the shift that keeps the core factorable.
+
+    On an electrically small aperture H is so small that rounding can leave
+    the core indefinite; it is then shifted by _RETRY_SHIFT Zs, which next to
+    Zs the preconditioner cannot tell from zero."""
     shift = np.sqrt(test.shape[0]) * np.finfo(float).eps * np.linalg.norm(sketch)
-    shifted = sketch + shift * test
-    try:
-        lower = np.linalg.cholesky(test.T @ shifted)
-        basis, sv, _ = np.linalg.svd(np.linalg.solve(lower, shifted.T).T,
-                                     full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("Nystrom sketch is not finite and positive definite; "
-                           "discretized operator lost definiteness", module="cg_solver") from exc
-    return basis, np.maximum(sv ** 2 - shift, 0.0)
+    for retry in (False, True):
+        shifted = sketch + shift * test
+        try:
+            lower = np.linalg.cholesky(test.T @ shifted)
+            basis, sv, _ = np.linalg.svd(np.linalg.solve(lower, shifted.T).T,
+                                         full_matrices=False)
+            return basis, np.maximum(sv ** 2 - shift, 0.0)
+        except np.linalg.LinAlgError as exc:
+            if retry:
+                raise NumericError("Nystrom sketch is not finite and positive definite; "
+                                   "discretized operator lost definiteness",
+                                   module="cg_solver") from exc
+            shift = max(shift, _RETRY_SHIFT * surface_resistance)
 
 
 @dataclass(frozen=True)
@@ -112,7 +121,7 @@ class DiscretizedOperator:
             test = np.hstack([test, block])
             image = root[:, None] * (self.kernel_matrix @ (root[:, None] * block))
             sketch = np.hstack([sketch, image])
-            basis, eigs = _nystrom_factors(test, sketch)
+            basis, eigs = _nystrom_factors(test, sketch, zs)
             if eigs[-1] <= _RANK_MARGIN * zs or rank == cap:
                 break
             rank = min(2 * rank, cap)
@@ -125,14 +134,8 @@ def discretize_operator(cfg: PhysicalConfig, grid: ApertureGrid) -> DiscretizedO
     values at the distinct (|dx|, |dy|) pairs of the tensor grid."""
     m = grid.order
     axes = grid.points.reshape(m, m, 3)
-    dx, ix = _axis_offsets(axes[:, 0, 0])
-    dy, iy = _axis_offsets(axes[0, :, 1])
-    offsets = np.zeros((dx.size, dy.size, 3))
-    offsets[:, :, 0] = dx[:, None]
-    offsets[:, :, 1] = dy
-    table = radiation_kernel(offsets, cfg.wavenumber, cfg.impedance)
-    # point (a, b) is x node a and y node b, row-major
-    matrix = table[ix[:, None, :, None], iy[None, :, None, :]].reshape(m * m, m * m)
+    matrix = _pair_matrix(axes[:, 0, 0], axes[0, :, 1],
+                          lambda offsets: radiation_kernel(offsets, cfg.wavenumber, cfg.impedance))
     matrix.setflags(write=False)
     return DiscretizedOperator(config=cfg, grid=grid, kernel_matrix=matrix)
 

@@ -67,8 +67,12 @@ def build_expansion(cfg: PhysicalConfig, order: int,
 
 
 def _sinc(t: np.ndarray) -> np.ndarray:
-    # sin(t)/t with the removable singularity filled; np.sinc is sin(pi x)/(pi x)
-    return np.sinc(t / np.pi)
+    """sin(t)/t with the removable singularity filled, overwriting t; the steps
+    of np.sinc(t / pi), bit for bit, without its full-size temporaries."""
+    t /= np.pi
+    t *= np.pi
+    t[t == 0.0] = np.finfo(float).eps
+    return np.divide(np.sin(t), t, out=t)
 
 
 def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray:
@@ -77,10 +81,14 @@ def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray
     m = expansion.order
     kx = expansion.kappa[::m, 0]
     ky = expansion.kappa[:, 1]
-    qx = _sinc((kx[:, None] - kx[None, :]) * (0.5 * aperture.length_x))
-    qx = np.repeat(np.repeat(qx, m, axis=0), m, axis=1)
-    qy = _sinc((ky[:, None] - ky[None, :]) * (0.5 * aperture.length_y))
-    return aperture.area * qx * qy
+    q = _sinc((kx[:, None] - kx[None, :]) * (0.5 * aperture.length_x))
+    q = np.repeat(np.repeat(q, m, axis=0), m, axis=1)
+    # formed in place: at order 40 each n x n temporary is 20 MB
+    dy = ky[:, None] - ky[None, :]
+    dy *= 0.5 * aperture.length_y
+    q *= aperture.area
+    q *= _sinc(dy)
+    return q
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
-"""Gauss-Legendre rules and the product grids built from them.
+"""Gauss-Legendre rules, the product grids built from them, and pair tables.
 
 Two grids are used throughout: a tensor grid over the rectangular aperture
 (for surface integrals) and a nested grid over the propagating disk in the
-wavenumber plane (for spectral integrals).
+wavenumber plane (for spectral integrals).  The CG kernel matrix and the
+discrete-array coupling matrix are both gathered from one pair table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -25,7 +27,8 @@ class GaussLegendreRule:
     weights: np.ndarray = field(repr=False)
 
 
-@lru_cache(maxsize=None)
+# typed, so that 6.0 and True are checked rather than served the rules of 6 and 1
+@lru_cache(maxsize=None, typed=True)
 def legendre_rule(order: int) -> GaussLegendreRule:
     """Gauss-Legendre nodes and weights on [-1, 1], nodes ascending.
 
@@ -33,8 +36,8 @@ def legendre_rule(order: int) -> GaussLegendreRule:
     companion matrix, polishes them by one Newton step and symmetrizes nodes
     and weights about 0.
     """
-    if order < 1 or order > _MAX_ORDER:
-        raise DomainError(f"order must lie in [1, {_MAX_ORDER}]", module="quadrature")
+    if isinstance(order, bool) or not isinstance(order, Integral) or not 1 <= order <= _MAX_ORDER:
+        raise DomainError(f"order must be an integer in [1, {_MAX_ORDER}]", module="quadrature")
     order = int(order)
     x, w = leggauss(order)
     x.setflags(write=False)
@@ -65,20 +68,31 @@ class ApertureGrid:
         return np.asarray(values) @ self.weights
 
 
-def _axis_offsets(coords: np.ndarray, decimals: int | None = None):
-    """Distinct |c_i - c_j| over all pairs of a coordinate set, ascending, and
-    the (n, n) index of each pair's value in them.
+def _pair_matrix(xs: np.ndarray, ys: np.ndarray, values, decimals: int | None = None):
+    """Matrix of a function of the offset between every pair of points of the
+    tensor grid xs by ys, points x-major, for a function even in each axis offset.
 
-    A kernel even in each axis offset is then tabulated once on the product
-    of two axes' values and gathered for every pair of a tensor grid.  With
-    decimals the offsets are rounded first, so values that differ only by
-    rounding share an entry; without it the index is exact.
+    values maps K offsets (|dx|, |dy|, 0), shape (K, 3), to K values.  It is
+    called once, on the product of the distinct per-axis |offsets| ascending,
+    so its first row is the zero offset of the diagonal.  With decimals the
+    offsets are rounded first, so offsets that differ only by rounding share
+    an entry; without it every entry is the value its own pair gives.
     """
-    diffs = np.abs(coords[:, None] - coords)
-    if decimals is not None:
-        diffs = np.round(diffs, decimals)
-    values, index = np.unique(diffs, return_inverse=True)
-    return values, index.reshape(coords.size, coords.size)
+    axes = []
+    for coords in (xs, ys):
+        diffs = np.abs(coords[:, None] - coords)
+        if decimals is not None:
+            diffs = np.round(diffs, decimals)
+        distinct, index = np.unique(diffs, return_inverse=True)
+        axes.append((distinct, index.reshape(coords.size, coords.size)))
+    (dx, kx), (dy, ky) = axes
+    offsets = np.zeros((dx.size, dy.size, 3))
+    offsets[:, :, 0] = dx[:, None]
+    offsets[:, :, 1] = dy
+    table = values(offsets.reshape(-1, 3)).reshape(dx.size, dy.size)
+    # point (a, b) is x coordinate a and y coordinate b, row-major
+    n = xs.size * ys.size
+    return table[kx[:, None, :, None], ky[None, :, None, :]].reshape(n, n)
 
 
 def aperture_grid(aperture: Aperture, order: int) -> ApertureGrid:

@@ -1,11 +1,12 @@
-"""Spatially discrete arrays: finite elements on a lattice inside the aperture.
+"""Spatially discrete arrays: identical elements on a lattice inside the aperture.
 
-Each element is a small rectangle carrying a fixed current profile; mutual
-coupling between elements integrates the radiation kernel over both element
-surfaces.  On a lattice it depends only on the center offset, so one table
-over the distinct per-axis |offsets| fills the coupling matrix.  The optimal
-drive vector and its gain follow from one symmetric positive-definite solve,
-elementwise for the coupling-blind diagonal model.
+Each element is a small rectangle carrying the uniform unit-energy current;
+mutual coupling between elements integrates the radiation kernel over both
+element surfaces.  On a lattice it depends only on the center offset and is
+even in each axis offset, so one table over the distinct per-axis |offsets|
+fills the coupling matrix.  The optimal drive vector and its gain follow from
+one symmetric positive-definite solve, elementwise for the coupling-blind
+diagonal model.
 """
 from __future__ import annotations
 
@@ -18,51 +19,56 @@ from ._linalg import cholesky_inverse, lower_matvec
 from .errors import DomainError, NumericError
 from .kernel_approx import PlaneWaveExpansion, beamform_ka
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
-from .quadrature import _axis_offsets, aperture_grid
+from .quadrature import _pair_matrix, aperture_grid, legendre_rule
 
 _DEFAULT_ELEMENT_ORDER = 6
 
 
 @dataclass(frozen=True)
 class SpdaModel:
-    """Element geometry of a discrete array.
+    """Lattice of identical rectangular elements in the aperture plane z = 0.
 
-    centers has shape (N, 3) in the aperture plane; every element is the same
-    element_x by element_y rectangle; coupling_matrix needs a full grid of
-    centers in z = 0, as element_layout builds.  profile maps local
-    coordinates to the complex current distribution; None means the uniform
-    unit-energy profile 1/sqrt(element area).
+    x and y are the ascending center coordinates of each axis; the elements
+    sit at every (x, y) pair, x-major.  Each is an element_x by element_y
+    rectangle carrying the uniform unit-energy current 1/sqrt(element area),
+    integrated by an order x order Gauss-Legendre rule.  Neighbouring
+    elements may touch but not overlap.
     """
 
-    centers: np.ndarray = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
     element_x: float
     element_y: float
     order: int = _DEFAULT_ELEMENT_ORDER
-    profile: object = None
 
     def __post_init__(self):
-        c = np.asarray(self.centers, dtype=float)
-        if c.ndim != 2 or c.shape[1] != 3 or c.shape[0] < 1 or not np.isfinite(c).all():
-            raise DomainError("centers must be finite with shape (N, 3), N >= 1", module="spda")
         if not (0 < self.element_x < np.inf and 0 < self.element_y < np.inf):
             raise DomainError("element side lengths must be positive and finite", module="spda")
-        if not self.order >= 1:
-            raise DomainError("element quadrature order must be at least 1", module="spda")
-        object.__setattr__(self, "centers", c)
+        legendre_rule(self.order)  # DomainError unless an integer in [1, 512]
+        for name, side in (("x", self.element_x), ("y", self.element_y)):
+            coords = np.array(getattr(self, name), dtype=float)
+            if coords.ndim != 1 or coords.size < 1 or not np.isfinite(coords).all():
+                raise DomainError(f"{name} must be a finite, non-empty 1-D array",
+                                  module="spda")
+            if np.any(np.diff(coords) < side - 1e-12):
+                raise DomainError(f"element surfaces overlap: {name} must ascend by at "
+                                  "least one element side", module="spda")
+            coords.setflags(write=False)
+            object.__setattr__(self, name, coords)
+
+    @property
+    def centers(self) -> np.ndarray:
+        """Element centers, shape (N, 3), x-major, in z = 0."""
+        nx, ny = self.x.size, self.y.size
+        return np.column_stack([np.repeat(self.x, ny), np.tile(self.y, nx), np.zeros(nx * ny)])
 
     @property
     def n_elements(self) -> int:
-        return self.centers.shape[0]
+        return self.x.size * self.y.size
 
     @property
     def element_area(self) -> float:
         return self.element_x * self.element_y
-
-    def profile_values(self, local_points) -> np.ndarray:
-        if self.profile is None:
-            return np.full(np.asarray(local_points).shape[:-1],
-                           1.0 / np.sqrt(self.element_area), dtype=complex)
-        return np.asarray(self.profile(local_points), dtype=complex)
 
 
 def element_layout(aperture: Aperture, spacing: float, element_x: float,
@@ -81,31 +87,15 @@ def element_layout(aperture: Aperture, spacing: float, element_x: float,
     ny = int(np.floor(aperture.length_y / spacing + 1e-9))
     if nx < 1 or ny < 1:
         raise DomainError("aperture is smaller than one lattice pitch", module="spda")
-    ix = (np.arange(nx) - 0.5 * (nx - 1)) * spacing
-    iy = (np.arange(ny) - 0.5 * (ny - 1)) * spacing
-    centers = np.column_stack([np.repeat(ix, ny), np.tile(iy, nx), np.zeros(nx * ny)])
-    return SpdaModel(centers=centers, element_x=float(element_x),
-                     element_y=float(element_y), order=int(order))
+    return SpdaModel(x=(np.arange(nx) - 0.5 * (nx - 1)) * spacing,
+                     y=(np.arange(ny) - 0.5 * (ny - 1)) * spacing,
+                     element_x=float(element_x), element_y=float(element_y), order=order)
 
 
-def _lattice_offsets(model: SpdaModel):
-    """Per axis: distinct |center offsets| rounded to 1e-12 m, the offset index
-    of each coordinate pair, and each element's coordinate index, coordinates
-    ascending.  DomainError unless the centers form a full grid of disjoint
-    elements in z = 0."""
-    if np.any(model.centers[:, 2] != 0.0):
-        raise DomainError("element centers must lie in the z = 0 plane", module="spda")
-    axes = [np.unique(model.centers[:, k], return_inverse=True) for k in (0, 1)]
-    occupied = np.zeros((axes[0][0].size, axes[1][0].size), dtype=bool)
-    occupied[axes[0][1], axes[1][1]] = True
-    if occupied.size != model.n_elements or not occupied.all():
-        raise DomainError("element centers must form a full rectangular grid", module="spda")
-    out = []
-    for (coords, index), side in zip(axes, (model.element_x, model.element_y)):
-        if np.any(np.diff(coords) < side - 1e-12):
-            raise DomainError("element surfaces overlap", module="spda")
-        out.append(_axis_offsets(coords, decimals=12) + (index,))
-    return out
+def _element_current(model: SpdaModel):
+    """Element quadrature grid and the uniform unit-energy current 1/sqrt(element area)."""
+    return (aperture_grid(Aperture(model.element_x, model.element_y), model.order),
+            1.0 / np.sqrt(model.element_area))
 
 
 def _pair_integrals(offsets: np.ndarray, egrid, wa: np.ndarray, cfg: PhysicalConfig):
@@ -116,7 +106,7 @@ def _pair_integrals(offsets: np.ndarray, egrid, wa: np.ndarray, cfg: PhysicalCon
     for start in range(0, offsets.shape[0], block):
         disp = pair_disp[None, :, :, :] + offsets[start:start + block, None, None, :]
         kern = radiation_kernel(disp, cfg.wavenumber, cfg.impedance)
-        vals[start:start + block] = np.real(np.einsum("i,uij,j->u", np.conj(wa), kern, wa))
+        vals[start:start + block] = np.einsum("i,uij,j->u", wa, kern, wa)
     return vals
 
 
@@ -150,57 +140,38 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
 
     mode "exact" integrates the kernel over both element surfaces with the
     per-element quadrature; "point" collapses off-diagonal pairs to the
-    kernel at the center separation scaled by the element areas (the
-    diagonal stays exact).  Centers must form a full n_x by n_y grid in z = 0
-    (DomainError otherwise).  One table over the distinct |dx| and |dy| of
-    the lattice then holds every value: the kernel is even, so a pair
-    integral is unchanged by reflecting the offset through the origin, and
-    with element weights mirror-symmetric in x or y (the uniform profile) it
-    is even in each axis.  Other profiles add a second plane of the table
-    for (|dx|, -|dy|), read by pairs whose dx and dy differ in sign.
+    kernel at the center separation scaled by the element area (the
+    diagonal stays exact).  Either way a pair's value depends only on its
+    (|dx|, |dy|), rounded to 1e-12 m, and is tabulated once per distinct pair.
     """
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
-    (dx, kx, ix), (dy, ky, iy) = _lattice_offsets(model)
-    egrid = aperture_grid(Aperture(model.element_x, model.element_y), model.order)
-    amp = model.profile_values(egrid.points)
+    egrid, amp = _element_current(model)
     wa = egrid.weights * amp
-    self_impedance = cfg.surface_resistance * float(np.sum(egrid.weights * np.abs(amp) ** 2))
-    w = wa.reshape(model.order, model.order)
-    even = mode == "point" or np.array_equal(w, w[::-1]) or np.array_equal(w, w[:, ::-1])
-    signs = (1.0,) if even else (1.0, -1.0)
-    offsets = np.zeros((dx.size, dy.size, len(signs), 3))
-    offsets[..., 0] = dx[:, None, None]
-    offsets[..., 1] = dy[:, None] * np.array(signs)
-    offsets = offsets.reshape(-1, 3)
 
-    if mode == "exact":
-        table = _pair_integrals(offsets, egrid, wa, cfg)
-    else:
-        table = model.element_area ** 2 * np.abs(model.profile_values(np.zeros(3))) ** 2 \
-            * radiation_kernel(offsets, cfg.wavenumber, cfg.impedance)
-        # the smallest |dx| and |dy| are the diagonal's 0: entry 0 is the zero offset
+    def values(offsets):
+        if mode == "exact":
+            return _pair_integrals(offsets, egrid, wa, cfg)
+        table = model.element_area * radiation_kernel(offsets, cfg.wavenumber, cfg.impedance)
+        # row 0 is the zero offset: the diagonal keeps the exact self-integral
         table[0] = _pair_integrals(offsets[:1], egrid, wa, cfg)[0]
-    table = table.reshape(dx.size, dy.size, len(signs))
-    # sign of an element pair's dx (dy) is the sign of its x (y) index difference
-    opposite = 0 if even else ((ix[:, None] - ix) * (iy[:, None] - iy) < 0).astype(int)
-    radiation = table[kx[np.ix_(ix, ix)], ky[np.ix_(iy, iy)], opposite]
-    return CouplingMatrix(radiation=radiation, self_impedance=self_impedance)
+        return table
+
+    return CouplingMatrix(radiation=_pair_matrix(model.x, model.y, values, decimals=12),
+                          self_impedance=cfg.surface_resistance
+                          * float(np.sum(egrid.weights * (amp * amp))))
 
 
 def discrete_channel(model: SpdaModel, channel) -> np.ndarray:
     """Per-element channel coefficients, stored conjugated.
 
     Entry n is the conjugate of the channel integrated against the element
-    profile over element n, so the received field equals the conjugate inner
+    current over element n, so the received field equals the conjugate inner
     product of this vector with the drive vector.
     """
-    egrid = aperture_grid(Aperture(model.element_x, model.element_y), model.order)
-    amp = model.profile_values(egrid.points)
+    egrid, amp = _element_current(model)
     pts = model.centers[:, None, :] + egrid.points[None, :, :]
-    h_vals = channel(pts)
-    integrals = (h_vals * amp) @ egrid.weights
-    return np.conj(integrals)
+    return np.conj((channel(pts) * amp) @ egrid.weights)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+import capa
 from capa import C0, ConfigError, beamform_cg, build_expansion, cli, steered_gain_profile
 from capa.cli import load_config, main
 
@@ -440,3 +444,13 @@ def test_every_key_is_read():
     model = {key for key in cli._KEYS if key.startswith(("material.", "aperture."))}
     model |= {"frequency", "receiver.theta_deg", "receiver.phi_deg"}
     assert read | model == set(cli._KEYS)
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only declared runtime dependency; scipy may be installed
+    src = os.path.dirname(os.path.dirname(capa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, capa, capa.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert run.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capa import Aperture, DomainError, PhysicalConfig
+from capa import Aperture, DomainError, PhysicalConfig, build_expansion
 from capa.quadrature import (aperture_grid, disk_wavenumber_grid,
                              legendre_rule)
 
@@ -46,10 +46,24 @@ def test_rule_is_cached_and_frozen():
         a.nodes[0] = 0.0
 
 
-@pytest.mark.parametrize("order", [0, -3, 513])
+@pytest.mark.parametrize("order", [0, -3, 513, 2.5, 6.0, True])
 def test_rule_rejects_bad_order(order):
+    # cached integer rules must not answer for 6.0 or True
+    legendre_rule(6)
+    legendre_rule(1)
     with pytest.raises(DomainError):
         legendre_rule(order)
+
+
+def test_grids_reject_non_integer_order():
+    cfg = PhysicalConfig(frequency=2.4e9)
+    with pytest.raises(DomainError):
+        aperture_grid(Aperture(0.5, 0.5), 2.5)
+    with pytest.raises(DomainError):
+        disk_wavenumber_grid(cfg.wavenumber, 2.5)
+    with pytest.raises(DomainError):
+        build_expansion(cfg, 2.5)
+    assert aperture_grid(Aperture(0.5, 0.5), np.int64(4)).size == 16
 
 
 def test_aperture_grid_layout_row_major():

@@ -27,9 +27,8 @@ from capa.spda import (
 
 def _two_element_model(cfg, separation_y, element_wl=0.05, order=6):
     half = 0.5 * separation_y
-    centers = np.array([[0.0, -half, 0.0], [0.0, half, 0.0]])
     side = element_wl * cfg.wavelength
-    return SpdaModel(centers=centers, element_x=side, element_y=side, order=order)
+    return SpdaModel(x=[0.0], y=[-half, half], element_x=side, element_y=side, order=order)
 
 
 def test_layout_counts_and_centering(cfg, aperture):
@@ -55,38 +54,49 @@ def test_layout_rejects_bad_geometry(cfg, aperture):
     with pytest.raises(DomainError):
         element_layout(Aperture(0.01, 0.01), d, 0.1 * d, 0.1 * d)
     with pytest.raises(DomainError):
-        SpdaModel(centers=np.zeros((2, 2)), element_x=d, element_y=d)
+        SpdaModel(x=np.zeros((2, 2)), y=[0.0], element_x=d, element_y=d)
     with pytest.raises(DomainError):
-        SpdaModel(centers=np.zeros((1, 3)), element_x=-d, element_y=d)
-    overlapping = SpdaModel(centers=np.array([[0.0, 0.0, 0.0], [0.0, 0.001 * d, 0.0]]),
-                            element_x=d, element_y=d)
+        SpdaModel(x=[0.0], y=[0.0], element_x=-d, element_y=d)
     with pytest.raises(DomainError):
-        coupling_matrix(overlapping, cfg)
+        SpdaModel(x=[0.0], y=[0.0, 0.001 * d], element_x=d, element_y=d)
     nan = float("nan")
     with pytest.raises(DomainError):
         element_layout(aperture, nan, 0.1 * d, 0.1 * d)
     with pytest.raises(DomainError):
         element_layout(aperture, d, nan, 0.1 * d)
     with pytest.raises(DomainError):
-        SpdaModel(centers=[[nan, 0.0, 0.0]], element_x=d, element_y=d)
+        SpdaModel(x=[nan], y=[0.0], element_x=d, element_y=d)
     with pytest.raises(DomainError):
-        SpdaModel(centers=np.zeros((1, 3)), element_x=nan, element_y=d)
+        SpdaModel(x=[0.0], y=[0.0], element_x=nan, element_y=d)
     with pytest.raises(DomainError):
-        SpdaModel(centers=np.zeros((1, 3)), element_x=d, element_y=np.inf)
+        SpdaModel(x=[0.0], y=[0.0], element_x=d, element_y=np.inf)
     side = 0.1 * cfg.wavelength
     below_side = side - 1e-9 * cfg.wavelength
-    for centers, reason in (([[0.0, 0.0, 0.0], [d, d, 0.0]], "full rectangular grid"),
-                            ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "full rectangular grid"),
-                            ([[0.0, 0.0, 0.01], [d, 0.0, 0.01]], "z = 0 plane"),
-                            ([[0.0, 0.0, 0.0], [below_side, 0.0, 0.0]], "overlap")):
-        model = SpdaModel(centers=np.array(centers), element_x=side, element_y=side)
-        with pytest.raises(DomainError, match=reason):
-            coupling_matrix(model, cfg)
+    for x in ([0.0, 0.0], [0.0, below_side]):
+        with pytest.raises(DomainError, match="overlap"):
+            SpdaModel(x=x, y=[0.0], element_x=side, element_y=side)
+
+
+def test_model_is_a_lattice_with_integer_order(cfg):
+    side = 0.1 * cfg.wavelength
+    model = SpdaModel(x=[0.0, 0.2], y=[-0.1, 0.0, 0.1], element_x=side, element_y=side)
+    assert model.n_elements == 6
+    assert np.array_equal(model.centers, [[0.0, -0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.1, 0.0],
+                                          [0.2, -0.1, 0.0], [0.2, 0.0, 0.0], [0.2, 0.1, 0.0]])
+    for order in (2.5, True, 0):
+        with pytest.raises(DomainError):
+            SpdaModel(x=[0.0], y=[0.0], element_x=side, element_y=side, order=order)
+    with pytest.raises(DomainError):
+        element_layout(Aperture(0.25, 0.25), 0.5 * cfg.wavelength, side, side, order=2.5)
+    with pytest.raises(DomainError):
+        SpdaModel(x=[], y=[0.0], element_x=side, element_y=side)
+    with pytest.raises(DomainError, match="overlap"):
+        SpdaModel(x=[0.2, 0.0], y=[0.0], element_x=side, element_y=side)
 
 
 def test_single_element_gain_formula(cfg, front_channel):
     side = 0.1 * cfg.wavelength
-    model = SpdaModel(centers=np.zeros((1, 3)), element_x=side, element_y=side)
+    model = SpdaModel(x=[0.0], y=[0.0], element_x=side, element_y=side)
     coupling = coupling_matrix(model, cfg)
     h = discrete_channel(model, front_channel)
     bf = optimal_discrete_beamformer(h, coupling)
@@ -185,7 +195,7 @@ def test_diagonal_coupling_reduces_to_matched_filter(cfg, oblique_channel):
 
 def test_coupling_translation_invariant(cfg, oblique_channel):
     base = _two_element_model(cfg, 0.4 * cfg.wavelength)
-    shifted = SpdaModel(centers=base.centers + np.array([0.07, -0.03, 0.0]),
+    shifted = SpdaModel(x=base.x + 0.07, y=base.y - 0.03,
                         element_x=base.element_x, element_y=base.element_y,
                         order=base.order)
     psi_a = coupling_matrix(base, cfg).matrix
@@ -206,19 +216,10 @@ def _brute_force_pair(model, cfg, offset):
     wy = 0.5 * model.element_y * weights
     px, py = np.meshgrid(sx, sy, indexing="ij")
     pts = np.column_stack([px.ravel(), py.ravel(), np.zeros(px.size)])
-    pw = np.outer(wx, wy).ravel() * model.profile_values(pts)
+    pw = np.outer(wx, wy).ravel() / np.sqrt(model.element_area)
     disp = pts[:, None, :] - pts[None, :, :] + offset
     kern = radiation_kernel(disp, cfg.wavenumber, cfg.impedance)
-    return float(np.real(np.conj(pw) @ kern @ pw))
-
-
-def _skewed_profile(side):
-    """A current profile mirror-symmetric in neither x nor y."""
-    def profile(p):
-        x = p[..., 0] / side
-        y = p[..., 1] / side
-        return 1.0 + 2.0 * x + 1j * y + 3.0 * x * y
-    return profile
+    return float(pw @ kern @ pw)
 
 
 def test_exact_mode_matches_brute_force_pair(cfg):
@@ -226,24 +227,22 @@ def test_exact_mode_matches_brute_force_pair(cfg):
     got = coupling_matrix(model, cfg, mode="exact").radiation[0, 1]
     want = _brute_force_pair(model, cfg, model.centers[0] - model.centers[1])
     assert got == pytest.approx(want, rel=1e-10)
-    refined = SpdaModel(centers=model.centers, element_x=model.element_x,
+    refined = SpdaModel(x=model.x, y=model.y, element_x=model.element_x,
                         element_y=model.element_y, order=12)
     finer = coupling_matrix(refined, cfg, mode="exact").radiation[0, 1]
     assert got == pytest.approx(finer, rel=1e-6)
 
 
-@pytest.mark.parametrize("mode, skewed", [("exact", False), ("point", False), ("exact", True)],
-                         ids=["exact", "point", "exact-skewed"])
-def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode, skewed):
-    # 3 x 4 grid with unequal pitches, listed in shuffled order
+@pytest.mark.parametrize("mode", ["exact", "point"])
+def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode):
+    # 3 x 4 grid with unequal pitches, x spaced non-uniformly so the table
+    # holds offsets no uniform pitch produces
     wl = cfg.wavelength
-    xs = (np.arange(3) - 1.0) * 0.4 * wl + 0.013
+    xs = np.array([0.0, 0.4, 1.1]) * wl + 0.013
     ys = (np.arange(4) - 1.5) * 0.55 * wl - 0.021
-    centers = np.column_stack([np.repeat(xs, 4), np.tile(ys, 3), np.zeros(12)])
-    centers = centers[np.random.default_rng(7).permutation(12)]
     side = 0.08 * wl
-    model = SpdaModel(centers=centers, element_x=side, element_y=side,
-                      profile=_skewed_profile(side) if skewed else None)
+    model = SpdaModel(x=xs, y=ys, element_x=side, element_y=side)
+    centers = model.centers
     got = coupling_matrix(model, cfg, mode=mode).radiation
     assert np.array_equal(got, got.T)
     want = np.empty_like(got)
@@ -256,11 +255,7 @@ def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode, skewed):
             else:
                 want[i, j] = model.element_area * radiation_kernel(
                     ci - cj, cfg.wavenumber, cfg.impedance)
-    if skewed:
-        # only point reflection may fold this table; an axis fold errs by 3e-3
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    else:
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_spacing_sweep_table_shape(cfg, front_channel):
