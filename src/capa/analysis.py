@@ -77,7 +77,7 @@ def infinite_aperture_gain(cfg: PhysicalConfig, theta, phi, distance: float):
     return float(raw) if raw.ndim == 0 else raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectivityProfile:
     plane: str
     phi: np.ndarray = field(repr=False)
@@ -97,7 +97,7 @@ def directivity_plane(cfg: PhysicalConfig, plane: str, phi) -> DirectivityProfil
     return DirectivityProfile(plane=plane, phi=ph, values=np.asarray(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncoupledBeamformer:
     """Matched-filter transmit distribution normalized without coupling.
 
@@ -134,7 +134,7 @@ def uncoupled_beamformer(cfg: PhysicalConfig, channel: FarFieldChannel,
                                matched_energy=eta, scale=scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Beampattern:
     theta: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)

@@ -18,13 +18,21 @@ condition number of about (lam_min + Zs) / Zs.  The sketch rank starts at 32
 and doubles, reusing the columns already drawn, until the smallest retained
 eigenvalue lam_min is at most 10 Zs; it is capped at half the grid size.  The
 sketch seed is fixed, so a given configuration reproduces its output exactly.
+
+The operator and its preconditioner depend on the configuration, the aperture
+and the grid order, not on the steering direction, which enters only the
+right-hand side.  beamform_cg therefore reuses the operator and preconditioner
+of its last call with the same configuration, aperture and order; it keeps
+one operator at a time, so callers that loop over directions inside one order
+build each operator once.  Every array the operator holds is read-only.
+
 The stopping test and the recorded residuals use the weighted residual of the
 unpreconditioned system.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,7 +47,7 @@ _RANK_MARGIN = 10.0
 _RETRY_SHIFT = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NystromPreconditioner:
     """Inverse of the stabilized Nystrom preconditioner in weighted coordinates.
 
@@ -85,7 +93,7 @@ def _nystrom_factors(test: np.ndarray, sketch: np.ndarray, surface_resistance: f
             shift = max(shift, _RETRY_SHIFT * surface_resistance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
     """Coupling operator restricted to an aperture quadrature grid.
 
@@ -125,8 +133,11 @@ class DiscretizedOperator:
             if eigs[-1] <= _RANK_MARGIN * zs or rank == cap:
                 break
             rank = min(2 * rank, cap)
-        return NystromPreconditioner(basis=basis, shrink=(eigs[-1] + zs) / (eigs + zs) - 1.0,
-                                     root_weights=root)
+        shrink = (eigs[-1] + zs) / (eigs + zs) - 1.0
+        # shared by every solve on this operator, so no caller may write to them
+        for array in (basis, shrink, root):
+            array.setflags(write=False)
+        return NystromPreconditioner(basis=basis, shrink=shrink, root_weights=root)
 
 
 def discretize_operator(cfg: PhysicalConfig, grid: ApertureGrid) -> DiscretizedOperator:
@@ -146,7 +157,7 @@ def apply_operator(op: DiscretizedOperator, values: np.ndarray) -> np.ndarray:
         + op.surface_resistance * values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CgState:
     """Conjugate-gradient iterate and per-iteration history.
 
@@ -247,7 +258,7 @@ def solve_fredholm(op: DiscretizedOperator, rhs: np.ndarray, tol: float = 1e-8,
     return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FredholmSolution:
     """Normalized beamformer synthesized from a grid solution.
 
@@ -303,13 +314,25 @@ def synthesize_beamformer(op: DiscretizedOperator, channel: FarFieldChannel,
                             matched_inner=complex(inner), state=state)
 
 
+# One slot: callers loop over directions inside one order, and a larger cache
+# would hold an order^4 kernel matrix per entry.  typed, so that 12.0 and True
+# reach legendre_rule's check rather than the operators of orders 12 and 1.
+@lru_cache(maxsize=1, typed=True)
+def _operator(cfg: PhysicalConfig, aperture: Aperture, order: int) -> DiscretizedOperator:
+    return discretize_operator(cfg, aperture_grid(aperture, order))
+
+
 def beamform_cg(cfg: PhysicalConfig, channel: FarFieldChannel, aperture: Aperture,
                 order: int, power: float = 1.0, tol: float = 1e-8,
                 max_iter: int = 10_000, init: str = "zero",
                 seed: int | None = None) -> FredholmSolution:
-    """Discretize, solve, and normalize in one call."""
-    grid = aperture_grid(aperture, order)
-    op = discretize_operator(cfg, grid)
+    """Discretize, solve, and normalize in one call.
+
+    The operator and its preconditioner are those of the last call with the
+    same cfg, aperture and order, when there was one.
+    """
+    op = _operator(cfg, aperture, order)
+    grid = op.grid
     rhs = np.conj(channel(grid.points))
     state = solve_fredholm(op, rhs, tol=tol, max_iter=max_iter, init=init, seed=seed)
     return synthesize_beamformer(op, channel, state, power=power)

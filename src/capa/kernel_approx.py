@@ -18,7 +18,7 @@ from .errors import DomainError, NumericError
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, wavenumber_kernel
 from .quadrature import disk_wavenumber_grid
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneWaveExpansion:
     """Finite plane-wave approximation of the radiation kernel.
 
@@ -91,7 +91,7 @@ def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseOperatorData:
     """Factored resolvent shared by every steering direction.
 
@@ -154,7 +154,7 @@ def _closed_form_gains(inverse: InverseOperatorData, moments: np.ndarray,
     return whitened, penalty, 2.0 * net / surface_resistance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedFormBeamformer:
     """Optimal transmit distribution under the plane-wave kernel approximation.
 

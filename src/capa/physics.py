@@ -242,7 +242,7 @@ def kernel_nulls(s_y_over_r: float, count: int = 3, polarized: bool = True) -> n
     return np.asarray(roots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FarFieldChannel:
     """Planar-wavefront channel between the aperture and a distant receiver.
 

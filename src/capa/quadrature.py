@@ -20,7 +20,7 @@ from .physics import Aperture
 _MAX_ORDER = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussLegendreRule:
     order: int
     nodes: np.ndarray = field(repr=False)
@@ -45,7 +45,7 @@ def legendre_rule(order: int) -> GaussLegendreRule:
     return GaussLegendreRule(order=order, nodes=x, weights=w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApertureGrid:
     """Tensor Gauss-Legendre grid over a rectangular aperture.
 
@@ -108,7 +108,7 @@ def aperture_grid(aperture: Aperture, order: int) -> ApertureGrid:
     return ApertureGrid(aperture=aperture, order=order, points=points, weights=weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WavenumberDiskGrid:
     """Nested quadrature grid over the propagating disk ||kappa|| < k.
 

@@ -24,7 +24,7 @@ from .quadrature import _pair_matrix, aperture_grid, legendre_rule
 _DEFAULT_ELEMENT_ORDER = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpdaModel:
     """Lattice of identical rectangular elements in the aperture plane z = 0.
 
@@ -110,7 +110,7 @@ def _pair_integrals(offsets: np.ndarray, egrid, wa: np.ndarray, cfg: PhysicalCon
     return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingMatrix:
     """Mutual-impedance data of a discrete array.
 
@@ -174,7 +174,7 @@ def discrete_channel(model: SpdaModel, channel) -> np.ndarray:
     return np.conj((channel(pts) * amp) @ egrid.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteBeamformer:
     weights: np.ndarray = field(repr=False)
     gain: float

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capa import Aperture, Direction, PhysicalConfig, far_field_channel
+from capa import Aperture, Direction, PhysicalConfig, cg_solver, far_field_channel
 
 # one line per acceptance criterion, echoed after the run summary
 CRITERION_LINES: list[str] = []
@@ -12,6 +12,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(CRITERION_LINES):
             terminalreporter.line(line)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_cg_operator():
+    # beamform_cg keeps the operator of its last call; no test may see another's
+    cg_solver._operator.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 """Tests for the grid-discretized Fredholm solver."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -219,3 +222,49 @@ def test_non_finite_input_raises_numeric_error_at_once(cfg, aperture, front_chan
     broken = DiscretizedOperator(config=cfg, grid=grid, kernel_matrix=kernel)
     with pytest.raises(NumericError):
         solve_fredholm(broken, np.conj(front_channel(grid.points)))
+
+
+def test_directions_share_one_operator(cfg, aperture, front_channel, oblique_channel):
+    first = beamform_cg(cfg, front_channel, aperture, order=12)
+    second = beamform_cg(cfg, oblique_channel, Aperture(0.5, 0.5), order=12)
+    assert second.operator is first.operator
+
+
+def test_shared_operator_matches_fresh_build(cfg, aperture):
+    # every direction after the first reuses the operator and preconditioner;
+    # the results must equal an operator built for that direction alone
+    for channel in _criterion_04_channels(cfg):
+        shared = beamform_cg(cfg, channel, aperture, order=20)
+        grid = aperture_grid(aperture, 20)
+        op = discretize_operator(cfg, grid)
+        state = solve_fredholm(op, np.conj(channel(grid.points)))
+        fresh = synthesize_beamformer(op, channel, state)
+        assert shared.gain == fresh.gain
+        assert shared.state.iterations == fresh.state.iterations
+        assert np.array_equal(shared.state.residual_norms, fresh.state.residual_norms)
+        assert np.array_equal(shared.grid_values, fresh.grid_values)
+
+
+def test_operator_memo_holds_one_operator(cfg, aperture, front_channel):
+    first = weakref.ref(beamform_cg(cfg, front_channel, aperture, order=12).operator)
+    gc.collect()
+    assert first() is not None
+    beamform_cg(cfg, front_channel, aperture, order=14)
+    gc.collect()
+    assert first() is None
+
+
+def test_order_checked_before_operator_reuse(cfg, aperture, front_channel):
+    beamform_cg(cfg, front_channel, aperture, order=12)
+    for order in (12.0, True):
+        with pytest.raises(DomainError):
+            beamform_cg(cfg, front_channel, aperture, order=order)
+
+
+def test_shared_arrays_are_read_only(cfg, aperture, front_channel):
+    op = beamform_cg(cfg, front_channel, aperture, order=12).operator
+    precond = op.preconditioner
+    for array in (op.kernel_matrix, op.grid.points, op.grid.weights,
+                  precond.basis, precond.shrink, precond.root_weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0

@@ -9,6 +9,7 @@ from capa import (
     DomainError,
     NumericError,
     PhysicalConfig,
+    aperture_grid,
     build_expansion,
     far_field_channel,
     radiation_kernel,
@@ -92,6 +93,17 @@ def test_model_is_a_lattice_with_integer_order(cfg):
         SpdaModel(x=[], y=[0.0], element_x=side, element_y=side)
     with pytest.raises(DomainError, match="overlap"):
         SpdaModel(x=[0.2, 0.0], y=[0.0], element_x=side, element_y=side)
+
+
+def test_array_holding_dataclasses_compare_by_identity(cfg):
+    # a generated __eq__ would compare the array fields and raise ValueError
+    side = 0.1 * cfg.wavelength
+    for make in (lambda: SpdaModel(x=[0.0, 1.0], y=[0.0], element_x=side, element_y=side),
+                 lambda: aperture_grid(Aperture(0.5, 0.5), 4)):
+        first, second = make(), make()
+        assert first == first
+        assert first != second
+        assert len({first, first, second}) == 2
 
 
 def test_single_element_gain_formula(cfg, front_channel):
