@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import cholesky_inverse, lower_matvec
+from ._linalg import CholeskyFactor, cholesky
 from .errors import DomainError, NumericError
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, wavenumber_kernel
 from .quadrature import disk_wavenumber_grid
@@ -97,13 +97,13 @@ class InverseOperatorData:
 
     I + Lambda Q is similar to the symmetric positive definite form
     S = I + Lambda^1/2 Q Lambda^1/2 = L L^T, so
-    (I + Lambda Q)^-1 = Lambda^1/2 L^-T L^-1 Lambda^-1/2.  factor_inverse holds
-    the lower-triangular L^-1, which makes each direction's solve two matrix-vector
-    products.
+    (I + Lambda Q)^-1 = Lambda^1/2 L^-T L^-1 Lambda^-1/2.  factor holds L, and
+    each direction's solve is one triangular substitution, two for the
+    projection.
     """
 
     lambda_diag: np.ndarray = field(repr=False)
-    factor_inverse: np.ndarray = field(repr=False)
+    factor: CholeskyFactor = field(repr=False)
 
 
 def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
@@ -112,8 +112,8 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
 
     Lambda is the diagonal of expansion coefficients over the surface
     resistance.  The symmetric form I + Lambda^1/2 Q Lambda^1/2 is factored
-    once by Cholesky; a system that is not positive definite reports a
-    condition estimate.
+    once by Cholesky, and no inverse of it is formed; a system that is not
+    positive definite reports a condition estimate.
     """
     if surface_resistance <= 0:
         raise DomainError("surface resistance must be positive", module="kernel_approx")
@@ -121,9 +121,8 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
     root = np.sqrt(lam)
     system = root[:, None] * gram * root[None, :]
     system[np.diag_indices_from(system)] += 1.0
-    factor_inverse = cholesky_inverse(system, "resolvent system is not positive definite",
-                                      "kernel_approx")
-    return InverseOperatorData(lambda_diag=lam, factor_inverse=factor_inverse)
+    factor = cholesky(system, "resolvent system is not positive definite", "kernel_approx")
+    return InverseOperatorData(lambda_diag=lam, factor=factor)
 
 
 def channel_moments(channel: FarFieldChannel, expansion: PlaneWaveExpansion,
@@ -142,10 +141,11 @@ def _closed_form_gains(inverse: InverseOperatorData, moments: np.ndarray,
 
     penalty = a^H (I + Lambda Q)^-1 Lambda a = ||L^-1 Lambda^1/2 a||^2; the gain
     eta - penalty cancels about 1e4-fold, so the penalty comes from the
-    backward-stable Cholesky factor, not an inverse of the non-symmetric system.
+    backward-stable substitution with the Cholesky factor, not an inverse of the
+    non-symmetric system.
     """
     root = np.sqrt(inverse.lambda_diag).reshape((-1,) + (1,) * (moments.ndim - 1))
-    whitened = lower_matvec(inverse.factor_inverse, root * moments)
+    whitened = inverse.factor.solve(root * moments)
     penalty = np.sum(whitened.real ** 2 + whitened.imag ** 2, axis=0)
     net = matched_energy - penalty
     if np.any(net <= 0.0):
@@ -179,8 +179,8 @@ class ClosedFormBeamformer:
     @cached_property
     def projection(self) -> np.ndarray:
         """Lambda^1/2 L^-T L^-1 Lambda^1/2 a, the expansion-wave amplitudes."""
-        return np.sqrt(self.inverse.lambda_diag) * lower_matvec(
-            self.inverse.factor_inverse, self.whitened, transpose=True)
+        return np.sqrt(self.inverse.lambda_diag) * self.inverse.factor.solve(
+            self.whitened, transpose=True)
 
     def __call__(self, points) -> np.ndarray:
         s = np.asarray(points, dtype=float)

@@ -22,19 +22,6 @@ COPPER_CONDUCTIVITY = 5.8e7   # [S/m]
 _SMALL_SEPARATION_WL = 1e-6
 
 
-def wavenumber_of(frequency: float) -> float:
-    """Free-space wavenumber 2*pi*f/c."""
-    if frequency <= 0:
-        raise DomainError("frequency must be positive", module="physics")
-    return 2.0 * np.pi * frequency / C0
-
-
-def wavelength_of(frequency: float) -> float:
-    if frequency <= 0:
-        raise DomainError("frequency must be positive", module="physics")
-    return C0 / frequency
-
-
 def surface_resistance(frequency: float, mu_s: float = MU0,
                        sigma_s: float = COPPER_CONDUCTIVITY) -> float:
     """Surface resistance of a good conductor, sqrt(pi*f*mu/sigma)."""

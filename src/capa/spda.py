@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import cholesky_inverse, lower_matvec
+from ._linalg import cholesky
 from .errors import DomainError, NumericError
 from .kernel_approx import PlaneWaveExpansion, beamform_ka
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
@@ -185,7 +185,9 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
                                 power: float = 1.0) -> DiscreteBeamformer:
     """Optimal drive vector under the coupling model, with its array gain.
 
-    A diagonal coupling (from diagonal_only) is solved elementwise.
+    A dense coupling matrix is factored once by Cholesky and solved by two
+    triangular substitutions; a diagonal coupling (from diagonal_only) is
+    solved elementwise.
     """
     if power <= 0:
         raise DomainError("transmit power must be positive", module="spda")
@@ -202,10 +204,9 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
         direction = h / diag
     else:
         # psi = L L^T: h^H psi^-1 h = ||L^-1 h||^2 and psi^-1 h = L^-T (L^-1 h)
-        factor_inverse = cholesky_inverse(coupling.matrix,
-                                          "coupling matrix is not positive definite", "spda")
-        whitened = lower_matvec(factor_inverse, h)
-        direction = lower_matvec(factor_inverse, whitened, transpose=True)
+        factor = cholesky(coupling.matrix, "coupling matrix is not positive definite", "spda")
+        whitened = factor.solve(h)
+        direction = factor.solve(whitened, transpose=True)
     inner = float(np.vdot(whitened, whitened).real)
     if inner <= 0.0:
         raise NumericError("whitened channel energy is non-positive", module="spda")

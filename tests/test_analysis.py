@@ -49,7 +49,7 @@ def test_directivity_closed_form_off_axis(cfg):
 
 
 def test_unbounded_gain_forms_agree_on_grid(cfg):
-    # the function itself raises if its spectral and closed forms disagree
+    # the spectral form the function returns matches the closed directivity form
     theta = np.linspace(0.0, np.pi, 37)[:, None]
     phi = np.linspace(0.0, np.pi / 2 * 0.999, 19)[None, :]
     vals = infinite_aperture_gain(cfg, theta, phi, 50.0)
@@ -85,8 +85,6 @@ def test_uncoupled_gain_formula(cfg, aperture, oblique_channel):
     assert bf.gain == pytest.approx(want, rel=1e-14)
     with pytest.raises(DomainError):
         uncoupled_beamformer(cfg, oblique_channel, aperture, power=0.0)
-    with pytest.raises(DomainError):
-        uncoupled_beamformer(cfg, oblique_channel, aperture, resistance=-2.0)
 
 
 def test_beampattern_peaks_at_steering(cfg, aperture):

@@ -97,7 +97,8 @@ def test_gram_matrix_equals_full_pairwise_formula(cfg, aperture, order):
 def resolvent(data):
     """(I + Lambda Q)^-1 = Lambda^1/2 L^-T L^-1 Lambda^-1/2 from the factored data."""
     root = np.sqrt(data.lambda_diag)
-    inner = data.factor_inverse.T @ data.factor_inverse
+    identity = np.eye(root.size)
+    inner = data.factor.solve(data.factor.solve(identity), transpose=True).real
     return root[:, None] * inner / root[None, :]
 
 
@@ -164,7 +165,7 @@ def test_projection_matches_eager_formula(cfg, aperture, oblique_channel):
     bf = beamform_ka(cfg, oblique_channel, exp, aperture)
     data = inverse_operator(exp, gram_matrix(exp, aperture), cfg.surface_resistance)
     root = np.sqrt(data.lambda_diag)
-    lower = data.factor_inverse
+    lower = np.linalg.inv(data.factor.lower)
     x = root * channel_moments(oblique_channel, exp, aperture)
     eager = root * (lower.T @ (lower @ x))
     # relative to the magnitudes the two products sum: L^-1 is ill-conditioned,

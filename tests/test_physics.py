@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from capa import (C0, MU0, Z0, Aperture, Direction, DomainError,
                   PhysicalConfig, exact_channel, far_field_channel,
                   fraunhofer_distance, kernel_nulls, null_condition,
-                  radiation_kernel, surface_resistance, wavelength_of,
-                  wavenumber_kernel, wavenumber_of)
+                  radiation_kernel, surface_resistance, wavenumber_kernel)
 
 # values frozen from an independent high-precision evaluation
 COPPER_RS_2G4 = 1.2781195929854964e-2
@@ -24,8 +23,9 @@ def test_free_space_constants_consistent():
 
 def test_wavelength_wavenumber_roundtrip():
     f = 2.4e9
-    assert wavelength_of(f) == pytest.approx(C0 / f, rel=1e-15)
-    assert wavenumber_of(f) * wavelength_of(f) == pytest.approx(2.0 * np.pi, rel=1e-14)
+    cfg = PhysicalConfig(frequency=f)
+    assert cfg.wavelength == pytest.approx(C0 / f, rel=1e-15)
+    assert cfg.wavenumber * cfg.wavelength == pytest.approx(2.0 * np.pi, rel=1e-14)
 
 
 def test_surface_resistance_copper():
