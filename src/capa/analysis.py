@@ -10,7 +10,7 @@ from .errors import DomainError, NumericError
 from .kernel_approx import (InverseOperatorData, PlaneWaveExpansion, _closed_form_gains,
                             channel_moments, gram_matrix, inverse_operator)
 from .physics import (Aperture, Direction, FarFieldChannel, PhysicalConfig,
-                      far_field_channel, wavenumber_kernel)
+                      _require_radiating, far_field_channel, wavenumber_kernel)
 from .quadrature import aperture_grid
 
 
@@ -111,6 +111,7 @@ def uncoupled_beamformer(cfg: PhysicalConfig, channel: FarFieldChannel,
     """Coupling-blind matched filter normalized with the surface resistance."""
     if power <= 0:
         raise DomainError("transmit power must be positive", module="analysis")
+    _require_radiating(channel, "analysis")
     eta = aperture.area * abs(channel.amplitude) ** 2
     scale = float(np.sqrt(2.0 * power / (cfg.surface_resistance * eta)))
     return UncoupledBeamformer(channel=channel, power=power,

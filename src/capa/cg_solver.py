@@ -38,7 +38,8 @@ import numpy as np
 
 from ._linalg import real_matvec
 from .errors import ConvergenceError, DomainError, NumericError
-from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
+from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_radiating,
+                      radiation_kernel)
 from .quadrature import ApertureGrid, _pair_matrix, aperture_grid
 
 _SKETCH_SEED = 20251
@@ -331,6 +332,7 @@ def beamform_cg(cfg: PhysicalConfig, channel: FarFieldChannel, aperture: Apertur
     The operator and its preconditioner are those of the last call with the
     same cfg, aperture and order, when there was one.
     """
+    _require_radiating(channel, "cg_solver")
     op = _operator(cfg, aperture, order)
     grid = op.grid
     rhs = np.conj(channel(grid.points))

@@ -235,9 +235,11 @@ def _write_json(stream, values, payload) -> None:
     stream.write("\n")
 
 
-def _channel(config: ExperimentConfig):
-    return far_field_channel(config.physical, config.direction,
-                             config.distance, config.aperture)
+def _channel(config: ExperimentConfig, aperture: Aperture | None = None):
+    """The configured channel, its far-field boundary checked for aperture or,
+    by default, the configured aperture."""
+    return far_field_channel(config.physical, config.direction, config.distance,
+                             config.aperture if aperture is None else aperture)
 
 
 def _expansion(config: ExperimentConfig, order: int | None = None):
@@ -402,10 +404,12 @@ def _run_spda_spacing(config: ExperimentConfig, seed):
 def _run_spda_aperture(config: ExperimentConfig, seed):
     v = config.values
     wavelength = config.physical.wavelength
-    channel = _channel(config)
     element = v["spda.element_wl"] * wavelength
     spacing = v["spda.spacing_wl"] * wavelength
     apertures = [Aperture(side, side) for side in v["spda.sides_m"]]
+    # the largest swept side has the farthest far-field boundary
+    largest = max(v["spda.sides_m"])
+    channel = _channel(config, Aperture(largest, largest))
     table = aperture_sweep(config.physical, _expansion(config), spacing, channel,
                            apertures, element_x=element, element_y=element,
                            mode=v["spda.mode"])

@@ -15,7 +15,8 @@ import numpy as np
 
 from ._linalg import CholeskyFactor, cholesky
 from .errors import DomainError, NumericError
-from .physics import Aperture, FarFieldChannel, PhysicalConfig, wavenumber_kernel
+from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_radiating,
+                      wavenumber_kernel)
 from .quadrature import disk_wavenumber_grid
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +210,7 @@ def beamform_ka(cfg: PhysicalConfig, channel: FarFieldChannel,
     """
     if power <= 0:
         raise DomainError("transmit power must be positive", module="kernel_approx")
+    _require_radiating(channel, "kernel_approx")
     if inverse is None:
         inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),
                                    cfg.surface_resistance)

@@ -249,6 +249,14 @@ class FarFieldChannel:
         return complex(out) if out.ndim == 0 else out
 
 
+def _require_radiating(channel: FarFieldChannel, module: str) -> None:
+    """DomainError at the polarization null, where the channel amplitude is 0
+    and no distribution delivers power, so no beamformer exists."""
+    if channel.amplitude == 0:
+        raise DomainError("channel amplitude is zero: the steering direction is the "
+                          "polarization null, sin(theta) sin(phi) = +-1", module=module)
+
+
 def far_field_channel(cfg: PhysicalConfig, direction: Direction, distance: float,
                       aperture: Aperture | None = None) -> FarFieldChannel:
     """Far-field channel for a receiver at the given distance and direction.

@@ -92,9 +92,10 @@ def element_layout(aperture: Aperture, spacing: float, element_x: float,
                      element_x=float(element_x), element_y=float(element_y), order=order)
 
 
-def _element_current(model: SpdaModel):
-    """Element quadrature grid and the uniform unit-energy current 1/sqrt(element area)."""
-    return (aperture_grid(Aperture(model.element_x, model.element_y), model.order),
+def _element_current(model: SpdaModel, order: int):
+    """Element quadrature grid of the given order and the uniform unit-energy
+    current 1/sqrt(element area)."""
+    return (aperture_grid(Aperture(model.element_x, model.element_y), order),
             1.0 / np.sqrt(model.element_area))
 
 
@@ -138,28 +139,23 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
                     mode: str = "exact") -> CouplingMatrix:
     """Pairwise coupling of all elements.
 
-    mode "exact" integrates the kernel over both element surfaces with the
-    per-element quadrature; "point" collapses off-diagonal pairs to the
-    kernel at the center separation scaled by the element area (the
-    diagonal stays exact).  Either way a pair's value depends only on its
-    (|dx|, |dy|), rounded to 1e-12 m, and is tabulated once per distinct pair.
+    Both modes integrate the kernel over both element surfaces; mode only
+    picks the element rule.  "exact" uses the model's order x order rule;
+    "point" uses the one-node rule at the element center, so every pair,
+    the diagonal included, is the element area times the kernel at the
+    center offset (A K(0) on the diagonal), a sampled positive-definite
+    function.  Either way a pair's value depends only on its (|dx|, |dy|),
+    rounded to 1e-12 m, and is tabulated once per distinct pair.
     """
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
-    egrid, amp = _element_current(model)
+    egrid, amp = _element_current(model, model.order if mode == "exact" else 1)
     wa = egrid.weights * amp
-
-    def values(offsets):
-        if mode == "exact":
-            return _pair_integrals(offsets, egrid, wa, cfg)
-        table = model.element_area * radiation_kernel(offsets, cfg.wavenumber, cfg.impedance)
-        # row 0 is the zero offset: the diagonal keeps the exact self-integral
-        table[0] = _pair_integrals(offsets[:1], egrid, wa, cfg)[0]
-        return table
-
-    return CouplingMatrix(radiation=_pair_matrix(model.x, model.y, values, decimals=12),
-                          self_impedance=cfg.surface_resistance
-                          * float(np.sum(egrid.weights * (amp * amp))))
+    return CouplingMatrix(
+        radiation=_pair_matrix(model.x, model.y,
+                               lambda offsets: _pair_integrals(offsets, egrid, wa, cfg),
+                               decimals=12),
+        self_impedance=cfg.surface_resistance * float(np.sum(egrid.weights * (amp * amp))))
 
 
 def discrete_channel(model: SpdaModel, channel) -> np.ndarray:
@@ -169,7 +165,7 @@ def discrete_channel(model: SpdaModel, channel) -> np.ndarray:
     current over element n, so the received field equals the conjugate inner
     product of this vector with the drive vector.
     """
-    egrid, amp = _element_current(model)
+    egrid, amp = _element_current(model, model.order)
     pts = model.centers[:, None, :] + egrid.points[None, :, :]
     return np.conj((channel(pts) * amp) @ egrid.weights)
 

@@ -11,6 +11,7 @@ from capa import (
     PhysicalConfig,
     Z0,
     aperture_grid,
+    beamform_cg,
     beamform_ka,
     build_expansion,
     far_field_channel,
@@ -85,6 +86,22 @@ def test_uncoupled_gain_formula(cfg, aperture, oblique_channel):
     assert bf.gain == pytest.approx(want, rel=1e-14)
     with pytest.raises(DomainError):
         uncoupled_beamformer(cfg, oblique_channel, aperture, power=0.0)
+
+
+def test_polarization_null_is_domain_error_for_every_beamformer(cfg, aperture):
+    # sin(theta) sin(phi) = 1 zeroes the channel: no distribution radiates there
+    null = far_field_channel(cfg, Direction(np.pi / 2, np.pi / 2), 50.0)
+    assert null.amplitude == 0
+    with pytest.raises(DomainError, match="polarization null"):
+        uncoupled_beamformer(cfg, null, aperture)
+    with pytest.raises(DomainError, match="polarization null"):
+        beamform_ka(cfg, null, build_expansion(cfg, 6), aperture)
+    with pytest.raises(DomainError, match="polarization null"):
+        beamform_cg(cfg, null, aperture, 6)
+    # the profile drops null channels before solving
+    gains = steered_gain_profile(cfg, build_expansion(cfg, 6), aperture, "E",
+                                 np.array([0.0, np.pi / 2]), 50.0)
+    assert gains[0] > 0.0 and gains[1] == 0.0
 
 
 def test_beampattern_peaks_at_steering(cfg, aperture):
@@ -187,3 +204,20 @@ def test_steered_profile_block_matches_per_direction_loop(cfg, aperture):
         loop = [beamform_ka(cfg, far_field_channel(cfg, Direction(theta, p), 50.0), exp,
                             aperture, inverse=inverse).gain for p in phi]
         assert prof == pytest.approx(loop, rel=1e-9)
+
+
+def test_front_fire_gain_follows_edge_law(cfg):
+    # At resolved orders both solvers' front-fire gains follow the two-term law
+    # area g_inf / (4 pi^2) (1 + c / L), an edge term in perimeter over area.
+    # c = 0.248 m is measured at 2.4 GHz and R0 = 50 m only; how it scales
+    # with the wavelength is not derived here.
+    g_inf = float(infinite_aperture_gain(cfg, 0.0, 0.0, 50.0))
+    channel = far_field_channel(cfg, Direction(0.0, 0.0), 50.0)
+    for side in (0.25, 0.5, 0.75):
+        order = int(np.ceil(1.2 * cfg.wavenumber * side)) + 2
+        ap = Aperture(side, side)
+        law = ap.area * g_inf / (4.0 * np.pi ** 2) * (1.0 + 0.248 / side)
+        ka = beamform_ka(cfg, channel, build_expansion(cfg, order), ap).gain
+        cg = beamform_cg(cfg, channel, ap, order).gain
+        assert ka == pytest.approx(law, rel=0.02), (side, order)
+        assert cg == pytest.approx(law, rel=0.02), (side, order)

@@ -268,3 +268,20 @@ def test_shared_arrays_are_read_only(cfg, aperture, front_channel):
                   precond.basis, precond.shrink, precond.root_weights):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize("side, order", [(0.5, 12), (0.5, 20), (0.3, 7)])
+def test_nystrom_preconditioned_spectrum_floor(cfg, side, order):
+    # the Nystrom approximation lies below H, so the smallest eigenvalue mu of
+    # P^-1/2 (H + Zs I) P^-1/2 is at least Zs: the floor a certified CG error
+    # bound divides by.  Order 20 sits on the floor to rounding (1 - 3.7e-12).
+    op = discretize_operator(cfg, aperture_grid(Aperture(side, side), order))
+    pre = op.preconditioner
+    root = pre.root_weights
+    zs = op.surface_resistance
+    n = root.size
+    weighted = root[:, None] * op.kernel_matrix * root + zs * np.eye(n)
+    # P^-1 = I + U diag(shrink) U^T, so P^-1/2 = I + U diag(sqrt(1 + shrink) - 1) U^T
+    half = np.eye(n) + (pre.basis * (np.sqrt(1.0 + pre.shrink) - 1.0)) @ pre.basis.T
+    mu = np.linalg.eigvalsh(half @ weighted @ half)[0]
+    assert mu >= zs * (1.0 - 1e-10)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections.abc import Mapping
 
 import numpy as np
@@ -224,6 +225,37 @@ def test_numeric_error_exit_code_and_record(capsys):
     record = json.loads(err)
     assert record["code"] == 3
     assert record["module"] == "cg_solver"
+
+
+@pytest.mark.parametrize("argv", [["gain", "--method", "ka"], ["gain", "--method", "cg"],
+                                  ["gain", "--method", "both"], ["beampattern"]])
+def test_polarization_null_exits_two_with_record(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--set", "receiver.theta_deg=90",
+                                          "--set", "receiver.phi_deg=90",
+                                          "--set", "quadrature.M=6"])
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["code"] == 2
+    assert "polarization null" in record["message"]
+
+
+def test_spda_aperture_checks_far_field_of_largest_side():
+    small = ("quadrature.M=6", "spda.spacing_wl=1")
+    # the 0.75 m side's boundary is 18 m; the configured 0.5 m aperture's is 8 m
+    config = load_config(overrides=small + ("receiver.R0=12", "spda.sides_m=[0.25, 0.75]"))
+    with pytest.warns(UserWarning, match="far-field boundary 18 m"):
+        cli.run("spda-aperture", config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli.run("spda-aperture", load_config(overrides=small))
+
+
+@pytest.mark.parametrize("command", ["spda-spacing", "spda-aperture"])
+def test_spda_point_mode_runs_at_defaults(capsys, command):
+    code, out, err = _run(capsys, [command, "--set", "spda.mode=point"])
+    assert code == 0 and err == ""
+    _, rows = _csv_rows(out)
+    assert all(float(cell) > 0.0 for row in rows for cell in row)
 
 
 def test_linalg_error_exits_three_with_record(capsys, monkeypatch):

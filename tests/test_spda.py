@@ -137,7 +137,10 @@ def test_point_mode_approximates_exact(cfg):
     model = element_layout(Aperture(0.25, 0.25), d, side, side)
     exact = coupling_matrix(model, cfg, mode="exact").radiation
     point = coupling_matrix(model, cfg, mode="point").radiation
-    assert np.allclose(np.diag(point), np.diag(exact), rtol=1e-12)
+    # the one-node rule's diagonal is the point limit A K(0)
+    self_point = model.element_area * radiation_kernel(np.zeros(3), cfg.wavenumber,
+                                                       cfg.impedance)
+    assert np.allclose(np.diag(point), self_point, rtol=1e-14, atol=0.0)
     off = ~np.eye(model.n_elements, dtype=bool)
     rel = np.abs(point[off] - exact[off]) / np.max(np.abs(exact[off]))
     assert np.max(rel) < 0.05
@@ -260,7 +263,7 @@ def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode):
     want = np.empty_like(got)
     for i, ci in enumerate(centers):
         for j, cj in enumerate(centers):
-            if mode == "exact" or i == j:
+            if mode == "exact":
                 # the table rounds offsets to 1e-12 m, which alone moves a
                 # pair integral by up to about 1e-11 relative
                 want[i, j] = _brute_force_pair(model, cfg, np.round(ci - cj, 12))
@@ -268,6 +271,17 @@ def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode):
                 want[i, j] = model.element_area * radiation_kernel(
                     ci - cj, cfg.wavenumber, cfg.impedance)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_point_mode_is_positive_definite(cfg, aperture):
+    # A K(c_i - c_j) samples a positive-definite function, so the radiation
+    # part is positive semidefinite and Psi's spectrum stays above Zs
+    side = 0.1 * cfg.wavelength
+    for pitch_wl in (1.0, 0.5, 0.25, 0.125):
+        model = element_layout(aperture, pitch_wl * cfg.wavelength, side, side)
+        coupling = coupling_matrix(model, cfg, mode="point")
+        smallest = np.linalg.eigvalsh(coupling.matrix)[0]
+        assert smallest > 0.5 * coupling.self_impedance, pitch_wl
 
 
 def test_spacing_sweep_table_shape(cfg, front_channel):
