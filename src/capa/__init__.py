@@ -13,9 +13,8 @@ from .kernel_approx import (ClosedFormBeamformer, InverseOperatorData,
 from .cg_solver import (CgState, DiscretizedOperator, FredholmSolution,
                         apply_operator, beamform_cg, discretize_operator,
                         solve_fredholm, synthesize_beamformer)
-from .analysis import (Beampattern, DirectivityProfile, UncoupledBeamformer,
-                       beampattern, coupling_ratio, directivity_factor,
-                       directivity_plane, half_power_width,
+from .analysis import (Beampattern, UncoupledBeamformer, beampattern,
+                       coupling_ratio, directivity_factor, half_power_width,
                        infinite_aperture_gain, steered_gain_profile,
                        uncoupled_beamformer)
 from .spda import (ApertureSweepRow, CouplingMatrix, DiscreteBeamformer,

@@ -1,4 +1,4 @@
-"""Large-aperture limits, directivity profiles and beampatterns."""
+"""Large-aperture limits, steering gain profiles and beampatterns."""
 from __future__ import annotations
 
 import warnings
@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .kernel_approx import (InverseOperatorData, PlaneWaveExpansion, _closed_form_gains,
-                            channel_moments, gram_matrix, inverse_operator)
+from .kernel_approx import (PlaneWaveExpansion, _closed_form_gains, channel_moments,
+                            gram_matrix, inverse_operator)
 from .physics import (Aperture, Direction, FarFieldChannel, PhysicalConfig,
                       _require_radiating, far_field_channel, wavenumber_kernel)
 from .quadrature import aperture_grid
@@ -65,26 +65,6 @@ def infinite_aperture_gain(cfg: PhysicalConfig, theta, phi, distance: float):
 
 
 @dataclass(frozen=True, eq=False)
-class DirectivityProfile:
-    plane: str
-    phi: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-
-def directivity_plane(cfg: PhysicalConfig, plane: str, phi) -> DirectivityProfile:
-    """Directivity factor along a principal plane.
-
-    "E" scans the polarization plane (azimuth pi/2), "H" the orthogonal one.
-    """
-    if plane not in ("E", "H"):
-        raise DomainError("plane must be 'E' or 'H'", module="analysis")
-    ph = np.asarray(phi, dtype=float)
-    theta = np.pi / 2 if plane == "E" else 0.0
-    values = directivity_factor(cfg, theta, ph)
-    return DirectivityProfile(plane=plane, phi=ph, values=np.asarray(values))
-
-
-@dataclass(frozen=True, eq=False)
 class UncoupledBeamformer:
     """Matched-filter transmit distribution normalized without coupling.
 
@@ -121,8 +101,6 @@ def uncoupled_beamformer(cfg: PhysicalConfig, channel: FarFieldChannel,
 
 @dataclass(frozen=True, eq=False)
 class Beampattern:
-    theta: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     peak: float
 
@@ -156,8 +134,7 @@ def beampattern(w, cfg: PhysicalConfig, aperture: Aperture, theta, phi,
     if peak == 0.0:
         raise NumericError("beampattern is identically zero over the requested grid",
                            module="analysis")
-    return Beampattern(theta=tf.reshape(shape), phi=pf.reshape(shape),
-                       values=(values / peak).reshape(shape), peak=peak)
+    return Beampattern(values=(values / peak).reshape(shape), peak=peak)
 
 
 def half_power_width(angle: np.ndarray, values: np.ndarray) -> float:
@@ -211,30 +188,26 @@ def coupling_ratio(cfg: PhysicalConfig, kappa):
 
 
 def steered_gain_profile(cfg: PhysicalConfig, expansion: PlaneWaveExpansion,
-                         aperture: Aperture, plane: str, phi, distance: float,
-                         inverse: InverseOperatorData | None = None) -> np.ndarray:
-    """Closed-form array gain of the finite aperture along a principal plane.
+                         aperture: Aperture, theta, phi, distance: float):
+    """Closed-form array gain of the finite aperture over steering directions.
 
-    One factorization serves every angle, and the whitened moments of all
-    angles come from one block substitution with its Cholesky factor.  inverse
-    is the resolvent of expansion on this aperture, as inverse_operator
-    returns it; it is built when None, and passing it lets several planes
-    share one factorization.
+    theta and phi broadcast together, and the gains take their broadcast
+    shape.  One factorization serves every direction, and the whitened moments
+    of all directions come from one block substitution with its Cholesky factor.
     """
-    if plane not in ("E", "H"):
-        raise DomainError("plane must be 'E' or 'H'", module="analysis")
-    ph = np.atleast_1d(np.asarray(phi, dtype=float))
-    theta = np.pi / 2 if plane == "E" else 0.0
-    if inverse is None:
-        inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),
-                                   cfg.surface_resistance)
-    channels = [far_field_channel(cfg, Direction(theta, float(p)), distance) for p in ph]
-    # the polarization null (E plane at grazing) radiates nothing: gain 0
+    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                 np.asarray(phi, dtype=float))
+    inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),
+                               cfg.surface_resistance)
+    channels = [far_field_channel(cfg, Direction(float(t), float(p)), distance)
+                for t, p in zip(th.ravel(), ph.ravel())]
+    # a polarization null (sin theta sin phi = 1) radiates nothing: gain 0
     live = [i for i, ch in enumerate(channels) if ch.amplitude != 0.0]
-    gains = np.zeros(ph.size)
+    gains = np.zeros(th.size)
     if live:
         moments = np.column_stack([channel_moments(channels[i], expansion, aperture)
                                    for i in live])
         eta = aperture.area * np.array([abs(channels[i].amplitude) ** 2 for i in live])
         gains[live] = _closed_form_gains(inverse, moments, eta, cfg.surface_resistance)[2]
-    return gains
+    gains = gains.reshape(th.shape)
+    return float(gains) if gains.ndim == 0 else gains

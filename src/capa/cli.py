@@ -12,7 +12,9 @@ byte-identical files.
 Exit codes: 0 on success, 2 for configuration or domain errors
 (``DomainError``, ``ConfigError`` and an unwritable ``--out`` included), 3 for
 numeric failures (``NumericError``, ``MemoryError`` and any other ``ValueError``,
-such as ``numpy.linalg.LinAlgError``).  Errors print a JSON record to stderr.
+such as ``numpy.linalg.LinAlgError``).  Each warning raised during the run
+prints a JSON record (``warning``, its category, and ``message``) to stderr,
+and an error then prints its own JSON record after them.
 """
 
 from __future__ import annotations
@@ -21,17 +23,18 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .analysis import (beampattern, directivity_plane, steered_gain_profile,
+from .analysis import (beampattern, directivity_factor, steered_gain_profile,
                        uncoupled_beamformer)
 from .cg_solver import beamform_cg
 from .errors import ConfigError, DomainError, NumericError
-from .kernel_approx import beamform_ka, build_expansion, gram_matrix, inverse_operator
+from .kernel_approx import beamform_ka, build_expansion
 from .physics import (COPPER_CONDUCTIVITY, MU0, Aperture, Direction,
                       PhysicalConfig, far_field_channel, kernel_nulls,
                       radiation_kernel, wavenumber_kernel)
@@ -343,22 +346,19 @@ def _run_directivity(config: ExperimentConfig, seed):
     v = config.values
     planes = ("E", "H") if v["directivity.plane"] == "both" \
         else (v["directivity.plane"],)
+    # the E plane scans the polarization axis (azimuth pi/2), the H plane the other
+    theta = np.array([np.pi / 2 if plane == "E" else 0.0 for plane in planes])[:, None]
     # stop short of grazing, where the per-area limit degenerates
     angles = np.arange(0.0, 90.0, v["directivity.step_deg"])
     phi = np.deg2rad(angles)
-    # one expansion and factored resolvent serve both planes
-    expansion = _expansion(config)
-    inverse = inverse_operator(expansion, gram_matrix(expansion, config.aperture),
-                               config.physical.surface_resistance)
+    limit = directivity_factor(config.physical, theta, phi)
+    gains = steered_gain_profile(config.physical, _expansion(config), config.aperture,
+                                 theta, phi, config.distance)
     rows = []
-    for plane in planes:
-        profile = directivity_plane(config.physical, plane, phi)
-        for a, value in zip(angles, profile.values):
-            rows.append(("infinite_per_area", plane, a, value))
-        gains = steered_gain_profile(config.physical, expansion, config.aperture,
-                                     plane, phi, config.distance, inverse=inverse)
-        for a, value in zip(angles, gains):
-            rows.append(("steered_gain", plane, a, value))
+    for plane, limit_row, gain_row in zip(planes, limit, gains):
+        rows.extend(("infinite_per_area", plane, a, value)
+                    for a, value in zip(angles, limit_row))
+        rows.extend(("steered_gain", plane, a, value) for a, value in zip(angles, gain_row))
     return ("series", "plane", "angle_deg", "value"), rows, None
 
 
@@ -513,18 +513,25 @@ def main(argv=None) -> int:
     # a flag's dest is the key it sets; flags left out read None
     flags = {key: value for key, value in vars(args).items()
              if key in _KEYS and value is not None}
-    try:
-        config = load_config(args.config, tuple(args.set), flags)
-        header, rows, payload = run(args.command, config, seed=args.seed)
-        _emit(args, config, header, rows, payload)
-    except (DomainError, NumericError, ValueError, MemoryError) as exc:
-        # a MemoryError, or a ValueError that is not a DomainError (LinAlgError), is numeric
-        code = 2 if isinstance(exc, DomainError) else 3
-        record = {"code": code, "module": getattr(exc, "module", "cli") or "cli",
-                  "message": str(exc)}
+    code, record = 0, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            config = load_config(args.config, tuple(args.set), flags)
+            header, rows, payload = run(args.command, config, seed=args.seed)
+            _emit(args, config, header, rows, payload)
+        except (DomainError, NumericError, ValueError, MemoryError) as exc:
+            # a MemoryError, or a ValueError that is not a DomainError (LinAlgError), is numeric
+            code = 2 if isinstance(exc, DomainError) else 3
+            record = {"code": code, "module": getattr(exc, "module", "cli") or "cli",
+                      "message": str(exc)}
+        finally:
+            for item in caught:
+                print(json.dumps({"warning": item.category.__name__,
+                                  "message": str(item.message)}), file=sys.stderr)
+    if record is not None:
         print(json.dumps(record), file=sys.stderr)
-        return code
-    return 0
+    return code
 
 
 if __name__ == "__main__":

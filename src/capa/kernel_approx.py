@@ -169,7 +169,6 @@ class ClosedFormBeamformer:
     aperture: Aperture
     surface_resistance: float
     power: float
-    moments: np.ndarray = field(repr=False)
     whitened: np.ndarray = field(repr=False)
     inverse: InverseOperatorData = field(repr=False)
     matched_energy: float
@@ -221,6 +220,6 @@ def beamform_ka(cfg: PhysicalConfig, channel: FarFieldChannel,
     scale = float(np.sqrt(4.0 * power / gain) / cfg.surface_resistance)
     return ClosedFormBeamformer(channel=channel, expansion=expansion, aperture=aperture,
                                 surface_resistance=cfg.surface_resistance, power=power,
-                                moments=a, whitened=whitened, inverse=inverse,
+                                whitened=whitened, inverse=inverse,
                                 matched_energy=eta, penalty=float(penalty),
                                 gain=float(gain), scale=scale)

@@ -214,13 +214,15 @@ def kernel_nulls(s_y_over_r: float, count: int = 3, polarized: bool = True) -> n
         if f_lo == 0.0:
             roots.append(lo)
         elif f_lo * f_hi < 0.0:
-            a, b = lo, hi
+            # f at the left end is carried along, so each step evaluates f once
+            a, b, f_a = lo, hi, f_lo
             while b - a > 1e-10:
                 mid = 0.5 * (a + b)
-                if f(a) * f(mid) <= 0.0:
+                f_mid = f(mid)
+                if f_a * f_mid <= 0.0:
                     b = mid
                 else:
-                    a = mid
+                    a, f_a = mid, f_mid
             roots.append(0.5 * (a + b))
         lo, f_lo = hi, f_hi
     if len(roots) < count:

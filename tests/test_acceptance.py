@@ -315,19 +315,19 @@ def test_criterion_10_principal_plane_shapes():
     small = Aperture(0.5, 0.5)
     angles = np.deg2rad(np.arange(91.0))
 
-    e_pair = steered_gain_profile(cfg, build_expansion(cfg, 20), small, "E",
+    e_pair = steered_gain_profile(cfg, build_expansion(cfg, 20), small, np.pi / 2,
                                   np.deg2rad([0.0, 89.0]), 50.0)
     e_ratio = e_pair[1] / e_pair[0]
 
-    p05 = steered_gain_profile(cfg, build_expansion(cfg, 20), small, "H", angles, 50.0)
+    p05 = steered_gain_profile(cfg, build_expansion(cfg, 20), small, 0.0, angles, 50.0)
     tail_min = float(np.min(p05[40:90]))
     local_peak = p05[-1] > tail_min and p05[-1] > p05[-2]
     height_05 = p05[-1] / p05[0]
 
     big = Aperture(1.0, 1.0)
-    p10 = steered_gain_profile(cfg, build_expansion(cfg, 40), big, "H", angles, 50.0)
+    p10 = steered_gain_profile(cfg, build_expansion(cfg, 40), big, 0.0, angles, 50.0)
     height_10 = p10[-1] / p10[0]
-    check = steered_gain_profile(cfg, build_expansion(cfg, 50), big, "H",
+    check = steered_gain_profile(cfg, build_expansion(cfg, 50), big, 0.0,
                                  np.deg2rad([0.0, 90.0]), 50.0)
     stable = (abs(check[0] - p10[0]) / check[0] < 1e-2
               and abs(check[1] - p10[-1]) / check[1] < 1e-2)
@@ -366,8 +366,8 @@ def test_criterion_11_beampattern_narrowing_and_polarization_null():
                  and widths[("end", "coupled")] <= widths[("end", "uncoupled")] + 1e-9)
 
     grazing = far_field_channel(cfg, Direction(np.pi / 2, np.pi / 2), 50.0)
-    null_gain = steered_gain_profile(cfg, build_expansion(cfg, 20), aperture, "E",
-                                     [np.pi / 2], 50.0)[0]
+    null_gain = steered_gain_profile(cfg, build_expansion(cfg, 20), aperture,
+                                     np.pi / 2, [np.pi / 2], 50.0)[0]
     polarization_null = grazing.amplitude == 0.0 and null_gain == 0.0
 
     elapsed = time.monotonic() - t0

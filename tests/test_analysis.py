@@ -22,7 +22,6 @@ from capa.analysis import (
     beampattern,
     coupling_ratio,
     directivity_factor,
-    directivity_plane,
     half_power_width,
     infinite_aperture_gain,
     steered_gain_profile,
@@ -67,19 +66,6 @@ def test_unbounded_gain_grazing_warns_and_zero(cfg):
         infinite_aperture_gain(cfg, 0.0, 0.0, -1.0)
 
 
-def test_directivity_plane_axis_selection(cfg):
-    phi = np.linspace(-1.2, 1.2, 41)
-    e = directivity_plane(cfg, "E", phi)
-    h = directivity_plane(cfg, "H", phi)
-    assert e.plane == "E" and h.plane == "H"
-    assert np.allclose(e.values, directivity_factor(cfg, np.pi / 2, phi))
-    assert np.allclose(h.values, directivity_factor(cfg, 0.0, phi))
-    # polarization loss separates the planes away from broadside
-    assert e.values[0] < h.values[0]
-    with pytest.raises(DomainError):
-        directivity_plane(cfg, "X", phi)
-
-
 def test_uncoupled_gain_formula(cfg, aperture, oblique_channel):
     bf = uncoupled_beamformer(cfg, oblique_channel, aperture)
     want = 2.0 * aperture.area * abs(oblique_channel.amplitude) ** 2 / cfg.surface_resistance
@@ -99,7 +85,7 @@ def test_polarization_null_is_domain_error_for_every_beamformer(cfg, aperture):
     with pytest.raises(DomainError, match="polarization null"):
         beamform_cg(cfg, null, aperture, 6)
     # the profile drops null channels before solving
-    gains = steered_gain_profile(cfg, build_expansion(cfg, 6), aperture, "E",
+    gains = steered_gain_profile(cfg, build_expansion(cfg, 6), aperture, np.pi / 2,
                                  np.array([0.0, np.pi / 2]), 50.0)
     assert gains[0] > 0.0 and gains[1] == 0.0
 
@@ -178,19 +164,19 @@ def test_coupling_ratio_reference_points(cfg):
 def test_steered_profile_matches_pointwise_solution(cfg, aperture):
     angle = np.deg2rad(40.0)
     exp = build_expansion(cfg, 20)
-    prof = steered_gain_profile(cfg, exp, aperture, "H", [angle], 50.0)
+    prof = steered_gain_profile(cfg, exp, aperture, 0.0, [angle], 50.0)
     channel = far_field_channel(cfg, Direction(0.0, angle), 50.0)
     direct = beamform_ka(cfg, channel, exp, aperture).gain
     assert prof[0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_steered_profile_grazing_polarization_null(cfg, aperture):
-    prof = steered_gain_profile(cfg, build_expansion(cfg, 10), aperture, "E",
+    prof = steered_gain_profile(cfg, build_expansion(cfg, 10), aperture, np.pi / 2,
                                 [0.0, np.pi / 2], 50.0)
     assert prof[0] > 0.0
     assert prof[1] == 0.0
-    with pytest.raises(DomainError):
-        steered_gain_profile(cfg, build_expansion(cfg, 20), aperture, "D", [0.0], 50.0)
+    # polarization loss separates the E plane (azimuth pi/2) from the H plane
+    assert directivity_factor(cfg, np.pi / 2, -1.2) < directivity_factor(cfg, 0.0, -1.2)
 
 
 def test_steered_profile_block_matches_per_direction_loop(cfg, aperture):
@@ -199,11 +185,24 @@ def test_steered_profile_block_matches_per_direction_loop(cfg, aperture):
     phi = np.deg2rad(np.arange(0.0, 90.0, 1.0))
     exp = build_expansion(cfg, 30)
     inverse = inverse_operator(exp, gram_matrix(exp, aperture), cfg.surface_resistance)
-    for plane, theta in (("E", np.pi / 2), ("H", 0.0)):
-        prof = steered_gain_profile(cfg, exp, aperture, plane, phi, 50.0)
+    for theta in (np.pi / 2, 0.0):
+        prof = steered_gain_profile(cfg, exp, aperture, theta, phi, 50.0)
         loop = [beamform_ka(cfg, far_field_channel(cfg, Direction(theta, p), 50.0), exp,
                             aperture, inverse=inverse).gain for p in phi]
         assert prof == pytest.approx(loop, rel=1e-9)
+
+
+def test_steered_profile_broadcasts_theta_against_phi(cfg, aperture):
+    # a (2, 1) azimuth column against D polar angles gives a (2, D) block whose
+    # rows are the single-azimuth profiles
+    theta = np.array([[np.pi / 2], [0.3]])
+    phi = np.deg2rad(np.arange(0.0, 90.0, 15.0))
+    exp = build_expansion(cfg, 20)
+    block = steered_gain_profile(cfg, exp, aperture, theta, phi, 50.0)
+    assert block.shape == (2, phi.size)
+    for row, th in zip(block, theta[:, 0]):
+        assert row == pytest.approx(steered_gain_profile(cfg, exp, aperture, th, phi, 50.0),
+                                    rel=1e-10)
 
 
 def test_front_fire_gain_follows_edge_law(cfg):

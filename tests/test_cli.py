@@ -250,6 +250,32 @@ def test_spda_aperture_checks_far_field_of_largest_side():
         cli.run("spda-aperture", load_config(overrides=small))
 
 
+def test_warnings_print_as_json_records(capsys):
+    # main reports the 18 m boundary warning as a JSON line, without a source path
+    code, out, err = _run(capsys, ["spda-aperture", "--set", "quadrature.M=6",
+                                   "--set", "spda.spacing_wl=1", "--set", "receiver.R0=12",
+                                   "--sides", "0.25,0.75"])
+    assert code == 0 and out
+    lines = err.splitlines()
+    assert lines
+    for line in lines:
+        record = json.loads(line)
+        assert record["warning"] == "UserWarning"
+        assert "far-field boundary 18 m" in record["message"]
+    assert ".py" not in err
+
+
+def test_warning_records_precede_the_error_record(capsys):
+    code, out, err = _run(capsys, ["spda-aperture", "--set", "quadrature.M=6",
+                                   "--set", "spda.element_wl=0.8", "--set", "receiver.R0=12",
+                                   "--sides", "0.25,0.75"])
+    assert code == 2 and out == ""
+    first, last = (json.loads(line) for line in err.splitlines())
+    assert "far-field boundary 18 m" in first["message"]
+    assert last == {"code": 2, "module": "spda",
+                    "message": "element does not fit inside the lattice pitch"}
+
+
 @pytest.mark.parametrize("command", ["spda-spacing", "spda-aperture"])
 def test_spda_point_mode_runs_at_defaults(capsys, command):
     code, out, err = _run(capsys, [command, "--set", "spda.mode=point"])
@@ -341,6 +367,13 @@ def test_directivity_smoke(capsys):
     assert len(rows) == 2 * 2 * 3
 
 
+def test_directivity_plane_outside_choices_exits_two(capsys):
+    code, out, err = _run(capsys, ["directivity", "--set", "directivity.plane=X"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"code": 2, "module": "cli",
+                               "message": "directivity.plane must be one of: E, H, both"}
+
+
 def test_beampattern_smoke(capsys):
     code, out, _ = _run(capsys, [
         "beampattern", "--set", "beampattern.phi_step_deg=30.0",
@@ -413,10 +446,10 @@ def test_directivity_honors_inner_rule():
     _, default_rows, _ = cli.run("directivity", load_config(overrides=base))
     expansion = build_expansion(config.physical, 6, inner_rule="legendre")
     phi = np.deg2rad([0.0, 30.0, 60.0])
-    for plane in ("E", "H"):
+    for plane, theta in (("E", np.pi / 2), ("H", 0.0)):
         got = [r[3] for r in rows if r[:2] == ("steered_gain", plane)]
         default = [r[3] for r in default_rows if r[:2] == ("steered_gain", plane)]
-        want = steered_gain_profile(config.physical, expansion, config.aperture, plane,
+        want = steered_gain_profile(config.physical, expansion, config.aperture, theta,
                                     phi, config.distance)
         assert got == pytest.approx(want, rel=1e-12)
         assert got != pytest.approx(default, rel=1e-6)
