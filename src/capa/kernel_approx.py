@@ -24,7 +24,9 @@ class PlaneWaveExpansion:
     """Finite plane-wave approximation of the radiation kernel.
 
     The kernel is approximated as sum_i rho_i * exp(j * kappa_i . s) with
-    strictly positive coefficients rho.
+    strictly positive coefficients rho.  kappa is chord-major: term c*order + d
+    is node d of chord c, so kappa_x is constant over each run of `order` terms,
+    and the third component is zero.  gram_matrix and wave_sum rely on this.
     """
 
     wavenumber: float
@@ -38,10 +40,32 @@ class PlaneWaveExpansion:
     def term_count(self) -> int:
         return self.coefficients.size
 
+    def wave_sum(self, amplitudes: np.ndarray, points):
+        """sum_i a_i exp(j kappa_i . s) at point(s) s of shape (..., 3).
+
+        Summed chord by chord, sum_c exp(j kx_c x) sum_d a_cd exp(j ky_cd y),
+        with one exponential row per distinct x and per distinct y of the
+        points: at order M a g x g tensor grid costs g (M + M^2) exponentials,
+        not g^2 M^2, and no points x terms array is formed.
+        """
+        s = np.asarray(points, dtype=float)
+        flat = s.reshape(-1, s.shape[-1])
+        m = self.order
+        xs, x_index = np.unique(flat[:, 0], return_inverse=True)
+        ys, y_index = np.unique(flat[:, 1], return_inverse=True)
+        along = np.multiply.outer(ys, 1j * self.kappa[:, 1])
+        np.exp(along, out=along)
+        # chord c's sums at every distinct y: one (y x m) @ (m,) product per chord
+        a = np.reshape(amplitudes, (m, m, 1))
+        chord = along.reshape(ys.size, m, m).transpose(1, 0, 2) @ a
+        across = np.multiply.outer(xs, 1j * self.kappa[::m, 0])
+        np.exp(across, out=across)
+        out = np.einsum("pc,cp->p", across[x_index], chord[:, y_index, 0])
+        return complex(out[0]) if s.ndim == 1 else out.reshape(s.shape[:-1])
+
     def reconstruct(self, points):
         """Approximated kernel at displacement(s) of shape (..., 3)."""
-        s = np.asarray(points, dtype=float)
-        out = np.real(np.exp(1j * (s @ self.kappa.T)) @ self.coefficients)
+        out = np.real(self.wave_sum(self.coefficients, points))
         return float(out) if out.ndim == 0 else out
 
 
@@ -82,13 +106,15 @@ def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray
     m = expansion.order
     kx = expansion.kappa[::m, 0]
     ky = expansion.kappa[:, 1]
-    q = _sinc((kx[:, None] - kx[None, :]) * (0.5 * aperture.length_x))
-    q = np.repeat(np.repeat(q, m, axis=0), m, axis=1)
+    qx = _sinc((kx[:, None] - kx[None, :]) * (0.5 * aperture.length_x))
+    qx *= aperture.area
     # formed in place: at order 40 each n x n temporary is 20 MB
-    dy = ky[:, None] - ky[None, :]
-    dy *= 0.5 * aperture.length_y
-    q *= aperture.area
-    q *= _sinc(dy)
+    q = ky[:, None] - ky[None, :]
+    q *= 0.5 * aperture.length_y
+    q = _sinc(q)
+    # entry (c*m + d, e*m + f) pairs chord c with chord e; reshape is a view
+    chords = q.reshape(m, m, m, m)
+    chords *= qx[:, None, :, None]
     return q
 
 
@@ -120,7 +146,8 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
         raise DomainError("surface resistance must be positive", module="kernel_approx")
     lam = expansion.coefficients / surface_resistance
     root = np.sqrt(lam)
-    system = root[:, None] * gram * root[None, :]
+    system = gram * root[:, None]
+    system *= root
     system[np.diag_indices_from(system)] += 1.0
     factor = cholesky(system, "resolvent system is not positive definite", "kernel_approx")
     return InverseOperatorData(lambda_diag=lam, factor=factor)
@@ -184,12 +211,8 @@ class ClosedFormBeamformer:
 
     def __call__(self, points) -> np.ndarray:
         s = np.asarray(points, dtype=float)
-        conj_channel = np.conj(self.channel(s))
-        # exponentiated in place: on an aperture grid the phase matrix is the
-        # largest array a closed-form pass allocates
-        phases = 1j * (s @ self.expansion.kappa.T)
-        waves = np.exp(phases, out=phases) @ self.projection
-        out = self.scale * (conj_channel - waves)
+        waves = self.expansion.wave_sum(self.projection, s)
+        out = self.scale * (np.conj(self.channel(s)) - waves)
         return complex(out) if np.ndim(out) == 0 else out
 
     @property

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,55 @@ def test_reconstruction_is_real_and_even(cfg):
     vals = exp.reconstruct(s)
     assert np.isrealobj(vals)
     assert vals[0] == pytest.approx(vals[1], rel=1e-12)
+
+
+def _wave_sum_points(layout, aperture, order, rng):
+    if layout == "grid":
+        return aperture_grid(aperture, order).points
+    half = 0.5 * np.array([aperture.length_x, aperture.length_y, 0.0])
+    if layout == "random":
+        return rng.uniform(-half, half, (1600, 3))
+    if layout == "single":
+        return np.array([0.11, -0.07, 0.0])
+    pts = aperture_grid(aperture, 8).points
+    return pts[:, None, :] - pts[None, :, :]
+
+
+@pytest.mark.parametrize("inner_rule", ["chebyshev", "legendre"])
+@pytest.mark.parametrize("order, sides, layout", [
+    (40, (1.0, 1.0), "grid"),
+    (20, (0.5, 0.35), "grid"),
+    (40, (1.0, 1.0), "random"),
+    (20, (0.5, 0.35), "single"),
+    (20, (0.5, 0.35), "block"),
+])
+def test_wave_sum_matches_dense_phase_sum(cfg, inner_rule, order, sides, layout):
+    rng = np.random.default_rng(order)
+    exp = build_expansion(cfg, order, inner_rule=inner_rule)
+    a = rng.standard_normal(exp.term_count) + 1j * rng.standard_normal(exp.term_count)
+    s = _wave_sum_points(layout, Aperture(*sides), order, rng)
+    got = exp.wave_sum(a, s)
+    want = np.exp(1j * (s @ exp.kappa.T)) @ a
+    if layout == "single":
+        assert type(got) is complex
+    else:
+        assert got.shape == s.shape[:-1]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(a))
+
+
+def test_closed_form_on_its_grid_allocates_no_phase_matrix(cfg):
+    # a points x terms phase matrix on this grid is 41 MB
+    aperture = Aperture(1.0, 1.0)
+    channel = far_field_channel(cfg, Direction(0.3, 1.0), 50.0)
+    bf = beamform_ka(cfg, channel, build_expansion(cfg, 40), aperture)
+    points = aperture_grid(aperture, 40).points
+    tracemalloc.start()
+    try:
+        bf(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_gram_matrix_structure(cfg, aperture):
