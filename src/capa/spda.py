@@ -2,11 +2,14 @@
 
 Each element is a small rectangle carrying the uniform unit-energy current;
 mutual coupling between elements integrates the radiation kernel over both
-element surfaces.  On a lattice it depends only on the center offset and is
-even in each axis offset, so one table over the distinct per-axis |offsets|
-fills the coupling matrix.  The optimal drive vector and its gain follow from
-one symmetric positive-definite solve, elementwise for the coupling-blind
-diagonal model.
+element surfaces.  The element rule is a product of one symmetric Gauss rule
+per axis, so that four-fold node sum folds onto the distinct per-axis node
+differences: D^2 kernel evaluations per center offset, D = 19 at the default
+order 6, instead of one per node pair.  On a lattice the coupling depends only
+on the center offset and is even in each axis offset, so one table over the
+distinct per-axis |offsets| fills the coupling matrix.  The optimal drive
+vector and its gain follow from one symmetric positive-definite solve,
+elementwise for the coupling-blind diagonal model.
 """
 from __future__ import annotations
 
@@ -99,15 +102,36 @@ def _element_current(model: SpdaModel, order: int):
             1.0 / np.sqrt(model.element_area))
 
 
-def _pair_integrals(offsets: np.ndarray, egrid, wa: np.ndarray, cfg: PhysicalConfig):
-    """Kernel integrated over two elements whose centers are offsets (K, 3) apart."""
-    pair_disp = egrid.points[:, None, :] - egrid.points[None, :, :]
+def _difference_rule(side: float, order: int):
+    """Distinct differences of the order-point Gauss nodes on one element side,
+    ascending, with the summed weight products of the node pairs sharing each.
+
+    The nodes are symmetric about 0 to the last bit, so x_a - x_c and
+    x_(q-1-c) - x_(q-1-a) are equal floats and gather without rounding.
+    """
+    rule = legendre_rule(order)
+    nodes = 0.5 * side * rule.nodes
+    weights = 0.5 * side * rule.weights
+    delta, index = np.unique((nodes[:, None] - nodes).ravel(), return_inverse=True)
+    return delta, np.bincount(index.ravel(), weights=np.outer(weights, weights).ravel())
+
+
+def _pair_integrals(offsets: np.ndarray, model: SpdaModel, order: int, cfg: PhysicalConfig):
+    """Kernel integrated over two elements whose centers are offsets (K, 3) apart.
+
+    With the uniform current 1/sqrt(area) on both, the integral is
+    sum over (dx, dy) of W_x(dx) W_y(dy) K(offset + (dx, dy, 0)) / area.
+    """
+    (dx, wx), (dy, wy) = (_difference_rule(side, order)
+                          for side in (model.element_x, model.element_y))
+    delta = np.stack(np.broadcast_arrays(dx[:, None], dy, 0.0), axis=-1).reshape(-1, 3)
+    w_xy = np.outer(wx, wy).ravel() / model.element_area
     vals = np.empty(offsets.shape[0])
-    block = max(1, 2 ** 20 // (egrid.points.shape[0] ** 2))
+    block = max(1, 2 ** 20 // delta.shape[0])
     for start in range(0, offsets.shape[0], block):
-        disp = pair_disp[None, :, :, :] + offsets[start:start + block, None, None, :]
-        kern = radiation_kernel(disp, cfg.wavenumber, cfg.impedance)
-        vals[start:start + block] = np.einsum("i,uij,j->u", wa, kern, wa)
+        kern = radiation_kernel(offsets[start:start + block, None, :] + delta,
+                                cfg.wavenumber, cfg.impedance)
+        vals[start:start + block] = kern @ w_xy
     return vals
 
 
@@ -125,9 +149,9 @@ class CouplingMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        if self.radiation.ndim == 1:
-            return np.diag(self.radiation + self.self_impedance)
-        return self.radiation + self.self_impedance * np.eye(self.radiation.shape[0])
+        m = np.diag(self.radiation) if self.radiation.ndim == 1 else self.radiation.copy()
+        m.flat[::m.shape[0] + 1] += self.self_impedance
+        return m
 
     def diagonal_only(self) -> "CouplingMatrix":
         """Coupling-blind variant: off-diagonal radiation terms dropped."""
@@ -149,11 +173,11 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
     """
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
-    egrid, amp = _element_current(model, model.order if mode == "exact" else 1)
-    wa = egrid.weights * amp
+    order = model.order if mode == "exact" else 1
+    egrid, amp = _element_current(model, order)
     return CouplingMatrix(
         radiation=_pair_matrix(model.x, model.y,
-                               lambda offsets: _pair_integrals(offsets, egrid, wa, cfg),
+                               lambda offsets: _pair_integrals(offsets, model, order, cfg),
                                decimals=12),
         self_impedance=cfg.surface_resistance * float(np.sum(egrid.weights * (amp * amp))))
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capa import (
     Aperture,
@@ -13,6 +15,7 @@ from capa import (
     build_expansion,
     far_field_channel,
     radiation_kernel,
+    spda,
 )
 from capa.spda import (
     CouplingMatrix,
@@ -246,6 +249,45 @@ def test_exact_mode_matches_brute_force_pair(cfg):
                         element_y=model.element_y, order=12)
     finer = coupling_matrix(refined, cfg, mode="exact").radiation[0, 1]
     assert got == pytest.approx(finer, rel=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.integers(1, 8),
+       sides=st.tuples(st.floats(0.02, 0.2), st.floats(0.02, 0.2)).filter(
+           lambda s: abs(s[0] - s[1]) > 1e-3),
+       x_gap=st.floats(0.0, 1.5), y_gaps=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+       shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_difference_fold_matches_brute_force_pairs(cfg, order, sides, x_gap, y_gaps, shift):
+    # unequal element sides on an irregular 2 x 3 center grid, lengths in
+    # wavelengths; odd orders put a node at 0
+    wl = cfg.wavelength
+    ex, ey = sides[0] * wl, sides[1] * wl
+    xs = shift[0] * wl + np.array([0.0, ex + x_gap * wl])
+    ys = shift[1] * wl + np.cumsum([0.0, ey + y_gaps[0] * wl, ey + y_gaps[1] * wl])
+    model = SpdaModel(x=xs, y=ys, element_x=ex, element_y=ey, order=order)
+    centers = model.centers
+    got = coupling_matrix(model, cfg, mode="exact").radiation
+    want = np.array([[_brute_force_pair(model, cfg, np.round(ci - cj, 12)) for cj in centers]
+                     for ci in centers])
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode, per_offset", [("exact", 19 ** 2), ("point", 1)])
+def test_coupling_evaluates_kernel_once_per_node_difference(cfg, monkeypatch, mode, per_offset):
+    # a 4 x 4 lattice has 4 distinct |offsets| per axis, 16 table entries; the
+    # order-6 rule has 19 distinct node differences per axis, the point rule 1
+    entries = []
+
+    def counting(displacement, *args, **kwargs):
+        entries.append(np.prod(np.shape(displacement)[:-1], dtype=int))
+        return radiation_kernel(displacement, *args, **kwargs)
+
+    monkeypatch.setattr(spda, "radiation_kernel", counting)
+    side = 0.1 * cfg.wavelength
+    model = element_layout(Aperture(0.25, 0.25), 0.5 * cfg.wavelength, side, side)
+    assert model.n_elements == 16 and model.order == 6
+    coupling_matrix(model, cfg, mode=mode)
+    assert sum(entries) == 16 * per_offset
 
 
 @pytest.mark.parametrize("mode", ["exact", "point"])
