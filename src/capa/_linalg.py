@@ -21,14 +21,16 @@ def real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
-    """Lower Cholesky factor L of a symmetric positive definite matrix, with
-    the inverses of its diagonal panels of at most _PANEL rows."""
+    """Lower Cholesky factors L of a symmetric positive definite matrix (n, n)
+    or of a stack of them (b, n, n), with the inverses of their diagonal
+    panels of at most _PANEL rows."""
 
     lower: np.ndarray = field(repr=False)
     panel_inverses: tuple = field(repr=False)
 
     def solve(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """L^-1 x, or L^-T x, for a complex vector (n,) or block (n, D).
+        """L^-1 x, or L^-T x, for a complex vector (n,) or block (n, D), or for
+        a stack of them, (b, n) or (b, n, D), one per factor of the stack.
 
         Blocked substitution: each panel subtracts the product of the part of
         L left of its diagonal block (below it, for the transpose) with the
@@ -36,33 +38,39 @@ class CholeskyFactor:
         inverse.  L is read only through views below its diagonal blocks, so
         nothing of its zero upper triangle is read and nothing is copied.
         The real and imaginary parts of x go through each panel as one real
-        product.
+        product, and the factors of a stack as one stacked product.
         """
-        n = self.lower.shape[0]
-        cols = x.reshape(n, -1)
-        d = cols.shape[1]
-        out = np.concatenate([cols.real, cols.imag], axis=1)
-        panels = list(zip(range(0, n, _PANEL), self.panel_inverses))
+        lead = self.lower.shape[:-1]
+        cols = x.reshape(lead + (-1,))
+        d = cols.shape[-1]
+        out = np.concatenate([cols.real, cols.imag], axis=-1)
+        panels = list(zip(range(0, lead[-1], _PANEL), self.panel_inverses))
         if transpose:
             for a, inverse in reversed(panels):
-                b = a + inverse.shape[0]
-                out[a:b] = inverse.T @ (out[a:b] - self.lower[b:, a:b].T @ out[b:])
+                b = a + inverse.shape[-1]
+                below = np.swapaxes(self.lower[..., b:, a:b], -1, -2)
+                out[..., a:b, :] = np.swapaxes(inverse, -1, -2) @ (
+                    out[..., a:b, :] - below @ out[..., b:, :])
         else:
             for a, inverse in panels:
-                b = a + inverse.shape[0]
-                out[a:b] = inverse @ (out[a:b] - self.lower[a:b, :a] @ out[:a])
-        return (out[:, :d] + 1j * out[:, d:]).reshape(x.shape)
+                b = a + inverse.shape[-1]
+                out[..., a:b, :] = inverse @ (
+                    out[..., a:b, :] - self.lower[..., a:b, :a] @ out[..., :a, :])
+        return (out[..., :d] + 1j * out[..., d:]).reshape(x.shape)
 
 
 def cholesky(matrix: np.ndarray, message: str, module: str) -> CholeskyFactor:
-    """Cholesky factor L L^T = matrix; a matrix that is not positive definite
-    raises NumericError with message and a condition estimate."""
+    """Cholesky factor L L^T = matrix, of one matrix (n, n) or of each matrix of
+    a stack (b, n, n); a matrix that is not positive definite raises
+    NumericError with message and a condition estimate, on a stack the largest
+    of its matrices'."""
     try:
         lower = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(matrix)
+        cond = np.max(np.linalg.cond(matrix))
         raise NumericError(f"{message}: {exc} (condition estimate {cond:.3e})",
                            module=module) from exc
-    panel_inverses = tuple(np.tril(np.linalg.inv(lower[a:a + _PANEL, a:a + _PANEL]))
-                           for a in range(0, lower.shape[0], _PANEL))
+    n = lower.shape[-1]
+    panel_inverses = tuple(np.tril(np.linalg.inv(lower[..., a:a + _PANEL, a:a + _PANEL]))
+                           for a in range(0, n, _PANEL))
     return CholeskyFactor(lower=lower, panel_inverses=panel_inverses)

@@ -193,7 +193,8 @@ def steered_gain_profile(cfg: PhysicalConfig, expansion: PlaneWaveExpansion,
 
     theta and phi broadcast together, and the gains take their broadcast
     shape.  One factorization serves every direction, and the whitened moments
-    of all directions come from one block substitution with its Cholesky factor.
+    of all directions come from one stacked substitution with the Cholesky
+    factors of the four reflection-parity blocks.
     """
     th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                  np.asarray(phi, dtype=float))

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from capa import (Aperture, Direction, DomainError, NumericError, PhysicalConfig, Z0,
                   far_field_channel, radiation_kernel)
-from capa.kernel_approx import (beamform_ka, build_expansion, channel_moments,
-                                gram_matrix, inverse_operator)
+from capa.analysis import steered_gain_profile
+from capa.kernel_approx import (_fold, _unfold, beamform_ka, build_expansion,
+                                channel_moments, gram_matrix, inverse_operator)
 from capa.quadrature import aperture_grid
 
 
@@ -145,11 +147,41 @@ def test_gram_matrix_equals_full_pairwise_formula(cfg, aperture, order):
     assert np.array_equal(gram_matrix(exp, aperture), aperture.area * qx * qy)
 
 
+@pytest.mark.parametrize("inner_rule", ["chebyshev", "legendre"])
+def test_expansion_is_reflection_symmetric_bit_for_bit(cfg, inner_rule):
+    # the parity split of gram_matrix and inverse_operator rests on these
+    for order in range(1, 129):
+        exp = build_expansion(cfg, order, inner_rule=inner_rule)
+        kappa = exp.kappa.reshape(order, order, 3)
+        kx, ky = kappa[..., 0], kappa[..., 1]
+        rho = exp.coefficients.reshape(order, order)
+        assert np.array_equal(kx[::-1], -kx), order
+        assert np.array_equal(ky[:, ::-1], -ky), order
+        assert np.array_equal(ky[::-1], ky), order
+        assert np.array_equal(rho[::-1], rho), order
+        assert np.array_equal(rho[:, ::-1], rho), order
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 6, 7])
+def test_parity_fold_is_orthonormal(order):
+    # the blocks' rows are an orthonormal basis of the terms; padding rows are 0
+    n = order * order
+    basis = _fold(np.eye(n), order).reshape(-1, n)
+    size = ((order + 1) // 2) ** 2
+    live = np.abs(basis).sum(axis=1) > 0.0
+    assert basis.shape == (4 * size, n) and live.sum() == n
+    assert np.allclose(basis[live] @ basis[live].T, np.eye(n), rtol=0.0, atol=1e-15)
+    x = np.random.default_rng(order).standard_normal((n, 2))
+    assert np.allclose(_unfold(_fold(x, order), order), x, rtol=0.0, atol=1e-15)
+
+
 def resolvent(data):
-    """(I + Lambda Q)^-1 = Lambda^1/2 L^-T L^-1 Lambda^-1/2 from the factored data."""
+    """(I + Lambda Q)^-1 = Lambda^1/2 U^T L^-T L^-1 U Lambda^-1/2 from the
+    factored parity blocks, U the change to the parity basis."""
     root = np.sqrt(data.lambda_diag)
-    identity = np.eye(root.size)
-    inner = data.factor.solve(data.factor.solve(identity), transpose=True).real
+    blocks = _fold(np.eye(root.size), data.order)
+    solved = data.factor.solve(data.factor.solve(blocks), transpose=True)
+    inner = _unfold(solved, data.order).real
     return root[:, None] * inner / root[None, :]
 
 
@@ -163,6 +195,27 @@ def test_inverse_operator_solves_its_system(cfg, aperture):
     # a system that is not positive definite is refused with a condition estimate
     with pytest.raises(NumericError, match="condition estimate"):
         inverse_operator(exp, -gram, cfg.surface_resistance)
+
+
+@pytest.mark.parametrize("order", [9, 10])
+def test_inverse_operator_refuses_asymmetric_gram(cfg, aperture, order):
+    exp = build_expansion(cfg, order)
+    gram = gram_matrix(exp, aperture)
+    # symmetric as a matrix, but no longer invariant under either reflection
+    bumped = gram.copy()
+    bumped[1, 2] += 1e-12
+    bumped[2, 1] += 1e-12
+    with pytest.raises(DomainError, match="reflections"):
+        inverse_operator(exp, bumped, cfg.surface_resistance)
+    with pytest.raises(DomainError, match="shape"):
+        inverse_operator(exp, gram[:-1, :-1], cfg.surface_resistance)
+    # coefficients that no longer share the mirror symmetry of their nodes
+    skewed = dataclasses.replace(exp, coefficients=exp.coefficients
+                                 * np.linspace(1.0, 2.0, exp.term_count))
+    with pytest.raises(DomainError, match="reflections"):
+        gram_matrix(skewed, aperture)
+    with pytest.raises(DomainError, match="reflections"):
+        inverse_operator(skewed, gram, cfg.surface_resistance)
 
 
 def test_inverse_operator_identity_limit(cfg, aperture):
@@ -216,13 +269,53 @@ def test_projection_matches_eager_formula(cfg, aperture, oblique_channel):
     bf = beamform_ka(cfg, oblique_channel, exp, aperture)
     data = inverse_operator(exp, gram_matrix(exp, aperture), cfg.surface_resistance)
     root = np.sqrt(data.lambda_diag)
-    lower = np.linalg.inv(data.factor.lower)
+    # the parity basis change U as rows (padding rows are zero) and the
+    # block-diagonal L^-1
+    basis = _fold(np.eye(exp.term_count), exp.order).reshape(-1, exp.term_count)
+    blocks = np.linalg.inv(data.factor.lower)
+    lower = np.zeros((basis.shape[0],) * 2)
+    for k, block in enumerate(blocks):
+        span = slice(k * block.shape[0], (k + 1) * block.shape[0])
+        lower[span, span] = block
     x = root * channel_moments(oblique_channel, exp, aperture)
-    eager = root * (lower.T @ (lower @ x))
-    # relative to the magnitudes the two products sum: L^-1 is ill-conditioned,
+    eager = root * (basis.T @ (lower.T @ (lower @ (basis @ x))))
+    # relative to the magnitudes the products sum: L^-1 is ill-conditioned,
     # so any two summation orders differ by about 1e-12 of the result's norm
-    scale = root * (np.abs(lower).T @ (np.abs(lower) @ np.abs(x)))
+    u, v = np.abs(basis), np.abs(lower)
+    scale = root * (u.T @ (v.T @ (v @ (u @ np.abs(x)))))
     assert np.all(np.abs(bf.projection - eager) <= 1e-13 * scale)
+
+
+_STEER_THETA = np.deg2rad(np.r_[np.full(90, 90.0), np.zeros(90), 30.0])
+_STEER_PHI = np.deg2rad(np.r_[np.tile(np.linspace(0.0, 89.0, 90), 2), 40.0])
+
+
+@pytest.mark.parametrize("inner_rule", ["chebyshev", "legendre"])
+@pytest.mark.parametrize("order, sides", [
+    (1, (0.5, 0.35)), (2, (0.5, 0.35)), (3, (0.5, 0.35)), (20, (0.5, 0.35)),
+    (33, (1.0, 0.7)), (40, (1.0, 1.0)),
+])
+def test_parity_blocks_match_dense_full_solve(cfg, inner_rule, order, sides):
+    # the steer workload's E- and H-plane directions and one oblique direction,
+    # against a Cholesky solve of the whole system I + Lambda^1/2 Q Lambda^1/2
+    aperture = Aperture(*sides)
+    exp = build_expansion(cfg, order, inner_rule=inner_rule)
+    gram = gram_matrix(exp, aperture)
+    root = np.sqrt(exp.coefficients / cfg.surface_resistance)
+    system = np.eye(exp.term_count) + root[:, None] * gram * root
+    lower = np.linalg.cholesky(system)
+    channels = [far_field_channel(cfg, Direction(t, p), 50.0)
+                for t, p in zip(_STEER_THETA, _STEER_PHI)]
+    moments = np.column_stack([channel_moments(ch, exp, aperture) for ch in channels])
+    eta = aperture.area * np.array([abs(ch.amplitude) ** 2 for ch in channels])
+    whitened = np.linalg.solve(lower, root[:, None] * moments)
+    penalty = np.sum(np.abs(whitened) ** 2, axis=0)
+    dense = 2.0 * (eta - penalty) / cfg.surface_resistance
+    got = steered_gain_profile(cfg, exp, aperture, _STEER_THETA, _STEER_PHI, 50.0)
+    assert np.all(dense > 0.0)
+    assert got == pytest.approx(dense, rel=1e-9)
+    one = beamform_ka(cfg, channels[-1], exp, aperture).gain
+    assert one == pytest.approx(dense[-1], rel=1e-9)
 
 
 def test_gain_alone_leaves_projection_uncomputed(cfg, aperture, oblique_channel):
