@@ -12,13 +12,6 @@ from .errors import NumericError
 _PANEL = 128
 
 
-def real_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """matrix @ vector for a real matrix and a complex vector, without
-    upcasting the whole matrix to complex."""
-    out = matrix @ np.column_stack([vector.real, vector.imag])
-    return out[:, 0] + 1j * out[:, 1]
-
-
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
     """Lower Cholesky factors L of a symmetric positive definite matrix (n, n)

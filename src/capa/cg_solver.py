@@ -1,46 +1,34 @@
 """Preconditioned conjugate-gradient solution of the coupling-aware beamforming equation.
 
-The optimality condition is a Fredholm integral equation of the second kind:
-the coupling operator applied to the transmit distribution must reproduce the
-conjugate channel over the aperture.  It is discretized on the tensor
-Gauss-Legendre grid and solved by preconditioned conjugate gradients in the
-grid's weighted inner product.  The kernel depends on a separation only
-through dx^2 and dy^2, so its grid matrix is gathered from one table over the
-distinct per-axis |offsets|: about (M^2/4)^2 kernel evaluations at order M
-instead of M^4, with every entry the value its own pair gives.
-
-In weighted coordinates y = W^1/2 x the operator is H + Zs I with
-H = W^1/2 K W^1/2 positive semidefinite.  H has a fixed number of eigenvalues
-above the surface resistance Zs (set by the aperture size in wavelengths, not
-by the grid order), so a randomized Nystrom approximation U diag(lam) U^T of
-H (Frangella, Tropp & Udell, arXiv:2110.02820) preconditions the system to a
-condition number of about (lam_min + Zs) / Zs.  The sketch rank starts at 32
-and doubles, reusing the columns already drawn, until the smallest retained
-eigenvalue lam_min is at most 10 Zs; it is capped at half the grid size.  The
-sketch seed is fixed, so a given configuration reproduces its output exactly.
-
-The operator and its preconditioner depend on the configuration, the aperture
-and the grid order, not on the steering direction, which enters only the
-right-hand side.  beamform_cg therefore reuses the operator and preconditioner
-of its last call with the same configuration, aperture and order; it keeps
-one operator at a time, so callers that loop over directions inside one order
-build each operator once.  Every array the operator holds is read-only.
-
-The stopping test and the recorded residuals use the weighted residual of the
-unpreconditioned system.
+The optimality condition, a Fredholm integral equation of the second kind, is
+discretized on the tensor Gauss-Legendre grid of the aperture.  In weighted
+coordinates y = W^1/2 x its operator is H + Zs I, H = W^1/2 K W^1/2.  The grid
+is symmetric about 0 on each axis and the kernel depends only on |dx| and |dy|,
+so H is block diagonal in the basis of grid functions even or odd in each axis
+(quadrature._fold; Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29,
+1992).  The four blocks are gathered from one kernel table over the distinct
+per-axis |offsets|; no M^2 x M^2 matrix is formed.  Each block is
+preconditioned by a randomized Nystrom approximation (Frangella, Tropp & Udell,
+arXiv:2110.02820) of fixed seed, whose rank starts at 32 and doubles, reusing
+the columns drawn, until its smallest eigenvalue is at most 10 Zs, capped at
+half the block's real rows.  The blocks then run conjugate-gradient recurrences in
+lockstep, stopped on the summed weighted residual of the unpreconditioned
+system.  beamform_cg reuses the read-only operator and preconditioner of its
+last call with the same configuration, aperture and order, since the steering
+direction enters only the right-hand side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from ._linalg import real_matvec
 from .errors import ConvergenceError, DomainError, NumericError
 from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_radiating,
                       radiation_kernel)
-from .quadrature import ApertureGrid, _pair_matrix, aperture_grid
+from .quadrature import (ApertureGrid, _fold, _grid_weights, _offset_table, _parity_rows,
+                         _unfold, aperture_grid)
 
 _SKETCH_SEED = 20251
 _SKETCH_START_RANK = 32
@@ -50,61 +38,69 @@ _RETRY_SHIFT = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class NystromPreconditioner:
-    """Inverse of the stabilized Nystrom preconditioner in weighted coordinates.
-
+    """Inverse of each parity block's stabilized Nystrom preconditioner,
     P^-1 = (lam_min + Zs) U (diag(lam) + Zs)^-1 U^T + (I - U U^T), stored as
-    the orthonormal basis U and shrink = (lam_min + Zs) / (lam + Zs) - 1.
+    the orthonormal bases U (4, N, R), zero on padding rows and columns, and
+    shrink = (lam_min + Zs) / (lam + Zs) - 1 (4, R); ranks holds each block's rank.
     """
 
     basis: np.ndarray = field(repr=False)
     shrink: np.ndarray = field(repr=False)
-    root_weights: np.ndarray = field(repr=False)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
+    ranks: tuple
 
     def apply(self, residual: np.ndarray) -> np.ndarray:
-        """W^-1/2 P^-1 W^1/2 residual: the preconditioner in grid coordinates."""
-        y = self.root_weights * residual
-        y = y + real_matvec(self.basis, self.shrink * real_matvec(self.basis.T, y))
-        return y / self.root_weights
+        """P^-1 residual for weighted parity-block values (4, N, 2)."""
+        coords = self.basis.transpose(0, 2, 1) @ residual
+        return residual + self.basis @ (self.shrink[:, :, None] * coords)
 
 
-def _nystrom_factors(test: np.ndarray, sketch: np.ndarray, surface_resistance: float):
-    """Eigenpairs of the Nystrom approximation from an orthonormal test matrix
-    and its image under H, with the shift that keeps the core factorable.
+def _nystrom_sketch(block: np.ndarray, surface_resistance: float, rng):
+    """Basis and shrink of one block's preconditioner, by the rank rule.
 
-    On an electrically small aperture H is so small that rounding can leave
-    the core indefinite; it is then shifted by _RETRY_SHIFT Zs, which next to
-    Zs the preconditioner cannot tell from zero."""
-    shift = np.sqrt(test.shape[0]) * np.finfo(float).eps * np.linalg.norm(sketch)
-    for retry in (False, True):
-        shifted = sketch + shift * test
-        try:
-            lower = np.linalg.cholesky(test.T @ shifted)
-            basis, sv, _ = np.linalg.svd(np.linalg.solve(lower, shifted.T).T,
-                                         full_matrices=False)
-            return basis, np.maximum(sv ** 2 - shift, 0.0)
-        except np.linalg.LinAlgError as exc:
-            if retry:
-                raise NumericError("Nystrom sketch is not finite and positive definite; "
-                                   "discretized operator lost definiteness",
-                                   module="cg_solver") from exc
-            shift = max(shift, _RETRY_SHIFT * surface_resistance)
+    On an electrically small aperture rounding can leave the sketch core
+    indefinite; it is then shifted by _RETRY_SHIFT Zs, which next to Zs the
+    preconditioner cannot tell from zero."""
+    n = block.shape[0]
+    cap = max(1, n // 2)
+    test = sketch = np.empty((n, 0))
+    rank = min(_SKETCH_START_RANK, cap)
+    while n:
+        new = rng.standard_normal((n, rank - test.shape[1]))
+        # two Gram-Schmidt passes keep the new columns orthogonal to the kept ones
+        for _ in range(2):
+            new -= test @ (test.T @ new)
+        new = np.linalg.qr(new)[0]
+        test, sketch = np.hstack([test, new]), np.hstack([sketch, block @ new])
+        shift = np.sqrt(n) * np.finfo(float).eps * np.linalg.norm(sketch)
+        for retry in (False, True):
+            shifted = sketch + shift * test
+            try:
+                lower = np.linalg.cholesky(test.T @ shifted)
+                basis, sv, _ = np.linalg.svd(np.linalg.solve(lower, shifted.T).T,
+                                             full_matrices=False)
+                break
+            except np.linalg.LinAlgError as exc:
+                if retry:
+                    raise NumericError("Nystrom sketch is not finite and positive definite; "
+                                       "discretized operator lost definiteness",
+                                       module="cg_solver") from exc
+                shift = max(shift, _RETRY_SHIFT * surface_resistance)
+        eigs = np.maximum(sv ** 2 - shift, 0.0)
+        if eigs[-1] <= _RANK_MARGIN * surface_resistance or rank == cap:
+            return basis, (eigs[-1] + surface_resistance) / (eigs + surface_resistance) - 1.0
+        rank = min(2 * rank, cap)
+    return test, np.empty(0)
 
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
-    """Coupling operator restricted to an aperture quadrature grid.
-
-    kernel_matrix holds the radiation kernel between every pair of grid
-    points; the full operator adds the surface-resistance identity term.
-    """
+    """Coupling operator on an aperture quadrature grid: the weighted kernel
+    W^1/2 K W^1/2 as its four parity blocks (4, N, N), zero on padding, plus
+    the surface-resistance identity term."""
 
     config: PhysicalConfig
     grid: ApertureGrid
-    kernel_matrix: np.ndarray = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
 
     @property
     def surface_resistance(self) -> float:
@@ -112,57 +108,77 @@ class DiscretizedOperator:
 
     @cached_property
     def preconditioner(self) -> NystromPreconditioner:
-        """Nystrom preconditioner of the weighted operator, built on first use."""
-        n = self.kernel_matrix.shape[0]
-        zs = self.surface_resistance
-        root = np.sqrt(self.grid.weights)
-        cap = max(1, n // 2)
+        """Nystrom preconditioner of each block's real rows, built on first use."""
         rng = np.random.default_rng(_SKETCH_SEED)
-        test = np.empty((n, 0))
-        sketch = np.empty((n, 0))
-        rank = min(_SKETCH_START_RANK, cap)
-        while True:
-            block = rng.standard_normal((n, rank - test.shape[1]))
-            # two Gram-Schmidt passes keep the new columns orthogonal to the kept ones
-            for _ in range(2):
-                block -= test @ (test.T @ block)
-            block = np.linalg.qr(block)[0]
-            test = np.hstack([test, block])
-            image = root[:, None] * (self.kernel_matrix @ (root[:, None] * block))
-            sketch = np.hstack([sketch, image])
-            basis, eigs = _nystrom_factors(test, sketch, zs)
-            if eigs[-1] <= _RANK_MARGIN * zs or rank == cap:
-                break
-            rank = min(2 * rank, cap)
-        shrink = (eigs[-1] + zs) / (eigs + zs) - 1.0
+        rows = _parity_rows(self.grid.order)
+        factors = [_nystrom_sketch(block[np.ix_(real, real)], self.surface_resistance, rng)
+                   for block, real in zip(self.blocks, rows)]
+        ranks = tuple(shrink.size for _, shrink in factors)
+        basis = np.zeros(self.blocks.shape[:2] + (max(ranks),))
+        shrink = np.zeros((4, max(ranks)))
+        for k, (u, s) in enumerate(factors):
+            basis[k, rows[k], :s.size] = u
+            shrink[k, :s.size] = s
         # shared by every solve on this operator, so no caller may write to them
-        for array in (basis, shrink, root):
-            array.setflags(write=False)
-        return NystromPreconditioner(basis=basis, shrink=shrink, root_weights=root)
+        basis.setflags(write=False)
+        shrink.setflags(write=False)
+        return NystromPreconditioner(basis=basis, shrink=shrink, ranks=ranks)
 
 
 def discretize_operator(cfg: PhysicalConfig, grid: ApertureGrid) -> DiscretizedOperator:
-    """Radiation kernel between every pair of grid points, gathered from its
-    values at the distinct (|dx|, |dy|) pairs of the tensor grid."""
+    """Weighted parity blocks of the radiation kernel between the grid points,
+    gathered from its values at the distinct (|dx|, |dy|) pairs of the grid."""
     m = grid.order
+    a = (m + 1) // 2
     axes = grid.points.reshape(m, m, 3)
-    matrix = _pair_matrix(axes[:, 0, 0], axes[0, :, 1],
-                          lambda offsets: radiation_kernel(offsets, cfg.wavenumber, cfg.impedance))
-    matrix.setflags(write=False)
-    return DiscretizedOperator(config=cfg, grid=grid, kernel_matrix=matrix)
+    table, kx, ky = _offset_table(axes[:, 0, 0], axes[0, :, 1], lambda offsets:
+                                  radiation_kernel(offsets, cfg.wavenumber, cfg.impedance))
+    # W and K are unchanged by both reflections, so the first quadrant's rows
+    # folded over the columns are the blocks' rows up to sqrt 2 per paired axis;
+    # an odd block's center row folds a table entry with itself, to exactly 0.
+    root = np.sqrt(grid.weights)
+    rows = table[kx[:a, None, :, None], ky[None, :a, None, :]].reshape(a * a, m * m)
+    blocks = _fold((rows * root).T, m)
+    blocks *= root.reshape(m, m)[:a, :a].ravel() / _grid_weights(m, 1.0).ravel()
+    blocks.setflags(write=False)
+    return DiscretizedOperator(config=cfg, grid=grid, blocks=blocks)
+
+
+# Re u^H v of each block of two weighted parity-block values (4, N, 2)
+_dot = partial(np.einsum, "kij,kij->k")
+
+
+def _weighted_apply(op: DiscretizedOperator, values: np.ndarray) -> np.ndarray:
+    """(H + Zs I) values for weighted parity-block values (4, N, 2): real and
+    imaginary parts on the last axis, so the blocks are never upcast."""
+    return op.blocks @ values + op.surface_resistance * values
+
+
+def _folded(op: DiscretizedOperator, values: np.ndarray) -> np.ndarray:
+    """Complex grid values as weighted parity-block values (4, N, 2)."""
+    values = np.sqrt(op.grid.weights) * np.asarray(values, dtype=complex)
+    return _fold(np.stack([values.real, values.imag], axis=-1), op.grid.order)
+
+
+def _unfolded(op: DiscretizedOperator, values: np.ndarray) -> np.ndarray:
+    """Inverse of _folded."""
+    grid = _unfold(values, op.grid.order) / np.sqrt(op.grid.weights)[:, None]
+    return grid[:, 0] + 1j * grid[:, 1]
 
 
 def apply_operator(op: DiscretizedOperator, values: np.ndarray) -> np.ndarray:
     """Apply the discretized coupling operator: kernel convolution plus loss term."""
-    return real_matvec(op.kernel_matrix, op.grid.weights * values) \
-        + op.surface_resistance * values
+    return _unfolded(op, _weighted_apply(op, _folded(op, values)))
 
 
 @dataclass(frozen=True, eq=False)
 class CgState:
-    """Conjugate-gradient iterate and per-iteration history.
+    """Conjugate-gradient iterate, on the grid, and per-iteration history.
 
-    preconditioner_rank is the rank of the Nystrom preconditioner used.
+    preconditioner_rank sums the blocks' ranks.  gain_bounds[i] brackets the
+    gain -4 J(v*) of the grid solution v* before iteration i by (-4 J(v_i),
+    -4 J(v_i) + 2 r_i^H W P^-1 r_i / Zs), J the functional: J(v_i) - J(v*) is
+    |v_i - v*|_A^2 / 2, and every eigenvalue of P^-1 A is at least Zs.
     """
 
     values: np.ndarray = field(repr=False)
@@ -172,6 +188,7 @@ class CgState:
     converged: bool
     residual_norms: np.ndarray = field(repr=False)
     functional_values: np.ndarray = field(repr=False)
+    gain_bounds: np.ndarray = field(repr=False)
     preconditioner_rank: int
 
 
@@ -180,78 +197,71 @@ def solve_fredholm(op: DiscretizedOperator, rhs: np.ndarray, tol: float = 1e-8,
                    seed: int | None = None) -> CgState:
     """Preconditioned conjugate gradients on the grid-discretized coupling equation.
 
-    rhs holds the conjugate channel sampled on the grid.  Convergence is
-    declared when the weighted residual norm of the unpreconditioned system
-    falls below tol relative to the weighted norm of rhs.  residual_norms[i]
-    is that relative norm before iteration i; functional_values tracks the
-    quadratic objective whose stationary point is the solution, which must
-    decrease monotonically.  A non-finite residual or a curvature that is not
-    positive raises NumericError.
+    rhs holds the conjugate channel sampled on the grid.  Each parity block runs
+    its own recurrence, in lockstep; a block whose residual is exactly zero
+    (three of four at front-fire) stays as it is.  residual_norms[i] is the
+    weighted residual norm of the unpreconditioned system, summed over the
+    blocks, before iteration i, relative to that of rhs; the solve converges
+    when it falls below tol.  functional_values tracks the quadratic objective
+    whose stationary point is the solution, which must decrease monotonically.
+    A non-finite residual or a curvature that is not positive raises NumericError.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive", module="cg_solver")
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1", module="cg_solver")
-    w = op.grid.weights
-    rhs = np.asarray(rhs, dtype=complex)
-    rhs_norm2 = float(np.real(np.vdot(rhs, w * rhs)))
-    if rhs_norm2 <= 0.0:
+    b = _folded(op, rhs)
+    b_norm2 = float(np.sum(_dot(b, b)))
+    if b_norm2 <= 0.0:
         raise DomainError("right-hand side has zero weighted norm", module="cg_solver")
     if init == "zero":
-        v = np.zeros_like(rhs)
+        y = np.zeros_like(b)
     elif init == "random":
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(rhs.size) + 1j * rng.standard_normal(rhs.size)
+        draw = np.random.default_rng(seed).standard_normal
+        y = _folded(op, draw(op.grid.size) + 1j * draw(op.grid.size))
     else:
         raise DomainError("init must be 'zero' or 'random'", module="cg_solver")
     precond = op.preconditioner
+    history = []
 
-    def functional(vec, res):
-        # operator apply recovered from the residual: A v = rhs - r
-        coupled = 0.5 * np.real(np.vdot(vec, w * (rhs - res)))
-        matched = np.real(np.vdot(rhs, w * vec))
-        return coupled - matched
-
-    def relative_residual(res):
-        rel = np.sqrt(float(np.real(np.vdot(res, w * res))) / rhs_norm2)
+    def observe(y, r):
+        rel = np.sqrt(np.sum(_dot(r, r)) / b_norm2)
         if not np.isfinite(rel):
             raise NumericError(f"residual is not finite after {iterations} iterations",
                                module="cg_solver")
-        return rel
+        z = precond.apply(r)
+        rz = _dot(r, z)
+        # J(y) = y^H (H + Zs) y / 2 - Re b^H y, with (H + Zs) y = b - r
+        functional = float(np.sum(0.5 * _dot(y, b - r) - _dot(b, y)))
+        history.append((rel, functional, -4.0 * functional,
+                        -4.0 * functional + 2.0 * np.sum(rz) / op.surface_resistance))
+        return rel, z, rz
 
     iterations = 0
-    r = rhs - apply_operator(op, v)
-    z = precond.apply(r)
-    p = z
-    rz = float(np.real(np.vdot(r, w * z)))
-    rel = relative_residual(r)
-    residual_norms = [rel]
-    functional_values = [functional(v, r)]
-    converged = rel < tol
-    while not converged and iterations < max_iter:
-        ap = apply_operator(op, p)
-        denom = float(np.real(np.vdot(p, w * ap)))
-        if not denom > 0.0:
+    r = b - _weighted_apply(op, y)
+    rel, p, rz = observe(y, r)
+    while rel >= tol and iterations < max_iter:
+        ap = _weighted_apply(op, p)
+        curvature = _dot(p, ap)
+        active = rz > 0.0
+        if not np.all(curvature[active] > 0.0):
             raise NumericError("search-direction curvature is not positive; "
                                "discretized operator lost definiteness", module="cg_solver")
-        alpha = rz / denom
-        v = v + alpha * p
+        alpha = np.divide(rz, curvature, out=np.zeros(4), where=active)[:, None, None]
+        y = y + alpha * p
         r = r - alpha * ap
         iterations += 1
-        rel = relative_residual(r)
-        residual_norms.append(rel)
-        functional_values.append(functional(v, r))
-        converged = rel < tol
-        if not converged:
-            z = precond.apply(r)
-            rz_next = float(np.real(np.vdot(r, w * z)))
-            p = z + (rz_next / rz) * p
+        rel, z, rz_next = observe(y, r)
+        if rel >= tol:
+            p = z + np.divide(rz_next, rz, out=np.zeros(4), where=active)[:, None, None] * p
             rz = rz_next
-    state = CgState(values=v, residual=r, direction=p, iterations=iterations,
-                    converged=converged,
-                    residual_norms=np.asarray(residual_norms),
-                    functional_values=np.asarray(functional_values),
-                    preconditioner_rank=precond.rank)
+    converged = rel < tol
+    history = np.array(history)
+    state = CgState(values=_unfolded(op, y), residual=_unfolded(op, r),
+                    direction=_unfolded(op, p), iterations=iterations,
+                    converged=converged, residual_norms=history[:, 0],
+                    functional_values=history[:, 1], gain_bounds=history[:, 2:],
+                    preconditioner_rank=sum(precond.ranks))
     if not converged:
         raise ConvergenceError(f"conjugate gradients did not reach tol {tol:.1e} "
                                f"in {max_iter} iterations (residual {rel:.3e})",
@@ -316,7 +326,7 @@ def synthesize_beamformer(op: DiscretizedOperator, channel: FarFieldChannel,
 
 
 # One slot: callers loop over directions inside one order, and a larger cache
-# would hold an order^4 kernel matrix per entry.  typed, so that 12.0 and True
+# would hold order^4 / 4 block entries per entry.  typed, so that 12.0 and True
 # reach legendre_rule's check rather than the operators of orders 12 and 1.
 @lru_cache(maxsize=1, typed=True)
 def _operator(cfg: PhysicalConfig, aperture: Aperture, order: int) -> DiscretizedOperator:
@@ -334,7 +344,6 @@ def beamform_cg(cfg: PhysicalConfig, channel: FarFieldChannel, aperture: Apertur
     """
     _require_radiating(channel, "cg_solver")
     op = _operator(cfg, aperture, order)
-    grid = op.grid
-    rhs = np.conj(channel(grid.points))
+    rhs = np.conj(channel(op.grid.points))
     state = solve_fredholm(op, rhs, tol=tol, max_iter=max_iter, init=init, seed=seed)
     return synthesize_beamformer(op, channel, state, power=power)

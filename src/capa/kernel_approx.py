@@ -20,7 +20,7 @@ from ._linalg import CholeskyFactor, cholesky
 from .errors import DomainError, NumericError
 from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_radiating,
                       wavenumber_kernel)
-from .quadrature import disk_wavenumber_grid
+from .quadrature import _HALF, _fold, _unfold, disk_wavenumber_grid
 
 @dataclass(frozen=True, eq=False)
 class PlaneWaveExpansion:
@@ -150,67 +150,6 @@ def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray
     gram[a:] = gram[:b][::-1]
     gram *= qx[:, None, :, None]
     return gram.reshape(m * m, m * m)
-
-
-# Each axis splits into its even part, (e_c + e_M-1-c)/sqrt 2 for c < M/2 and
-# the center node e_c at odd M, and its odd part, (e_c - e_M-1-c)/sqrt 2.
-# Block 2 px + py of the four is odd in x if px and odd in y if py.  Each is
-# stored on a ceil(M/2) x ceil(M/2) grid of (chord, node) rows; a block with
-# M // 2 odd chords or nodes leaves the rest of its grid as padding.
-_HALF = np.sqrt(0.5)
-
-
-def _grid_weights(order: int, center: float) -> np.ndarray:
-    """Product weights over a block's grid: 1/2 for two paired indices (exactly,
-    where 1/sqrt 2 squared rounds up), center / sqrt 2 for a center and a paired
-    one, center^2 for two centers."""
-    a, b = (order + 1) // 2, order // 2
-    axis = np.full(a, _HALF)
-    axis[b:] = center
-    weights = np.multiply.outer(axis, axis)
-    weights[:b, :b] = 0.5
-    return weights
-
-
-def _fold(x: np.ndarray, order: int) -> np.ndarray:
-    """Coordinates of term-indexed x, (n,) or (n, D), in the reflection-parity
-    basis: (4, N) or (4, N, D), one block per parity on N = ceil(M/2)^2 rows,
-    zero on padding.  The basis is orthonormal, so norms carry over."""
-    a, b = (order + 1) // 2, order // 2
-    tail = x.shape[1:]
-    grid = x.reshape((order, order) + tail)
-    mirror = grid[::-1]
-    # sums and differences with the mirror along x, then along y; a sum
-    # doubles a center, which its basis vector e_c takes with weight 1/2
-    half = np.zeros((2, a, order) + tail, dtype=x.dtype)
-    np.add(grid[:a], mirror[:a], out=half[0])
-    np.subtract(grid[:b], mirror[:b], out=half[1, :b])
-    turned = half[:, :, ::-1]
-    out = np.zeros((2, 2, a, a) + tail, dtype=x.dtype)
-    np.add(half[:, :, :a], turned[:, :, :a], out=out[:, 0])
-    np.subtract(half[:, :, :b], turned[:, :, :b], out=out[:, 1, :, :b])
-    out *= _grid_weights(order, 0.5).reshape((a, a) + (1,) * len(tail))
-    return out.reshape((4, a * a) + tail)
-
-
-def _unfold(blocks: np.ndarray, order: int) -> np.ndarray:
-    """Inverse of _fold: the term-indexed array with these parity coordinates."""
-    a, b = (order + 1) // 2, order // 2
-    tail = blocks.shape[2:]
-    weights = _grid_weights(order, 1.0).reshape((a, a) + (1,) * len(tail))
-    even, odd = (blocks.reshape((2, 2, a, a) + tail) * weights).swapaxes(0, 1)
-    # the even and odd parts along y, then along x, recombined with the mirror
-    half = np.empty((2, a, order) + tail, dtype=blocks.dtype)
-    half[:, :, :b] = even[:, :, :b] + odd[:, :, :b]
-    half[:, :, order - b:] = (even[:, :, :b] - odd[:, :, :b])[:, :, ::-1]
-    if order % 2:
-        half[:, :, b] = even[:, :, b]
-    out = np.empty((order, order) + tail, dtype=blocks.dtype)
-    out[:b] = half[0, :b] + half[1, :b]
-    out[order - b:] = (half[0, :b] - half[1, :b])[::-1]
-    if order % 2:
-        out[b] = half[0, b]
-    return out.reshape((order * order,) + tail)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,10 @@
 
 Two grids are used throughout: a tensor grid over the rectangular aperture
 (for surface integrals) and a nested grid over the propagating disk in the
-wavenumber plane (for spectral integrals).  The CG kernel matrix and the
-discrete-array coupling matrix are both gathered from one pair table.
+wavenumber plane (for spectral integrals).  Both are symmetric about 0 on each
+axis, so the closed form and CG split their systems into the four
+reflection-parity blocks of _fold.  The CG kernel blocks and the discrete-array
+coupling matrix are both gathered from one pair table.
 """
 from __future__ import annotations
 
@@ -68,16 +70,14 @@ class ApertureGrid:
         return np.asarray(values) @ self.weights
 
 
-def _pair_matrix(xs: np.ndarray, ys: np.ndarray, values, decimals: int | None = None):
-    """Matrix of a function of the offset between every pair of points of the
-    tensor grid xs by ys, points x-major, for a function even in each axis offset.
-
-    values maps K offsets (|dx|, |dy|, 0), shape (K, 3), to K values.  It is
-    called once, on the product of the distinct per-axis |offsets| ascending,
-    so its first row is the zero offset of the diagonal.  With decimals the
-    offsets are rounded first, so offsets that differ only by rounding share
-    an entry; without it every entry is the value its own pair gives.
-    """
+def _offset_table(xs: np.ndarray, ys: np.ndarray, values, decimals: int | None = None):
+    """Table of a function even in each axis offset over the distinct per-axis
+    |offsets| of the tensor grid xs by ys, and per axis the (n, n) table index
+    of every pair.  values maps K offsets (|dx|, |dy|, 0), shape (K, 3), to K
+    values and is called once, on the offsets ascending, so its first row is
+    the zero offset.  With decimals the offsets are rounded first, so offsets
+    that differ only by rounding share an entry; without it every entry is the
+    value its own pair gives."""
     axes = []
     for coords in (xs, ys):
         diffs = np.abs(coords[:, None] - coords)
@@ -89,10 +89,67 @@ def _pair_matrix(xs: np.ndarray, ys: np.ndarray, values, decimals: int | None = 
     offsets = np.zeros((dx.size, dy.size, 3))
     offsets[:, :, 0] = dx[:, None]
     offsets[:, :, 1] = dy
-    table = values(offsets.reshape(-1, 3)).reshape(dx.size, dy.size)
-    # point (a, b) is x coordinate a and y coordinate b, row-major
-    n = xs.size * ys.size
-    return table[kx[:, None, :, None], ky[None, :, None, :]].reshape(n, n)
+    return values(offsets.reshape(-1, 3)).reshape(dx.size, dy.size), kx, ky
+
+
+# The reflection-parity basis of an M x M grid, row-major, symmetric about 0 on
+# each axis (M-1-c mirrors c).  An axis splits into its even part, (e_c +
+# e_M-1-c)/sqrt 2 for c < M/2 and the center e_c at odd M, and its odd part,
+# (e_c - e_M-1-c)/sqrt 2.  Block 2 px + py is odd in x if px and odd in y if py,
+# stored on ceil(M/2)^2 rows; an axis with M // 2 odd indices leaves padding.
+_HALF = np.sqrt(0.5)
+
+
+def _grid_weights(order: int, center: float) -> np.ndarray:
+    """Product weights over a block's rows: 1/2 for two paired indices (exactly;
+    1/sqrt 2 squared rounds up), center / sqrt 2 for one center, center^2 for two."""
+    a, b = (order + 1) // 2, order // 2
+    axis = np.full(a, _HALF)
+    axis[b:] = center
+    weights = np.multiply.outer(axis, axis)
+    weights[:b, :b] = 0.5
+    return weights
+
+
+def _parity_rows(order: int) -> np.ndarray:
+    """(4, ceil(M/2)^2) mask of each parity block's real rows; False is padding."""
+    a, b = (order + 1) // 2, order // 2
+    real = [np.arange(a) < n for n in (a, b)]
+    return np.array([np.multiply.outer(px, py).ravel() for px in real for py in real])
+
+
+def _fold(x: np.ndarray, order: int) -> np.ndarray:
+    """Coordinates of grid-indexed x, (n,) or (n, D), in the reflection-parity
+    basis: (4, N) or (4, N, D), one block per parity on N = ceil(M/2)^2 rows,
+    zero on padding.  The basis is orthonormal, so norms carry over."""
+    a = (order + 1) // 2
+    tail = x.shape[1:]
+    grid = x.reshape((order, order) + tail)
+    # sums and differences with the mirror along x, then along y; a sum doubles
+    # a center, which its basis vector e_c takes with weight 1/2, and a
+    # difference leaves it exactly 0, the odd part's padding
+    half = np.stack([grid[:a] + grid[::-1][:a], grid[:a] - grid[::-1][:a]])
+    near, far = half[:, :, :a], half[:, :, ::-1][:, :, :a]
+    out = np.stack([near + far, near - far], axis=1)
+    out *= _grid_weights(order, 0.5).reshape((a, a) + (1,) * len(tail))
+    return out.reshape((4, a * a) + tail)
+
+
+def _unfold(blocks: np.ndarray, order: int) -> np.ndarray:
+    """Inverse of _fold, for parity coordinates that are zero on padding."""
+    a, b = (order + 1) // 2, order // 2
+    tail = blocks.shape[2:]
+    weights = _grid_weights(order, 1.0).reshape((a, a) + (1,) * len(tail))
+    even, odd = (blocks.reshape((2, 2, a, a) + tail) * weights).swapaxes(0, 1)
+    # the even and odd parts along y, then along x, recombined with the mirror;
+    # at odd M the odd part's padding adds nothing to the center
+    half = np.empty((2, a, order) + tail, dtype=blocks.dtype)
+    half[:, :, :a] = even + odd
+    half[:, :, order - b:] = (even[:, :, :b] - odd[:, :, :b])[:, :, ::-1]
+    out = np.empty((order, order) + tail, dtype=blocks.dtype)
+    out[:a] = half[0] + half[1]
+    out[order - b:] = (half[0, :b] - half[1, :b])[::-1]
+    return out.reshape((order * order,) + tail)
 
 
 def aperture_grid(aperture: Aperture, order: int) -> ApertureGrid:

@@ -22,7 +22,7 @@ from ._linalg import cholesky
 from .errors import DomainError, NumericError
 from .kernel_approx import PlaneWaveExpansion, beamform_ka
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
-from .quadrature import _pair_matrix, aperture_grid, legendre_rule
+from .quadrature import _offset_table, aperture_grid, legendre_rule
 
 _DEFAULT_ELEMENT_ORDER = 6
 
@@ -175,10 +175,12 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
     order = model.order if mode == "exact" else 1
     egrid, amp = _element_current(model, order)
+    table, kx, ky = _offset_table(model.x, model.y, lambda offsets:
+                                  _pair_integrals(offsets, model, order, cfg), decimals=12)
+    # element (a, b) has x coordinate a and y coordinate b, row-major
+    n = model.n_elements
     return CouplingMatrix(
-        radiation=_pair_matrix(model.x, model.y,
-                               lambda offsets: _pair_integrals(offsets, model, order, cfg),
-                               decimals=12),
+        radiation=table[kx[:, None, :, None], ky[None, :, None, :]].reshape(n, n),
         self_impedance=cfg.surface_resistance * float(np.sum(egrid.weights * (amp * amp))))
 
 

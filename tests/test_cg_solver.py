@@ -27,6 +27,7 @@ from capa.cg_solver import (
     solve_fredholm,
     synthesize_beamformer,
 )
+from capa.quadrature import _fold, _parity_rows
 
 FRONT_GAIN_CG_ORDER20 = 3.614677454700339
 
@@ -38,13 +39,39 @@ def _dense_system(cfg, grid):
     return kern * grid.weights[None, :] + cfg.surface_resistance * np.eye(grid.points.shape[0])
 
 
+def _dense_fold(matrix, order):
+    # the parity basis from its definition, as rows, one stack per block:
+    # (e_c + e_M-1-c)/sqrt 2 and the center e_c even, (e_c - e_M-1-c)/sqrt 2
+    # odd, along each axis; padding rows are zero
+    a, b = (order + 1) // 2, order // 2
+    axis = np.zeros((2, a, order))
+    for c in range(b):
+        axis[:, c, c] = np.sqrt(0.5)
+        axis[:, c, order - 1 - c] = [np.sqrt(0.5), -np.sqrt(0.5)]
+    if order % 2:
+        axis[0, b, b] = 1.0
+    basis = np.einsum("pac,qbd->pqabcd", axis, axis).reshape(4, a * a, order * order)
+    return basis @ matrix @ basis.transpose(0, 2, 1), basis
+
+
 @pytest.mark.parametrize("order", [7, 12])
-def test_kernel_matrix_equals_per_pair_kernel(cfg, order):
-    # the offset table must reproduce each pair's own kernel value exactly
+def test_parity_blocks_equal_dense_fold(cfg, order):
+    # the blocks gathered from the offset table must equal the parity fold of
+    # the per-pair weighted kernel, and the fold must be block diagonal
     grid = aperture_grid(Aperture(0.3, 0.5), order)
     diffs = grid.points[:, None, :] - grid.points[None, :, :]
-    want = radiation_kernel(diffs, cfg.wavenumber, cfg.impedance)
-    assert np.array_equal(discretize_operator(cfg, grid).kernel_matrix, want)
+    root = np.sqrt(grid.weights)
+    weighted = root[:, None] * radiation_kernel(diffs, cfg.wavenumber, cfg.impedance) * root
+    want, basis = _dense_fold(weighted, order)
+    blocks = discretize_operator(cfg, grid).blocks
+    scale = np.max(np.abs(weighted))
+    assert np.max(np.abs(blocks - want)) <= 1e-14 * scale
+    rows = basis.reshape(-1, order * order)
+    full = rows @ weighted @ rows.T
+    size = blocks.shape[1]
+    for k in range(4):
+        full[k * size:(k + 1) * size, k * size:(k + 1) * size] = 0.0
+    assert np.max(np.abs(full)) <= 1e-14 * scale
 
 
 def test_solution_matches_dense_inverse(cfg, aperture, oblique_channel):
@@ -217,9 +244,9 @@ def test_non_finite_input_raises_numeric_error_at_once(cfg, aperture, front_chan
     with pytest.raises(NumericError, match="not finite after 0 iterations") as exc:
         solve_fredholm(op, rhs)
     assert not isinstance(exc.value, ConvergenceError)
-    kernel = op.kernel_matrix.copy()
-    kernel[2, 5] = np.nan
-    broken = DiscretizedOperator(config=cfg, grid=grid, kernel_matrix=kernel)
+    blocks = op.blocks.copy()
+    blocks[0, 2, 5] = np.nan
+    broken = DiscretizedOperator(config=cfg, grid=grid, blocks=blocks)
     with pytest.raises(NumericError):
         solve_fredholm(broken, np.conj(front_channel(grid.points)))
 
@@ -264,24 +291,93 @@ def test_order_checked_before_operator_reuse(cfg, aperture, front_channel):
 def test_shared_arrays_are_read_only(cfg, aperture, front_channel):
     op = beamform_cg(cfg, front_channel, aperture, order=12).operator
     precond = op.preconditioner
-    for array in (op.kernel_matrix, op.grid.points, op.grid.weights,
-                  precond.basis, precond.shrink, precond.root_weights):
+    for array in (op.blocks, op.grid.points, op.grid.weights,
+                  precond.basis, precond.shrink):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
 
 @pytest.mark.parametrize("side, order", [(0.5, 12), (0.5, 20), (0.3, 7)])
 def test_nystrom_preconditioned_spectrum_floor(cfg, side, order):
-    # the Nystrom approximation lies below H, so the smallest eigenvalue mu of
-    # P^-1/2 (H + Zs I) P^-1/2 is at least Zs: the floor a certified CG error
-    # bound divides by.  Order 20 sits on the floor to rounding (1 - 3.7e-12).
+    # each block's Nystrom approximation lies below the block, so the smallest
+    # eigenvalue mu of P^-1/2 (H + Zs I) P^-1/2 is at least Zs in every block:
+    # the floor the certified gain bounds divide by
     op = discretize_operator(cfg, aperture_grid(Aperture(side, side), order))
     pre = op.preconditioner
-    root = pre.root_weights
     zs = op.surface_resistance
-    n = root.size
-    weighted = root[:, None] * op.kernel_matrix * root + zs * np.eye(n)
-    # P^-1 = I + U diag(shrink) U^T, so P^-1/2 = I + U diag(sqrt(1 + shrink) - 1) U^T
-    half = np.eye(n) + (pre.basis * (np.sqrt(1.0 + pre.shrink) - 1.0)) @ pre.basis.T
-    mu = np.linalg.eigvalsh(half @ weighted @ half)[0]
-    assert mu >= zs * (1.0 - 1e-10)
+    for k, real in enumerate(_parity_rows(order)):
+        n = int(real.sum())
+        weighted = op.blocks[k][np.ix_(real, real)] + zs * np.eye(n)
+        basis, shrink = pre.basis[k][real], pre.shrink[k]
+        # P^-1 = I + U diag(shrink) U^T, so P^-1/2 = I + U diag(sqrt(1 + shrink) - 1) U^T
+        half = np.eye(n) + (basis * (np.sqrt(1.0 + shrink) - 1.0)) @ basis.T
+        mu = np.linalg.eigvalsh(half @ weighted @ half)[0]
+        assert mu >= zs * (1.0 - 1e-10), k
+
+
+@pytest.mark.parametrize("order", [7, 12, 20])
+@pytest.mark.parametrize("init", ["zero", "random"])
+def test_gain_bounds_bracket_dense_gain(cfg, aperture, order, init):
+    grid = aperture_grid(aperture, order)
+    op = discretize_operator(cfg, grid)
+    channel = far_field_channel(cfg, Direction(np.pi / 2, np.pi / 6), 50.0)
+    h = channel(grid.points)
+    state = solve_fredholm(op, np.conj(h), tol=1e-12, init=init, seed=3)
+    want = 2.0 * np.real(np.sum(grid.weights * h
+                                * np.linalg.solve(_dense_system(cfg, grid), np.conj(h))))
+    lower, upper = state.gain_bounds.T
+    assert state.gain_bounds.shape == (state.iterations + 1, 2)
+    assert np.all(lower <= want * (1.0 + 1e-12))
+    assert np.all(upper >= want * (1.0 - 1e-12))
+    assert upper[-1] - lower[-1] < 1e-9 * want
+
+
+@pytest.mark.parametrize("order", [1, 3, 7, 12, 15, 20])
+def test_block_gains_match_dense_solve(cfg, aperture, order):
+    grid = aperture_grid(aperture, order)
+    op = discretize_operator(cfg, grid)
+    dense = _dense_system(cfg, grid)
+    for channel in _criterion_04_channels(cfg):
+        h = channel(grid.points)
+        sol = synthesize_beamformer(op, channel, solve_fredholm(op, np.conj(h), tol=1e-12))
+        want = 2.0 * np.real(np.sum(grid.weights * h * np.linalg.solve(dense, np.conj(h))))
+        assert abs(sol.gain - want) / want < 1e-11
+
+
+@pytest.mark.parametrize("order", [7, 12])
+def test_empty_parity_blocks_stay_frozen(cfg, aperture, front_channel, order):
+    # front-fire fills only the even-even block, a right-hand side odd in x
+    # only the two blocks odd in x; the empty blocks must trip no check
+    grid = aperture_grid(aperture, order)
+    op = discretize_operator(cfg, grid)
+    x, y = grid.points[:, 0], grid.points[:, 1]
+    dense = _dense_system(cfg, grid)
+    for rhs, filled in ((np.conj(front_channel(grid.points)), [0]),
+                        (x * np.exp(2j * y / aperture.length_y), [2, 3])):
+        folded = _fold(rhs, order)
+        assert np.all(np.delete(folded, filled, axis=0) == 0.0)
+        state = solve_fredholm(op, rhs, tol=1e-12)
+        want = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(state.values - want)) < 1e-9 * np.max(np.abs(want))
+
+
+def test_padding_stays_zero_at_odd_order(cfg, aperture, oblique_channel):
+    # padding rows of the smaller blocks hold nothing: not in the blocks, the
+    # sketch bases, or the residual the stopping test sums over the blocks
+    order = 9
+    grid = aperture_grid(aperture, order)
+    op = discretize_operator(cfg, grid)
+    padding = ~_parity_rows(order)
+    assert padding.any()
+    assert np.all(op.blocks[padding] == 0.0)
+    assert np.all(op.blocks.transpose(0, 2, 1)[padding] == 0.0)
+    assert np.all(op.preconditioner.basis[padding] == 0.0)
+    rhs = np.conj(oblique_channel(grid.points))
+    for init in ("zero", "random"):
+        state = solve_fredholm(op, rhs, tol=1e-10, init=init, seed=5)
+        r = state.residual
+        rel = np.sqrt(np.real(np.vdot(r, grid.weights * r))
+                      / np.real(np.vdot(rhs, grid.weights * rhs)))
+        assert rel == pytest.approx(state.residual_norms[-1], rel=1e-6)
+        assert np.max(np.abs(apply_operator(op, state.values) + r - rhs)) \
+            < 1e-9 * np.max(np.abs(rhs))
