@@ -7,15 +7,16 @@ is symmetric about 0 on each axis and the kernel depends only on |dx| and |dy|,
 so H is block diagonal in the basis of grid functions even or odd in each axis
 (quadrature._fold; Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29,
 1992).  The four blocks are gathered from one kernel table over the distinct
-per-axis |offsets|; no M^2 x M^2 matrix is formed.  Each block is
-preconditioned by a randomized Nystrom approximation (Frangella, Tropp & Udell,
-arXiv:2110.02820) of fixed seed, whose rank starts at 32 and doubles, reusing
-the columns drawn, until its smallest eigenvalue is at most 10 Zs, capped at
-half the block's real rows.  The blocks then run conjugate-gradient recurrences in
-lockstep, stopped on the summed weighted residual of the unpreconditioned
-system.  beamform_cg reuses the read-only operator and preconditioner of its
-last call with the same configuration, aperture and order, since the steering
-direction enters only the right-hand side.
+per-axis |offsets| and folded by quadrature._fold_matrix, as the closed form's
+are; no M^2 x M^2 matrix is formed.  Each block is preconditioned by a
+randomized Nystrom approximation (Frangella, Tropp & Udell, arXiv:2110.02820)
+of fixed seed, whose rank starts at 32 and doubles, reusing the columns drawn,
+until its smallest eigenvalue is at most 10 Zs, capped at half the block's real
+rows; a block of Frobenius norm at most 10 Zs gets rank 0.  The blocks then run
+conjugate-gradient recurrences in lockstep, stopped on the summed weighted
+residual of the unpreconditioned system.  beamform_cg reuses the read-only
+operator and preconditioner of its last call with the same configuration,
+aperture and order, since the steering direction enters only the right-hand side.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, NumericError
 from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_radiating,
                       radiation_kernel)
-from .quadrature import (ApertureGrid, _fold, _grid_weights, _offset_table, _parity_rows,
+from .quadrature import (ApertureGrid, _fold, _fold_matrix, _offset_table, _parity_rows,
                          _unfold, aperture_grid)
 
 _SKETCH_SEED = 20251
@@ -61,10 +62,13 @@ def _nystrom_sketch(block: np.ndarray, surface_resistance: float, rng):
     indefinite; it is then shifted by _RETRY_SHIFT Zs, which next to Zs the
     preconditioner cannot tell from zero."""
     n = block.shape[0]
-    cap = max(1, n // 2)
     test = sketch = np.empty((n, 0))
+    # no eigenvalue exceeds the Frobenius norm: rank 0 meets the rank rule
+    if np.linalg.norm(block) <= _RANK_MARGIN * surface_resistance:
+        return test, np.empty(0)
+    cap = max(1, n // 2)
     rank = min(_SKETCH_START_RANK, cap)
-    while n:
+    while True:
         new = rng.standard_normal((n, rank - test.shape[1]))
         # two Gram-Schmidt passes keep the new columns orthogonal to the kept ones
         for _ in range(2):
@@ -89,7 +93,6 @@ def _nystrom_sketch(block: np.ndarray, surface_resistance: float, rng):
         if eigs[-1] <= _RANK_MARGIN * surface_resistance or rank == cap:
             return basis, (eigs[-1] + surface_resistance) / (eigs + surface_resistance) - 1.0
         rank = min(2 * rank, cap)
-    return test, np.empty(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,13 +136,8 @@ def discretize_operator(cfg: PhysicalConfig, grid: ApertureGrid) -> DiscretizedO
     axes = grid.points.reshape(m, m, 3)
     table, kx, ky = _offset_table(axes[:, 0, 0], axes[0, :, 1], lambda offsets:
                                   radiation_kernel(offsets, cfg.wavenumber, cfg.impedance))
-    # W and K are unchanged by both reflections, so the first quadrant's rows
-    # folded over the columns are the blocks' rows up to sqrt 2 per paired axis;
-    # an odd block's center row folds a table entry with itself, to exactly 0.
-    root = np.sqrt(grid.weights)
-    rows = table[kx[:a, None, :, None], ky[None, :a, None, :]].reshape(a * a, m * m)
-    blocks = _fold((rows * root).T, m)
-    blocks *= root.reshape(m, m)[:a, :a].ravel() / _grid_weights(m, 1.0).ravel()
+    rows = table[kx[:a, None, :, None], ky[None, :a, None, :]]
+    blocks = _fold_matrix(rows, np.sqrt(grid.weights).reshape(m, m))
     blocks.setflags(write=False)
     return DiscretizedOperator(config=cfg, grid=grid, blocks=blocks)
 
@@ -183,7 +181,6 @@ class CgState:
 
     values: np.ndarray = field(repr=False)
     residual: np.ndarray = field(repr=False)
-    direction: np.ndarray = field(repr=False)
     iterations: int
     converged: bool
     residual_norms: np.ndarray = field(repr=False)
@@ -257,8 +254,7 @@ def solve_fredholm(op: DiscretizedOperator, rhs: np.ndarray, tol: float = 1e-8,
             rz = rz_next
     converged = rel < tol
     history = np.array(history)
-    state = CgState(values=_unfolded(op, y), residual=_unfolded(op, r),
-                    direction=_unfolded(op, p), iterations=iterations,
+    state = CgState(values=_unfolded(op, y), residual=_unfolded(op, r), iterations=iterations,
                     converged=converged, residual_norms=history[:, 0],
                     functional_values=history[:, 1], gain_bounds=history[:, 2:],
                     preconditioner_rank=sum(precond.ranks))

@@ -5,9 +5,9 @@ wavenumbers and coefficients come from a quadrature rule over the propagating
 disk.  Under that approximation the optimal transmit distribution and its
 array gain have closed forms involving one dense linear solve whose size is
 the number of expansion terms, independent of any surface discretization.
-The system is unchanged by the reflections x -> -x and y -> -y, so it is
-solved as four decoupled blocks, even or odd in each axis, of about a quarter
-of that size each.
+The system is unchanged by the reflections x -> -x and y -> -y, so
+quadrature._fold_matrix folds it into four decoupled blocks, even or odd in
+each axis, of about a quarter of that size each.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from ._linalg import CholeskyFactor, cholesky
 from .errors import DomainError, NumericError
 from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_radiating,
                       wavenumber_kernel)
-from .quadrature import _HALF, _fold, _unfold, disk_wavenumber_grid
+from .quadrature import _fold, _fold_matrix, _unfold, disk_wavenumber_grid
 
 @dataclass(frozen=True, eq=False)
 class PlaneWaveExpansion:
@@ -181,9 +181,9 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
     resistance.  The gram matrix Q and the expansion must be invariant under
     both reflections, bit for bit, or a DomainError is raised.  The symmetric
     form I + Lambda^1/2 Q Lambda^1/2 is then folded into its four parity
-    blocks, read from mirrored views of Q, and the blocks are factored as one
-    stacked Cholesky: about n^3/48 flops instead of n^3/3, and no inverse of
-    the system is formed.  A system that is not positive definite reports the
+    blocks by _fold_matrix, and the blocks are factored as one stacked
+    Cholesky: about n^3/48 flops instead of n^3/3, and no inverse of the
+    system is formed.  A system that is not positive definite reports the
     condition estimate of its worst block.
     """
     if surface_resistance <= 0:
@@ -198,26 +198,10 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
         raise DomainError("gram matrix and expansion must be invariant under the "
                           "reflections x -> -x and y -> -y", module="kernel_approx")
     lam = expansion.coefficients / surface_resistance
-    a, b = (m + 1) // 2, m // 2
-    # at odd M the center chord and node are their own mirrors: folding doubles
-    # their columns, and their basis vector is e_c, not (e_c + e_c)/sqrt 2, so
-    # their rows and columns take a weight 1/sqrt 2
-    scale = np.sqrt(lam).reshape(m, m)
-    scale[b:a] *= _HALF
-    scale[:, b:a] *= _HALF
-    system = np.zeros((2, 2, a, a, a, a))
-    for px, nx in enumerate((a, b)):
-        fold = (np.add, np.subtract)[px]
-        half = fold(q[:nx, :a, :nx], q[:nx, :a, ::-1][:, :, :nx])
-        for py, ny in enumerate((a, b)):
-            block = system[px, py, :nx, :ny, :nx, :ny]
-            fold = (np.add, np.subtract)[py]
-            fold(half[:, :ny, :, :ny], half[:, :ny, :, ::-1][..., :ny], out=block)
-            s = scale[:nx, :ny]
-            block *= s[:, :, None, None]
-            block *= s
-    system = system.reshape(4, a * a, a * a)
-    system.reshape(4, -1)[:, ::a * a + 1] += 1.0
+    system = _fold_matrix(q, np.sqrt(lam).reshape(m, m))
+    # every block's diagonal, padding included: a padding row is then an identity row
+    diagonal = np.arange(system.shape[1])
+    system[:, diagonal, diagonal] += 1.0
     factor = cholesky(system, "resolvent system is not positive definite", "kernel_approx")
     return InverseOperatorData(order=m, lambda_diag=lam, factor=factor)
 

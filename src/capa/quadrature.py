@@ -4,8 +4,9 @@ Two grids are used throughout: a tensor grid over the rectangular aperture
 (for surface integrals) and a nested grid over the propagating disk in the
 wavenumber plane (for spectral integrals).  Both are symmetric about 0 on each
 axis, so the closed form and CG split their systems into the four
-reflection-parity blocks of _fold.  The CG kernel blocks and the discrete-array
-coupling matrix are both gathered from one pair table.
+reflection-parity blocks of _fold, and both fold their matrices with
+_fold_matrix.  The CG kernel blocks and the discrete-array coupling matrix are
+both gathered from one pair table.
 """
 from __future__ import annotations
 
@@ -133,6 +134,32 @@ def _fold(x: np.ndarray, order: int) -> np.ndarray:
     out = np.stack([near + far, near - far], axis=1)
     out *= _grid_weights(order, 0.5).reshape((a, a) + (1,) * len(tail))
     return out.reshape((4, a * a) + tail)
+
+
+def _fold_matrix(rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Parity blocks (4, N, N) of S A S, zero on padding, for a grid matrix A and
+    a diagonal S, (M, M), both unchanged by the reflections.  rows is A indexed
+    (c, d, e, f) with at least the first-quadrant rows c, d < ceil(M/2): by the
+    symmetry, those rows folded over the mirrored columns are the blocks' rows."""
+    m = scale.shape[0]
+    a, b = (m + 1) // 2, m // 2
+    # at odd M a center index is its own mirror and its basis vector is e_c, not
+    # (e_c + e_c)/sqrt 2: folding doubles its column, so it takes 1/sqrt 2
+    scale = np.array(scale, dtype=float)
+    scale[b:a] *= _HALF
+    scale[:, b:a] *= _HALF
+    out = np.zeros((2, 2, a, a, a, a))
+    for px, nx in enumerate((a, b)):
+        fold = (np.add, np.subtract)[px]
+        half = fold(rows[:nx, :a, :nx], rows[:nx, :a, ::-1][:, :, :nx])
+        for py, ny in enumerate((a, b)):
+            block = out[px, py, :nx, :ny, :nx, :ny]
+            fold = (np.add, np.subtract)[py]
+            fold(half[:, :ny, :, :ny], half[:, :ny, :, ::-1][..., :ny], out=block)
+            s = scale[:nx, :ny]
+            block *= s[:, :, None, None]
+            block *= s
+    return out.reshape(4, a * a, a * a)
 
 
 def _unfold(blocks: np.ndarray, order: int) -> np.ndarray:

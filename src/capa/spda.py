@@ -95,13 +95,6 @@ def element_layout(aperture: Aperture, spacing: float, element_x: float,
                      element_x=float(element_x), element_y=float(element_y), order=order)
 
 
-def _element_current(model: SpdaModel, order: int):
-    """Element quadrature grid of the given order and the uniform unit-energy
-    current 1/sqrt(element area)."""
-    return (aperture_grid(Aperture(model.element_x, model.element_y), order),
-            1.0 / np.sqrt(model.element_area))
-
-
 def _difference_rule(side: float, order: int):
     """Distinct differences of the order-point Gauss nodes on one element side,
     ascending, with the summed weight products of the node pairs sharing each.
@@ -174,14 +167,14 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
     order = model.order if mode == "exact" else 1
-    egrid, amp = _element_current(model, order)
     table, kx, ky = _offset_table(model.x, model.y, lambda offsets:
                                   _pair_integrals(offsets, model, order, cfg), decimals=12)
-    # element (a, b) has x coordinate a and y coordinate b, row-major
+    # element (a, b) has x coordinate a and y coordinate b, row-major; the
+    # element current carries unit energy, so its loss is Zs exactly
     n = model.n_elements
     return CouplingMatrix(
         radiation=table[kx[:, None, :, None], ky[None, :, None, :]].reshape(n, n),
-        self_impedance=cfg.surface_resistance * float(np.sum(egrid.weights * (amp * amp))))
+        self_impedance=cfg.surface_resistance)
 
 
 def discrete_channel(model: SpdaModel, channel) -> np.ndarray:
@@ -191,9 +184,9 @@ def discrete_channel(model: SpdaModel, channel) -> np.ndarray:
     current over element n, so the received field equals the conjugate inner
     product of this vector with the drive vector.
     """
-    egrid, amp = _element_current(model, model.order)
+    egrid = aperture_grid(Aperture(model.element_x, model.element_y), model.order)
     pts = model.centers[:, None, :] + egrid.points[None, :, :]
-    return np.conj((channel(pts) * amp) @ egrid.weights)
+    return np.conj((channel(pts) * (1.0 / np.sqrt(model.element_area))) @ egrid.weights)
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,7 +54,7 @@ def _dense_fold(matrix, order):
     return basis @ matrix @ basis.transpose(0, 2, 1), basis
 
 
-@pytest.mark.parametrize("order", [7, 12])
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 12])
 def test_parity_blocks_equal_dense_fold(cfg, order):
     # the blocks gathered from the offset table must equal the parity fold of
     # the per-pair weighted kernel, and the fold must be block diagonal
@@ -381,3 +381,13 @@ def test_padding_stays_zero_at_odd_order(cfg, aperture, oblique_channel):
         assert rel == pytest.approx(state.residual_norms[-1], rel=1e-6)
         assert np.max(np.abs(apply_operator(op, state.values) + r - rhs)) \
             < 1e-9 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("sides", [(1e-6, 0.5), (0.5, 1e-6)])
+def test_thin_strip_matches_closed_form(cfg, front_channel, oblique_channel, sides):
+    # across a thin strip the odd blocks are rounding noise of either sign,
+    # far below Zs; the operator is still positive definite and must solve
+    aperture, expansion = Aperture(*sides), build_expansion(cfg, 20)
+    for channel in (front_channel, oblique_channel):
+        want = beamform_ka(cfg, channel, expansion, aperture).gain
+        assert beamform_cg(cfg, channel, aperture, order=20).gain == pytest.approx(want, rel=1e-6)

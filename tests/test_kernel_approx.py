@@ -7,9 +7,9 @@ import pytest
 from capa import (Aperture, Direction, DomainError, NumericError, PhysicalConfig, Z0,
                   far_field_channel, radiation_kernel)
 from capa.analysis import steered_gain_profile
-from capa.kernel_approx import (_fold, _unfold, beamform_ka, build_expansion,
-                                channel_moments, gram_matrix, inverse_operator)
-from capa.quadrature import aperture_grid
+from capa.kernel_approx import (beamform_ka, build_expansion, channel_moments, gram_matrix,
+                                inverse_operator)
+from capa.quadrature import _fold, _unfold, aperture_grid
 
 
 def kernel_peak(cfg):

@@ -117,8 +117,8 @@ def test_single_element_gain_formula(cfg, front_channel):
     bf = optimal_discrete_beamformer(h, coupling)
     want = 2.0 * abs(h[0]) ** 2 / coupling.matrix[0, 0]
     assert bf.gain == pytest.approx(want, rel=1e-12)
-    # uniform profile: loss part of the diagonal is the sheet resistance
-    assert coupling.self_impedance == pytest.approx(cfg.surface_resistance, rel=1e-12)
+    # uniform unit-energy profile: loss part of the diagonal is the sheet resistance
+    assert coupling.self_impedance == cfg.surface_resistance
 
 
 def test_coupling_matrix_symmetric_positive_definite(cfg):
