@@ -56,7 +56,10 @@ def cholesky(matrix: np.ndarray, message: str, module: str) -> CholeskyFactor:
     """Cholesky factor L L^T = matrix, of one matrix (n, n) or of each matrix of
     a stack (b, n, n); a matrix that is not positive definite raises
     NumericError with message and a condition estimate, on a stack the largest
-    of its matrices'."""
+    of its matrices'.  So does a matrix that is not finite, which OpenBLAS
+    factors to NaN without failing."""
+    if not np.all(np.isfinite(matrix)):
+        raise NumericError(f"{message}: matrix is not finite", module=module)
     try:
         lower = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:

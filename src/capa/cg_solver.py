@@ -136,8 +136,9 @@ def discretize_operator(cfg: PhysicalConfig, grid: ApertureGrid) -> DiscretizedO
     axes = grid.points.reshape(m, m, 3)
     table, kx, ky = _offset_table(axes[:, 0, 0], axes[0, :, 1], lambda offsets:
                                   radiation_kernel(offsets, cfg.wavenumber, cfg.impedance))
-    rows = table[kx[:a, None, :, None], ky[None, :a, None, :]]
-    blocks = _fold_matrix(rows, np.sqrt(grid.weights).reshape(m, m))
+    root = np.sqrt(grid.weights).reshape(m, m)[:a, :a].ravel()
+    blocks = root[:, None] * _fold_matrix(table[kx[:a, None, :, None], ky[None, :a, None, :]])
+    blocks *= root
     blocks.setflags(write=False)
     return DiscretizedOperator(config=cfg, grid=grid, blocks=blocks)
 

@@ -5,9 +5,9 @@ wavenumbers and coefficients come from a quadrature rule over the propagating
 disk.  Under that approximation the optimal transmit distribution and its
 array gain have closed forms involving one dense linear solve whose size is
 the number of expansion terms, independent of any surface discretization.
-The system is unchanged by the reflections x -> -x and y -> -y, so
-quadrature._fold_matrix folds it into four decoupled blocks, even or odd in
-each axis, of about a quarter of that size each.
+The system is unchanged by the reflections x -> -x and y -> -y, so its Gram
+is built directly as four decoupled blocks, even or odd in each axis, of
+about a quarter of that size each; no full Gram is formed.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ class PlaneWaveExpansion:
     and the third component is zero.  gram_matrix and wave_sum rely on this.
     The expansion is also unchanged by the reflections x -> -x and y -> -y:
     chord M-1-c mirrors chord c and node M-1-d of a chord mirrors node d, bit
-    for bit (see _is_reflection_symmetric).  gram_matrix and inverse_operator
+    for bit (see _require_reflection_symmetric).  gram_matrix and inverse_operator
     rely on this and refuse an expansion without it.
     """
 
@@ -107,49 +107,40 @@ def _sinc(t: np.ndarray) -> np.ndarray:
     return np.divide(np.sin(t), t, out=t)
 
 
-def _is_reflection_symmetric(expansion: PlaneWaveExpansion) -> bool:
-    """Whether the expansion is unchanged by the reflections x -> -x and
-    y -> -y, bit for bit: chord M-1-c has the kappa_x of chord c negated and
-    the same kappa_y, node M-1-d of a chord the kappa_y of node d negated, and
-    the coefficients are invariant under both node maps."""
+def _require_reflection_symmetric(expansion: PlaneWaveExpansion) -> None:
+    """Raise DomainError unless the expansion is unchanged by the reflections
+    x -> -x and y -> -y, bit for bit: chord M-1-c has the kappa_x of chord c
+    negated and the same kappa_y, node M-1-d of a chord the kappa_y of node d
+    negated, and the coefficients are invariant under both node maps."""
     m = expansion.order
     kx, ky = np.moveaxis(expansion.kappa.reshape(m, m, 3)[..., :2], -1, 0)
     rho = expansion.coefficients.reshape(m, m)
-    return (np.array_equal(kx[::-1], -kx) and np.array_equal(ky[::-1], ky)
+    if not (np.array_equal(kx[::-1], -kx) and np.array_equal(ky[::-1], ky)
             and np.array_equal(ky[:, ::-1], -ky) and np.array_equal(rho[::-1], rho)
-            and np.array_equal(rho[:, ::-1], rho))
+            and np.array_equal(rho[:, ::-1], rho)):
+        raise DomainError("expansion is not symmetric under the reflections "
+                          "x -> -x and y -> -y", module="kernel_approx")
 
 
 def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray:
-    """Aperture inner products between the expansion's plane waves.
-
-    Mirror chords c and M-1-c carry the same kappa_y values, so the kappa_y
-    sinc table is evaluated for the chords c <= M-1-c alone and gathered for
-    the rest: n^2/4 sinc evaluations, each entry the same arithmetic on the
-    same floats as its own pair's.
-    """
-    if not _is_reflection_symmetric(expansion):
-        raise DomainError("expansion is not symmetric under the reflections "
-                          "x -> -x and y -> -y", module="kernel_approx")
-    # kappa_x takes only `order` distinct values, each repeated over one chord
+    """Aperture inner products between the expansion's plane waves, as the four
+    reflection-parity blocks (4, N, N) of the n x n Gram, N = ceil(M/2)^2, zero
+    on padding: _fold_matrix of its first-quadrant rows c, d < ceil(M/2), n^2/4
+    sinc evaluations, each the arithmetic of its own pair."""
+    _require_reflection_symmetric(expansion)
     m = expansion.order
-    a, b = (m + 1) // 2, m // 2
+    a = (m + 1) // 2
+    # kappa_x takes only `order` distinct values, each repeated over one chord
     kx = expansion.kappa[::m, 0]
-    ky = expansion.kappa[:a * m, 1]
-    qx = _sinc((kx[:, None] - kx[None, :]) * (0.5 * aperture.length_x))
+    ky = expansion.kappa[:, 1]
+    qx = _sinc((kx[:a, None] - kx[None, :]) * (0.5 * aperture.length_x))
     qx *= aperture.area
-    # formed in place: at order 40 the table is 5 MB
-    q = ky[:, None] - ky[None, :]
-    q *= 0.5 * aperture.length_y
-    q = _sinc(q).reshape(a, m, a, m)
-    # entry (c*m + d, e*m + f) pairs chord c with chord e; the reshape is a view.
-    # The indices are in range, and "clip" lets take write into out unbuffered
-    chord = np.minimum(np.arange(m), np.arange(m)[::-1])
-    gram = np.empty((m, m, m, m))
-    np.take(q, chord, axis=2, out=gram[:a], mode="clip")
-    gram[a:] = gram[:b][::-1]
-    gram *= qx[:, None, :, None]
-    return gram.reshape(m * m, m * m)
+    # formed in place: at order 40 the rows are 5 MB
+    rows = ky.reshape(m, m)[:a, :a].reshape(-1, 1) - ky
+    rows *= 0.5 * aperture.length_y
+    rows = _sinc(rows).reshape(a, a, m, m)
+    rows *= qx[:, None, :, None]
+    return _fold_matrix(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +150,9 @@ class InverseOperatorData:
     I + Lambda Q is similar to the symmetric positive definite form
     S = I + Lambda^1/2 Q Lambda^1/2.  S is unchanged by the reflections
     x -> -x and y -> -y, so in the orthonormal basis of terms even or odd in
-    each axis (_fold) it is block diagonal: four parity blocks B_k = L_k L_k^T
-    of about n/4 rows each, and
+    each axis (_fold) it is block diagonal: four parity blocks, of about n/4
+    rows each, B_k = I + Lambda_k^1/2 Q_k Lambda_k^1/2 = L_k L_k^T for the
+    Gram's blocks Q_k and the first-quadrant coefficients Lambda_k, and
     (I + Lambda Q)^-1 = Lambda^1/2 U^T diag(L_k^-T L_k^-1) U Lambda^-1/2 for
     the basis change U.  factor holds the L_k as one stack (4, N, N) over
     N = ceil(M/2)^2 rows, a smaller block padded with identity rows;
@@ -177,11 +169,12 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
                      surface_resistance: float) -> InverseOperatorData:
     """Resolvent (I + Lambda Q)^-1 of the expansion/aperture pair, factored.
 
-    Lambda is the diagonal of expansion coefficients over the surface
-    resistance.  The gram matrix Q and the expansion must be invariant under
-    both reflections, bit for bit, or a DomainError is raised.  The symmetric
-    form I + Lambda^1/2 Q Lambda^1/2 is then folded into its four parity
-    blocks by _fold_matrix, and the blocks are factored as one stacked
+    gram holds the Gram matrix Q as its four parity blocks (4, N, N), as
+    gram_matrix returns them, and Lambda is the diagonal of expansion
+    coefficients over the surface resistance.  The expansion must be
+    invariant under both reflections, bit for bit, or a DomainError is
+    raised.  Each block Q_k is scaled by the first-quadrant Lambda^1/2 on
+    both sides and I is added, and the blocks are factored as one stacked
     Cholesky: about n^3/48 flops instead of n^3/3, and no inverse of the
     system is formed.  A system that is not positive definite reports the
     condition estimate of its worst block.
@@ -189,19 +182,19 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
     if surface_resistance <= 0:
         raise DomainError("surface resistance must be positive", module="kernel_approx")
     m = expansion.order
-    n = m * m
-    if np.shape(gram) != (n, n):
-        raise DomainError(f"gram matrix must have shape ({n}, {n})", module="kernel_approx")
-    q = np.asarray(gram).reshape(m, m, m, m)
-    if not (_is_reflection_symmetric(expansion) and np.array_equal(q, q[::-1, :, ::-1])
-            and np.array_equal(q, q[:, ::-1, :, ::-1])):
-        raise DomainError("gram matrix and expansion must be invariant under the "
-                          "reflections x -> -x and y -> -y", module="kernel_approx")
-    lam = expansion.coefficients / surface_resistance
-    system = _fold_matrix(q, np.sqrt(lam).reshape(m, m))
-    # every block's diagonal, padding included: a padding row is then an identity row
-    diagonal = np.arange(system.shape[1])
-    system[:, diagonal, diagonal] += 1.0
+    a = (m + 1) // 2
+    if np.shape(gram) != (4, a * a, a * a):
+        raise DomainError(f"gram must have shape (4, {a * a}, {a * a})", module="kernel_approx")
+    _require_reflection_symmetric(expansion)
+    # Lambda overflows at a tiny surface resistance; cholesky refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = expansion.coefficients / surface_resistance
+        root = np.sqrt(lam).reshape(m, m)[:a, :a].ravel()
+        system = gram * root[:, None]
+        system *= root
+        # every block's diagonal, padding included: a padding row is then an identity row
+        diagonal = np.arange(a * a)
+        system[:, diagonal, diagonal] += 1.0
     factor = cholesky(system, "resolvent system is not positive definite", "kernel_approx")
     return InverseOperatorData(order=m, lambda_diag=lam, factor=factor)
 

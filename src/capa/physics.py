@@ -52,8 +52,8 @@ class PhysicalConfig:
         if self.surface_resistance is None:
             object.__setattr__(self, "surface_resistance",
                                surface_resistance(self.frequency, self.mu_s, self.sigma_s))
-        elif self.surface_resistance <= 0:
-            raise DomainError("surface resistance must be positive", module="physics")
+        if not 0.0 < self.surface_resistance < np.inf:
+            raise DomainError("surface resistance must be positive and finite", module="physics")
 
     @property
     def wavelength(self) -> float:
@@ -268,16 +268,19 @@ def far_field_channel(cfg: PhysicalConfig, direction: Direction, distance: float
     """
     if distance <= 0:
         raise DomainError("receiver distance must be positive", module="physics")
+    k0 = cfg.wavenumber
+    pol = 1.0 - (np.sin(direction.theta) * np.sin(direction.phi)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = (-1j * k0 * cfg.impedance * np.exp(1j * k0 * distance)
+                     / (4.0 * np.pi * distance)) * pol
+    if not np.isfinite(amplitude):
+        raise DomainError("channel amplitude is not finite", module="physics")
     if aperture is not None:
         limit = fraunhofer_distance(aperture, cfg.wavelength)
         if distance < limit:
             warnings.warn(f"receiver distance {distance:.3g} m is inside the far-field "
                           f"boundary {limit:.3g} m; planar-wavefront model is inaccurate",
                           stacklevel=2)
-    k0 = cfg.wavenumber
-    pol = 1.0 - (np.sin(direction.theta) * np.sin(direction.phi)) ** 2
-    amplitude = (-1j * k0 * cfg.impedance * np.exp(1j * k0 * distance)
-                 / (4.0 * np.pi * distance)) * pol
     return FarFieldChannel(amplitude=complex(amplitude),
                            wavevector=direction.transverse_wavevector(k0),
                            distance=float(distance),

@@ -136,29 +136,25 @@ def _fold(x: np.ndarray, order: int) -> np.ndarray:
     return out.reshape((4, a * a) + tail)
 
 
-def _fold_matrix(rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Parity blocks (4, N, N) of S A S, zero on padding, for a grid matrix A and
-    a diagonal S, (M, M), both unchanged by the reflections.  rows is A indexed
-    (c, d, e, f) with at least the first-quadrant rows c, d < ceil(M/2): by the
-    symmetry, those rows folded over the mirrored columns are the blocks' rows."""
-    m = scale.shape[0]
-    a, b = (m + 1) // 2, m // 2
-    # at odd M a center index is its own mirror and its basis vector is e_c, not
-    # (e_c + e_c)/sqrt 2: folding doubles its column, so it takes 1/sqrt 2
-    scale = np.array(scale, dtype=float)
-    scale[b:a] *= _HALF
-    scale[:, b:a] *= _HALF
+def _fold_matrix(rows: np.ndarray) -> np.ndarray:
+    """Parity blocks (4, N, N), zero on padding, of a grid matrix A[c, d, e, f]
+    unchanged by the reflections, from its first-quadrant rows c, d < ceil(M/2):
+    by the symmetry, those rows folded over the mirrored columns are the blocks'
+    rows, so a diagonal scaling of A scales them by its first-quadrant entries."""
+    a, m = rows.shape[1:3]
+    b = m // 2
     out = np.zeros((2, 2, a, a, a, a))
     for px, nx in enumerate((a, b)):
         fold = (np.add, np.subtract)[px]
-        half = fold(rows[:nx, :a, :nx], rows[:nx, :a, ::-1][:, :, :nx])
+        half = fold(rows[:nx, :, :nx], rows[:nx, :, ::-1][:, :, :nx])
         for py, ny in enumerate((a, b)):
-            block = out[px, py, :nx, :ny, :nx, :ny]
             fold = (np.add, np.subtract)[py]
-            fold(half[:, :ny, :, :ny], half[:, :ny, :, ::-1][..., :ny], out=block)
-            s = scale[:nx, :ny]
-            block *= s[:, :, None, None]
-            block *= s
+            fold(half[:, :ny, :, :ny], half[:, :ny, :, ::-1][..., :ny],
+                 out=out[px, py, :nx, :ny, :nx, :ny])
+    # at odd M a center index is its own basis vector e_c, not (e_c + e_c)/sqrt 2:
+    # folding doubles its column, so its row and column each take 1/sqrt 2
+    for axis in range(2, 6):
+        out[(slice(None),) * axis + (slice(b, a),)] *= _HALF
     return out.reshape(4, a * a, a * a)
 
 

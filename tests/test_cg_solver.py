@@ -39,30 +39,15 @@ def _dense_system(cfg, grid):
     return kern * grid.weights[None, :] + cfg.surface_resistance * np.eye(grid.points.shape[0])
 
 
-def _dense_fold(matrix, order):
-    # the parity basis from its definition, as rows, one stack per block:
-    # (e_c + e_M-1-c)/sqrt 2 and the center e_c even, (e_c - e_M-1-c)/sqrt 2
-    # odd, along each axis; padding rows are zero
-    a, b = (order + 1) // 2, order // 2
-    axis = np.zeros((2, a, order))
-    for c in range(b):
-        axis[:, c, c] = np.sqrt(0.5)
-        axis[:, c, order - 1 - c] = [np.sqrt(0.5), -np.sqrt(0.5)]
-    if order % 2:
-        axis[0, b, b] = 1.0
-    basis = np.einsum("pac,qbd->pqabcd", axis, axis).reshape(4, a * a, order * order)
-    return basis @ matrix @ basis.transpose(0, 2, 1), basis
-
-
 @pytest.mark.parametrize("order", [1, 2, 3, 7, 12])
-def test_parity_blocks_equal_dense_fold(cfg, order):
+def test_parity_blocks_equal_dense_fold(cfg, dense_fold, order):
     # the blocks gathered from the offset table must equal the parity fold of
     # the per-pair weighted kernel, and the fold must be block diagonal
     grid = aperture_grid(Aperture(0.3, 0.5), order)
     diffs = grid.points[:, None, :] - grid.points[None, :, :]
     root = np.sqrt(grid.weights)
     weighted = root[:, None] * radiation_kernel(diffs, cfg.wavenumber, cfg.impedance) * root
-    want, basis = _dense_fold(weighted, order)
+    want, basis = dense_fold(weighted, order)
     blocks = discretize_operator(cfg, grid).blocks
     scale = np.max(np.abs(weighted))
     assert np.max(np.abs(blocks - want)) <= 1e-14 * scale

@@ -227,6 +227,24 @@ def test_numeric_error_exit_code_and_record(capsys):
     assert record["module"] == "cg_solver"
 
 
+@pytest.mark.parametrize("setting, command, code", [
+    ("material.surface_resistance=1e-320", ["gain", "--method", "ka"], 3),
+    ("material.surface_resistance=1e-320", ["directivity"], 3),
+    ("material.surface_resistance=1e-320", ["spda-spacing"], 3),
+    ("receiver.R0=1e-320", ["gain", "--method", "ka"], 2),
+    ("receiver.R0=1e-320", ["spda-spacing"], 2),
+    ("receiver.R0=1e-320", ["beampattern"], 2),
+    ("material.sigma_s=1e-320", ["gain", "--method", "ka"], 2),
+])
+def test_overflowing_setting_exits_with_one_record(capsys, setting, command, code):
+    # each of these printed NaN, Infinity or a zero gain and exited 0
+    got, out, err = _run(capsys, command + ["--set", setting])
+    assert got == code and out == ""
+    record = json.loads(err)
+    assert record["code"] == code
+    assert "finite" in record["message"]
+
+
 @pytest.mark.parametrize("argv", [["gain", "--method", "ka"], ["gain", "--method", "cg"],
                                   ["gain", "--method", "both"], ["beampattern"]])
 def test_polarization_null_exits_two_with_record(capsys, argv):

@@ -9,7 +9,7 @@ from capa import (Aperture, Direction, DomainError, NumericError, PhysicalConfig
 from capa.analysis import steered_gain_profile
 from capa.kernel_approx import (beamform_ka, build_expansion, channel_moments, gram_matrix,
                                 inverse_operator)
-from capa.quadrature import _fold, _unfold, aperture_grid
+from capa.quadrature import _fold, _parity_rows, _unfold, aperture_grid
 
 
 def kernel_peak(cfg):
@@ -117,34 +117,66 @@ def test_closed_form_on_its_grid_allocates_no_phase_matrix(cfg):
     assert peak < 8e6
 
 
-def test_gram_matrix_structure(cfg, aperture):
-    exp = build_expansion(cfg, 6)
-    gram = gram_matrix(exp, aperture)
-    assert gram.shape == (36, 36)
-    assert np.allclose(gram, gram.conj().T)
-    assert np.allclose(np.diag(gram).real, aperture.area)
-
-
-def test_gram_matrix_matches_quadrature(cfg, aperture):
-    exp = build_expansion(cfg, 3)
-    gram = gram_matrix(exp, aperture)
-    grid = aperture_grid(aperture, 40)
-    phases = np.exp(1j * grid.points[:, :2] @ exp.kappa[:, :2].T)  # (K, J)
-    for i in (0, 4, 8):
-        for l in (1, 5, 7):
-            val = grid.integrate(phases[:, l] * phases[:, i].conj())
-            assert gram[i, l] == pytest.approx(val, rel=1e-10, abs=1e-10)
-
-
-@pytest.mark.parametrize("order", [20, 30, 40])
-def test_gram_matrix_equals_full_pairwise_formula(cfg, aperture, order):
-    # the kappa_x table expanded per chord does the same arithmetic per entry
-    exp = build_expansion(cfg, order)
+def dense_gram(exp, aperture):
+    """The full n x n Gram from the pairwise formula, the oracle for gram_matrix's
+    blocks: area sinc(dkx L_x / 2) sinc(dky L_y / 2) for every pair of terms."""
     kx, ky = exp.kappa[:, 0], exp.kappa[:, 1]
     sinc = lambda t: np.sinc(t / np.pi)
     qx = sinc((kx[:, None] - kx[None, :]) * (0.5 * aperture.length_x))
     qy = sinc((ky[:, None] - ky[None, :]) * (0.5 * aperture.length_y))
-    assert np.array_equal(gram_matrix(exp, aperture), aperture.area * qx * qy)
+    return aperture.area * qx * qy
+
+
+def test_gram_matrix_structure(cfg, aperture):
+    for order in (6, 7):
+        exp = build_expansion(cfg, order)
+        blocks = gram_matrix(exp, aperture)
+        size = ((order + 1) // 2) ** 2
+        assert blocks.shape == (4, size, size)
+        assert np.allclose(blocks, blocks.transpose(0, 2, 1), rtol=0.0, atol=1e-15)
+        # the basis change is orthonormal: the trace is n times the area
+        trace = np.trace(blocks, axis1=1, axis2=2).sum()
+        assert trace == pytest.approx(exp.term_count * aperture.area, rel=1e-14)
+        assert np.all(np.linalg.eigvalsh(blocks) > -1e-14 * aperture.area)
+
+
+def test_gram_matrix_matches_quadrature(cfg, aperture, dense_fold):
+    exp = build_expansion(cfg, 3)
+    grid = aperture_grid(aperture, 40)
+    phases = np.exp(1j * grid.points[:, :2] @ exp.kappa[:, :2].T)  # (K, J)
+    # entry (i, l) integrates phase_l times conj(phase_i)
+    dense = phases.conj().T @ (grid.weights[:, None] * phases)
+    assert np.max(np.abs(dense.imag)) < 1e-10
+    want, _ = dense_fold(dense.real, exp.order)
+    assert np.max(np.abs(gram_matrix(exp, aperture) - want)) < 1e-10
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 20, 30, 40])
+def test_gram_matrix_equals_full_pairwise_formula(cfg, dense_fold, order):
+    # the blocks against the parity fold of the full pairwise Gram, on a
+    # non-square aperture; padding is exactly zero
+    aperture = Aperture(0.5, 0.35)
+    for inner_rule in ("chebyshev", "legendre"):
+        exp = build_expansion(cfg, order, inner_rule=inner_rule)
+        blocks = gram_matrix(exp, aperture)
+        want, _ = dense_fold(dense_gram(exp, aperture), order)
+        assert np.max(np.abs(blocks - want)) <= 1e-14 * np.max(np.abs(want)), inner_rule
+        padding = ~_parity_rows(order)
+        assert np.all(blocks[padding] == 0.0)
+        assert np.all(blocks.transpose(0, 2, 1)[padding] == 0.0)
+
+
+def test_gram_blocks_and_resolvent_stay_small(cfg):
+    # order 40 on 1 m: the full Gram alone would be 20 MB
+    exp = build_expansion(cfg, 40)
+    aperture = Aperture(1.0, 1.0)
+    tracemalloc.start()
+    try:
+        inverse_operator(exp, gram_matrix(exp, aperture), cfg.surface_resistance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("inner_rule", ["chebyshev", "legendre"])
@@ -189,26 +221,26 @@ def test_inverse_operator_solves_its_system(cfg, aperture):
     exp = build_expansion(cfg, 10)
     gram = gram_matrix(exp, aperture)
     data = inverse_operator(exp, gram, cfg.surface_resistance)
-    system = np.eye(exp.term_count) + data.lambda_diag[:, None] * gram
+    system = np.eye(exp.term_count) + data.lambda_diag[:, None] * dense_gram(exp, aperture)
     residual = system @ resolvent(data) - np.eye(exp.term_count)
     assert np.max(np.abs(residual)) < 1e-9
     # a system that is not positive definite is refused with a condition estimate
     with pytest.raises(NumericError, match="condition estimate"):
         inverse_operator(exp, -gram, cfg.surface_resistance)
+    # Lambda = rho / Zs overflows, and OpenBLAS would factor the result to NaN
+    with pytest.raises(NumericError, match="not finite"):
+        inverse_operator(exp, gram, 1e-320)
 
 
 @pytest.mark.parametrize("order", [9, 10])
 def test_inverse_operator_refuses_asymmetric_gram(cfg, aperture, order):
     exp = build_expansion(cfg, order)
     gram = gram_matrix(exp, aperture)
-    # symmetric as a matrix, but no longer invariant under either reflection
-    bumped = gram.copy()
-    bumped[1, 2] += 1e-12
-    bumped[2, 1] += 1e-12
-    with pytest.raises(DomainError, match="reflections"):
-        inverse_operator(exp, bumped, cfg.surface_resistance)
+    # blocks cut by one row, and the full Gram, have the wrong shape
     with pytest.raises(DomainError, match="shape"):
-        inverse_operator(exp, gram[:-1, :-1], cfg.surface_resistance)
+        inverse_operator(exp, gram[:, :-1, :-1], cfg.surface_resistance)
+    with pytest.raises(DomainError, match="shape"):
+        inverse_operator(exp, dense_gram(exp, aperture), cfg.surface_resistance)
     # coefficients that no longer share the mirror symmetry of their nodes
     skewed = dataclasses.replace(exp, coefficients=exp.coefficients
                                  * np.linspace(1.0, 2.0, exp.term_count))
@@ -220,8 +252,7 @@ def test_inverse_operator_refuses_asymmetric_gram(cfg, aperture, order):
 
 def test_inverse_operator_identity_limit(cfg, aperture):
     exp = build_expansion(cfg, 8)
-    gram = gram_matrix(exp, aperture)
-    data = inverse_operator(exp, gram, 1e9)
+    data = inverse_operator(exp, gram_matrix(exp, aperture), 1e9)
     assert np.max(np.abs(resolvent(data) - np.eye(exp.term_count))) < 1e-6
 
 
@@ -300,9 +331,8 @@ def test_parity_blocks_match_dense_full_solve(cfg, inner_rule, order, sides):
     # against a Cholesky solve of the whole system I + Lambda^1/2 Q Lambda^1/2
     aperture = Aperture(*sides)
     exp = build_expansion(cfg, order, inner_rule=inner_rule)
-    gram = gram_matrix(exp, aperture)
     root = np.sqrt(exp.coefficients / cfg.surface_resistance)
-    system = np.eye(exp.term_count) + root[:, None] * gram * root
+    system = np.eye(exp.term_count) + root[:, None] * dense_gram(exp, aperture) * root
     lower = np.linalg.cholesky(system)
     channels = [far_field_channel(cfg, Direction(t, p), 50.0)
                 for t, p in zip(_STEER_THETA, _STEER_PHI)]

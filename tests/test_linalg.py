@@ -35,6 +35,15 @@ def test_cholesky_factors_and_refuses_indefinite():
     assert exc.value.module == "test"
 
 
+def test_cholesky_refuses_non_finite_matrix():
+    # OpenBLAS factors this matrix to NaN without raising
+    matrix = np.eye(200)
+    matrix[3, 5] = matrix[5, 3] = np.nan
+    for bad in (matrix, np.stack([np.eye(200), np.where(np.isnan(matrix), np.inf, matrix)])):
+        with pytest.raises(NumericError, match=r"^system is bad: matrix is not finite$"):
+            cholesky(bad, "system is bad", "test")
+
+
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 400])
 @pytest.mark.parametrize("columns", [None, 3])
 def test_stacked_solve_matches_dense_products_block_by_block(n, columns):

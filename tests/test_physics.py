@@ -46,6 +46,15 @@ def test_config_accepts_resistance_override():
     assert c.surface_resistance == 0.5
 
 
+@pytest.mark.parametrize("settings", [{"surface_resistance": np.inf},
+                                      {"surface_resistance": np.nan},
+                                      {"sigma_s": 1e-320}])
+def test_config_rejects_non_finite_surface_resistance(settings):
+    # a conductivity of 1e-320 S/m derives Zs = inf
+    with pytest.raises(DomainError, match="surface resistance must be positive and finite"):
+        PhysicalConfig(frequency=2.4e9, **settings)
+
+
 def test_config_rejects_bad_frequency():
     with pytest.raises(DomainError):
         PhysicalConfig(frequency=0.0)
@@ -202,6 +211,9 @@ def test_far_field_warns_inside_boundary(cfg, aperture):
 def test_far_field_rejects_bad_distance(cfg):
     with pytest.raises(DomainError):
         far_field_channel(cfg, Direction(0.0, 0.0), 0.0)
+    # the amplitude overflows: refused before the far-field boundary warning
+    with pytest.raises(DomainError, match="amplitude is not finite"):
+        far_field_channel(cfg, Direction(0.0, 0.0), 1e-320, Aperture(0.5, 0.5))
 
 
 def test_exact_channel_approaches_planar_model(cfg):
