@@ -3,8 +3,7 @@
 from .physics import (C0, Z0, MU0, COPPER_CONDUCTIVITY, Aperture, Direction,
                       FarFieldChannel, PhysicalConfig, exact_channel,
                       far_field_channel, fraunhofer_distance, kernel_nulls,
-                      null_condition, radiation_kernel, surface_resistance,
-                      wavenumber_kernel)
+                      radiation_kernel, surface_resistance, wavenumber_kernel)
 from .quadrature import (ApertureGrid, GaussLegendreRule, WavenumberDiskGrid,
                          aperture_grid, disk_wavenumber_grid, legendre_rule)
 from .kernel_approx import (ClosedFormBeamformer, InverseOperatorData,

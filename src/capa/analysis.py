@@ -9,8 +9,8 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .kernel_approx import (PlaneWaveExpansion, _closed_form_gains, channel_moments,
                             gram_matrix, inverse_operator)
-from .physics import (Aperture, Direction, FarFieldChannel, PhysicalConfig,
-                      _require_radiating, far_field_channel, wavenumber_kernel)
+from .physics import (Z0, Aperture, Direction, FarFieldChannel, PhysicalConfig,
+                      _require_radiating, _steering, far_field_channel, wavenumber_kernel)
 from .quadrature import aperture_grid
 
 
@@ -23,11 +23,10 @@ def directivity_factor(cfg: PhysicalConfig, theta, phi):
     ph = np.asarray(phi, dtype=float)
     if np.any(np.abs(ph) > np.pi / 2):
         raise DomainError("polar angle must lie in [-pi/2, pi/2]", module="analysis")
-    z0 = cfg.impedance
     zs = cfg.surface_resistance
-    pol = 1.0 - (np.sin(th) * np.sin(ph)) ** 2
-    num = z0 ** 2 * pol ** 2 * np.cos(ph)
-    den = 2.0 * zs * np.cos(ph) + z0 * pol
+    pol = _steering(cfg.wavenumber, th, ph)[2]
+    num = Z0 ** 2 * pol ** 2 * np.cos(ph)
+    den = 2.0 * zs * np.cos(ph) + Z0 * pol
     out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -53,12 +52,10 @@ def infinite_aperture_gain(cfg: PhysicalConfig, theta, phi, distance: float):
     if np.any(grazing):
         warnings.warn("grazing steering direction: unbounded-aperture gain "
                       "returned as its limit value 0", stacklevel=2)
-    pol = 1.0 - (np.sin(th) * np.sin(ph)) ** 2
-    amp2 = (k0 * cfg.impedance / (4.0 * np.pi * distance)) ** 2 * pol ** 2
-    kx = k0 * np.cos(th) * np.sin(ph)
-    ky = k0 * np.sin(th) * np.sin(ph)
+    kx, ky, pol = _steering(k0, th, ph)
+    amp2 = (k0 * Z0 / (4.0 * np.pi * distance)) ** 2 * pol ** 2
     kappa = np.stack([np.where(grazing, 0.0, kx), np.where(grazing, 0.0, ky)], axis=-1)
-    spectrum = wavenumber_kernel(kappa, k0, cfg.impedance)
+    spectrum = wavenumber_kernel(kappa, k0)
     raw = 8.0 * np.pi ** 2 * amp2 / (zs + spectrum)
     raw = np.where(grazing, 0.0, raw)
     return float(raw) if raw.ndim == 0 else raw
@@ -121,12 +118,7 @@ def beampattern(w, cfg: PhysicalConfig, aperture: Aperture, theta, phi,
     grid = aperture_grid(aperture, order)
     samples = (grid.weights * np.asarray(w(grid.points), dtype=complex)).reshape(order, order)
     nodes = grid.points.reshape(order, order, 3)
-    k0 = cfg.wavenumber
-    tf = th.ravel()
-    pf = ph.ravel()
-    kx = k0 * np.cos(tf) * np.sin(pf)
-    ky = k0 * np.sin(tf) * np.sin(pf)
-    pol = 1.0 - (np.sin(tf) * np.sin(pf)) ** 2
+    kx, ky, pol = _steering(cfg.wavenumber, th.ravel(), ph.ravel())
     ex = np.exp(-1j * np.outer(kx, nodes[:, 0, 0]))
     ey = np.exp(-1j * np.outer(ky, nodes[0, :, 1]))
     values = pol * np.abs(np.sum((ex @ samples) * ey, axis=1))
@@ -180,9 +172,9 @@ def coupling_ratio(cfg: PhysicalConfig, kappa):
     rim = n2 == 1.0
     safe = np.where(rim, np.zeros_like(k[..., 0]), k[..., 0])
     kk = np.stack([safe, np.where(rim, 0.0, k[..., 1])], axis=-1)
-    spectrum = wavenumber_kernel(kk, k0, cfg.impedance)
+    spectrum = wavenumber_kernel(kk, k0)
     ratio = np.where(rim, 0.0, 1.0 / (zs + spectrum))
-    broadside = 1.0 / (zs + 0.5 * cfg.impedance)
+    broadside = 1.0 / (zs + 0.5 * Z0)
     out = ratio / broadside
     return float(out) if out.ndim == 0 else out
 
@@ -209,6 +201,6 @@ def steered_gain_profile(cfg: PhysicalConfig, expansion: PlaneWaveExpansion,
         moments = np.column_stack([channel_moments(channels[i], expansion, aperture)
                                    for i in live])
         eta = aperture.area * np.array([abs(channels[i].amplitude) ** 2 for i in live])
-        gains[live] = _closed_form_gains(inverse, moments, eta, cfg.surface_resistance)[2]
+        gains[live] = _closed_form_gains(inverse, moments, eta, cfg.surface_resistance)[1]
     gains = gains.reshape(th.shape)
     return float(gains) if gains.ndim == 0 else gains

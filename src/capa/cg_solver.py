@@ -135,7 +135,7 @@ def discretize_operator(cfg: PhysicalConfig, grid: ApertureGrid) -> DiscretizedO
     a = (m + 1) // 2
     axes = grid.points.reshape(m, m, 3)
     table, kx, ky = _offset_table(axes[:, 0, 0], axes[0, :, 1], lambda offsets:
-                                  radiation_kernel(offsets, cfg.wavenumber, cfg.impedance))
+                                  radiation_kernel(offsets, cfg.wavenumber))
     root = np.sqrt(grid.weights).reshape(m, m)[:a, :a].ravel()
     blocks = root[:, None] * _fold_matrix(table[kx[:a, None, :, None], ky[None, :a, None, :]])
     blocks *= root
@@ -296,8 +296,7 @@ class FredholmSolution:
         s = np.asarray(points, dtype=float)
         grid_pts = self.operator.grid.points
         disp = s[..., None, :] - grid_pts
-        kern = radiation_kernel(disp, self.operator.config.wavenumber,
-                                self.operator.config.impedance)
+        kern = radiation_kernel(disp, self.operator.config.wavenumber)
         conv = kern @ (self.operator.grid.weights * self.grid_values)
         out = (np.conj(self.channel(s)) - conv) / self.operator.surface_resistance
         return complex(out) if np.ndim(out) == 0 else out

@@ -267,7 +267,6 @@ def _run_kernel(config: ExperimentConfig, seed):
     disp = np.zeros((n, 3))
     disp[:, 0 if v["kernel.line"] == "x" else 1] = r
     vals = radiation_kernel(disp, config.physical.wavenumber,
-                            impedance=config.physical.impedance,
                             polarized=v["kernel.polarized"])
     rows = [(ri / wavelength, ri, ci) for ri, ci in zip(r, vals)]
     return ("separation_wl", "separation_m", "kernel"), rows, None
@@ -293,7 +292,7 @@ def _run_wavenumber(config: ExperimentConfig, seed):
     mids = 0.5 * (edges[:-1] + edges[1:])
     kappa = np.zeros((n, 2))
     kappa[:, 0 if v["wavenumber.line"] == "x" else 1] = mids
-    vals = wavenumber_kernel(kappa, k0, impedance=config.physical.impedance)
+    vals = wavenumber_kernel(kappa, k0)
     rows = [(ki / k0, ci) for ki, ci in zip(mids, vals)]
     return ("kappa_over_k0", "spectrum"), rows, None
 

@@ -36,10 +36,7 @@ class PlaneWaveExpansion:
     rely on this and refuse an expansion without it.
     """
 
-    wavenumber: float
-    impedance: float
     order: int
-    inner_rule: str
     kappa: np.ndarray = field(repr=False)
     coefficients: np.ndarray = field(repr=False)
 
@@ -87,15 +84,13 @@ def build_expansion(cfg: PhysicalConfig, order: int,
     is at least about k L.
     """
     grid = disk_wavenumber_grid(cfg.wavenumber, order, inner_rule)
-    spectrum = wavenumber_kernel(grid.kappa, cfg.wavenumber, cfg.impedance)
+    spectrum = wavenumber_kernel(grid.kappa, cfg.wavenumber)
     rho = grid.weights * spectrum / (2.0 * np.pi) ** 2
     if np.any(rho <= 0.0):
         raise NumericError("expansion produced non-positive coefficients",
                            module="kernel_approx")
     rho.setflags(write=False)
-    return PlaneWaveExpansion(wavenumber=cfg.wavenumber, impedance=cfg.impedance,
-                              order=int(order), inner_rule=inner_rule,
-                              kappa=grid.kappa, coefficients=rho)
+    return PlaneWaveExpansion(order=int(order), kappa=grid.kappa, coefficients=rho)
 
 
 def _sinc(t: np.ndarray) -> np.ndarray:
@@ -210,7 +205,7 @@ def channel_moments(channel: FarFieldChannel, expansion: PlaneWaveExpansion,
 
 def _closed_form_gains(inverse: InverseOperatorData, moments: np.ndarray,
                        matched_energy, surface_resistance: float):
-    """Whitened moments L^-1 U Lambda^1/2 a, penalties and gains 2 (eta - penalty) / Zs
+    """Whitened moments L^-1 U Lambda^1/2 a and gains 2 (eta - penalty) / Zs
     of one direction (moments (n,)) or of D directions (moments (n, D)).
 
     U folds the moments into the four reflection-parity blocks, and L holds the
@@ -227,7 +222,7 @@ def _closed_form_gains(inverse: InverseOperatorData, moments: np.ndarray,
     if np.any(net <= 0.0):
         raise NumericError("matched energy does not exceed the coupling penalty; "
                            "closed form is numerically inconsistent", module="kernel_approx")
-    return whitened, penalty, 2.0 * net / surface_resistance
+    return whitened, 2.0 * net / surface_resistance
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +242,6 @@ class ClosedFormBeamformer:
     whitened: np.ndarray = field(repr=False)
     inverse: InverseOperatorData = field(repr=False)
     matched_energy: float
-    penalty: float
     gain: float
     scale: float
 
@@ -287,11 +281,10 @@ def beamform_ka(cfg: PhysicalConfig, channel: FarFieldChannel,
                                    cfg.surface_resistance)
     a = channel_moments(channel, expansion, aperture)
     eta = aperture.area * abs(channel.amplitude) ** 2
-    whitened, penalty, gain = _closed_form_gains(inverse, a, eta, cfg.surface_resistance)
+    whitened, gain = _closed_form_gains(inverse, a, eta, cfg.surface_resistance)
     # power = scale^2 * Zs * (eta - penalty) / 2 = (scale * Zs)^2 * gain / 4
     scale = float(np.sqrt(4.0 * power / gain) / cfg.surface_resistance)
     return ClosedFormBeamformer(channel=channel, expansion=expansion, aperture=aperture,
                                 surface_resistance=cfg.surface_resistance, power=power,
                                 whitened=whitened, inverse=inverse,
-                                matched_energy=eta, penalty=float(penalty),
-                                gain=float(gain), scale=scale)
+                                matched_energy=eta, gain=float(gain), scale=scale)

@@ -22,6 +22,11 @@ COPPER_CONDUCTIVITY = 5.8e7   # [S/m]
 _SMALL_SEPARATION_WL = 1e-6
 
 
+def _square_is_finite(x: float) -> bool:
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.square(x)))
+
+
 def surface_resistance(frequency: float, mu_s: float = MU0,
                        sigma_s: float = COPPER_CONDUCTIVITY) -> float:
     """Surface resistance of a good conductor, sqrt(pi*f*mu/sigma)."""
@@ -54,6 +59,9 @@ class PhysicalConfig:
                                surface_resistance(self.frequency, self.mu_s, self.sigma_s))
         if not 0.0 < self.surface_resistance < np.inf:
             raise DomainError("surface resistance must be positive and finite", module="physics")
+        if not _square_is_finite(self.wavenumber):
+            raise DomainError("frequency is too large: the squared wavenumber overflows",
+                              module="physics")
 
     @property
     def wavelength(self) -> float:
@@ -62,11 +70,6 @@ class PhysicalConfig:
     @property
     def wavenumber(self) -> float:
         return 2.0 * np.pi * self.frequency / C0
-
-    @property
-    def impedance(self) -> float:
-        """Free-space wave impedance."""
-        return Z0
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,12 @@ class Aperture:
     length_y: float
 
     def __post_init__(self):
-        if self.length_x <= 0 or self.length_y <= 0:
-            raise DomainError("aperture side lengths must be positive", module="physics")
+        if not (0 < self.length_x < np.inf and 0 < self.length_y < np.inf):
+            raise DomainError("aperture side lengths must be positive and finite",
+                              module="physics")
+        if not _square_is_finite(self.diagonal):
+            raise DomainError("aperture is too large: its squared diagonal overflows",
+                              module="physics")
 
     @property
     def area(self) -> float:
@@ -110,20 +117,29 @@ class Direction:
 
     def transverse_wavevector(self, wavenumber: float) -> np.ndarray:
         """In-plane wavevector seen by the aperture, z component zero."""
-        return np.array([wavenumber * np.cos(self.theta) * np.sin(self.phi),
-                         wavenumber * np.sin(self.theta) * np.sin(self.phi),
-                         0.0])
+        kx, ky, _ = _steering(wavenumber, self.theta, self.phi)
+        return np.array([kx, ky, 0.0])
 
 
-def radiation_kernel(displacement, wavenumber: float, impedance: float = Z0,
-                     polarized: bool = True):
-    """Real radiation-coupling kernel between two points of the surface.
+def _steering(wavenumber: float, theta, phi):
+    """Transverse wavevector components kappa_x, kappa_y and polarization
+    factor 1 - sin^2(theta) sin^2(phi) of the steering direction(s) (theta, phi),
+    broadcast together."""
+    kx = wavenumber * np.cos(theta) * np.sin(phi)
+    ky = wavenumber * np.sin(theta) * np.sin(phi)
+    pol = 1.0 - (np.sin(theta) * np.sin(phi)) ** 2
+    return kx, ky, pol
+
+
+def radiation_kernel(displacement, wavenumber: float, *, polarized: bool = True):
+    """Real radiation-coupling kernel between two points of the surface, in
+    free space (Z0).
 
     Parameters
     ----------
     displacement : array_like, shape (..., 3)
         Separation vector(s) between surface points.
-    polarized : bool
+    polarized : bool, keyword-only
         With the default True the y-polarization term (second y-derivative of
         the sinc propagator) is included.  False drops it, leaving the
         isotropic kernel whose zeros sit at half-wavelength multiples.
@@ -137,7 +153,7 @@ def radiation_kernel(displacement, wavenumber: float, impedance: float = Z0,
     e = np.where(small, 1.0, eps)
     sin_e = np.sin(e)
     cos_e = np.cos(e)
-    pref = wavenumber ** 2 * impedance / (4.0 * np.pi)
+    pref = wavenumber ** 2 * Z0 / (4.0 * np.pi)
     if not polarized:
         out = pref * sin_e / e
         limit = pref
@@ -153,8 +169,9 @@ def radiation_kernel(displacement, wavenumber: float, impedance: float = Z0,
     return float(result) if result.ndim == 0 else result
 
 
-def wavenumber_kernel(kappa, wavenumber: float, impedance: float = Z0):
-    """Radiation-coupling spectrum over the transverse wavenumber plane.
+def wavenumber_kernel(kappa, wavenumber: float):
+    """Radiation-coupling spectrum over the transverse wavenumber plane, in
+    free space (Z0).
 
     Zero outside the propagating disk; singular on its boundary, where exact
     evaluation is refused.
@@ -169,52 +186,44 @@ def wavenumber_kernel(kappa, wavenumber: float, impedance: float = Z0):
         raise DomainError("wavenumber kernel is singular on the propagating-disk boundary",
                           module="physics")
     with np.errstate(invalid="ignore"):
-        inside = impedance * (1.0 - ky ** 2 / wavenumber ** 2) / (2.0 * np.sqrt(1.0 - n2))
+        inside = Z0 * (1.0 - ky ** 2 / wavenumber ** 2) / (2.0 * np.sqrt(1.0 - n2))
     result = np.where(n2 < 1.0, inside, 0.0)
     return float(result) if result.ndim == 0 else result
 
 
-def null_condition(eps, s_y_over_r: float):
-    """Residual whose zeros in eps = k*r locate the kernel nulls along a ray.
+def kernel_nulls(s_y_over_r: float, count: int = 3, polarized: bool = True) -> np.ndarray:
+    """First `count` zero crossings of radiation_kernel along a ray.
 
     The ray is fixed by the ratio s_y/r between the y component of the
-    separation and its length.
-    """
-    e = np.asarray(eps, dtype=float)
-    u2 = float(s_y_over_r) ** 2
-    base = (e ** 2 - 1.0) * np.sin(e) + e * np.cos(e)
-    aniso = (e ** 2 - 3.0) * np.sin(e) + 3.0 * e * np.cos(e)
-    result = base - u2 * aniso
-    return float(result) if result.ndim == 0 else result
-
-
-def kernel_nulls(s_y_over_r: float, count: int = 3, polarized: bool = True) -> np.ndarray:
-    """First `count` zero crossings of the coupling kernel along a ray.
-
-    Returns the roots in eps = k*r, found by sign-change bracketing on a
-    pi/50 grid followed by bisection to 1e-10.
+    separation and its length.  Returns the roots in eps = k*r: the kernel's
+    sign changes are bracketed on a pi/50 grid in eps, evaluated in one call,
+    and each bracket is bisected to 1e-10.
     """
     if not -1.0 <= s_y_over_r <= 1.0:
         raise DomainError("s_y/r ratio must lie in [-1, 1]", module="physics")
     if count < 1:
         raise DomainError("count must be at least 1", module="physics")
-    if polarized:
-        def f(e):
-            return null_condition(e, s_y_over_r)
-    else:
-        f = np.sin
+    # unit ray at k = 1, where the displacement's length is eps itself
+    ray = np.array([np.sqrt(1.0 - s_y_over_r ** 2), s_y_over_r, 0.0])
+
+    def f(eps):
+        return radiation_kernel(np.multiply.outer(eps, ray), 1.0, polarized=polarized)
+
     step = np.pi / 50.0
     bound = count * 4.0 * np.pi
+    # accumulated, not step * arange: the roots are bisection midpoints of the
+    # grid's brackets, and a grid rounded differently moves them
+    grid = [step]
+    while grid[-1] < bound:
+        grid.append(grid[-1] + step)
+    values = f(np.array(grid))
     roots: list[float] = []
-    lo = step
-    f_lo = f(lo)
-    while lo < bound and len(roots) < count:
-        hi = lo + step
-        f_hi = f(hi)
+    for lo, hi, f_lo, f_hi in zip(grid, grid[1:], values, values[1:]):
+        if len(roots) == count:
+            break
         if f_lo == 0.0:
             roots.append(lo)
         elif f_lo * f_hi < 0.0:
-            # f at the left end is carried along, so each step evaluates f once
             a, b, f_a = lo, hi, f_lo
             while b - a > 1e-10:
                 mid = 0.5 * (a + b)
@@ -224,7 +233,6 @@ def kernel_nulls(s_y_over_r: float, count: int = 3, polarized: bool = True) -> n
                 else:
                     a, f_a = mid, f_mid
             roots.append(0.5 * (a + b))
-        lo, f_lo = hi, f_hi
     if len(roots) < count:
         raise NumericError(f"bracketing exhausted after eps = {bound:.3f}, "
                            f"found {len(roots)} of {count} nulls", module="physics")
@@ -269,12 +277,17 @@ def far_field_channel(cfg: PhysicalConfig, direction: Direction, distance: float
     if distance <= 0:
         raise DomainError("receiver distance must be positive", module="physics")
     k0 = cfg.wavenumber
-    pol = 1.0 - (np.sin(direction.theta) * np.sin(direction.phi)) ** 2
+    kx, ky, pol = _steering(k0, direction.theta, direction.phi)
     with np.errstate(over="ignore", invalid="ignore"):
-        amplitude = (-1j * k0 * cfg.impedance * np.exp(1j * k0 * distance)
+        amplitude = (-1j * k0 * Z0 * np.exp(1j * k0 * distance)
                      / (4.0 * np.pi * distance)) * pol
-    if not np.isfinite(amplitude):
-        raise DomainError("channel amplitude is not finite", module="physics")
+        energy = np.abs(amplitude) ** 2
+    # every solver works with |amplitude|^2, and only the polarization null
+    # may radiate nothing
+    if not np.isfinite(energy):
+        raise DomainError("squared channel amplitude is not finite", module="physics")
+    if pol != 0.0 and energy == 0.0:
+        raise DomainError("squared channel amplitude underflows to zero", module="physics")
     if aperture is not None:
         limit = fraunhofer_distance(aperture, cfg.wavelength)
         if distance < limit:
@@ -282,7 +295,7 @@ def far_field_channel(cfg: PhysicalConfig, direction: Direction, distance: float
                           f"boundary {limit:.3g} m; planar-wavefront model is inaccurate",
                           stacklevel=2)
     return FarFieldChannel(amplitude=complex(amplitude),
-                           wavevector=direction.transverse_wavevector(k0),
+                           wavevector=np.array([kx, ky, 0.0]),
                            distance=float(distance),
                            theta=float(direction.theta),
                            phi=float(direction.phi))
@@ -306,5 +319,5 @@ def exact_channel(cfg: PhysicalConfig, receiver, points):
     d2g = g * (-k0 ** 2 - 2j * k0 / dist + 2.0 / dist ** 2)
     u2 = (d[..., 1] / dist) ** 2
     d2y = d2g * u2 + dg * (1.0 - u2) / dist
-    out = -1j * k0 * cfg.impedance * (g + d2y / k0 ** 2)
+    out = -1j * k0 * Z0 * (g + d2y / k0 ** 2)
     return complex(out) if out.ndim == 0 else out

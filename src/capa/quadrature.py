@@ -198,9 +198,7 @@ class WavenumberDiskGrid:
     quadrature weights, row-major in (outer node, inner node).
     """
 
-    wavenumber: float
     order: int
-    inner_rule: str
     kappa: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
@@ -238,5 +236,4 @@ def disk_wavenumber_grid(wavenumber: float, order: int,
     weights = (wx[:, None] * (half_chord[:, None] * inner_w[None, :])).ravel()
     kappa.setflags(write=False)
     weights.setflags(write=False)
-    return WavenumberDiskGrid(wavenumber=float(wavenumber), order=int(order),
-                              inner_rule=inner_rule, kappa=kappa, weights=weights)
+    return WavenumberDiskGrid(order=int(order), kappa=kappa, weights=weights)

@@ -20,9 +20,9 @@ import numpy as np
 
 from ._linalg import cholesky
 from .errors import DomainError, NumericError
-from .kernel_approx import PlaneWaveExpansion, beamform_ka
+from .kernel_approx import PlaneWaveExpansion, _sinc, beamform_ka
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
-from .quadrature import _offset_table, aperture_grid, legendre_rule
+from .quadrature import _offset_table, legendre_rule
 
 _DEFAULT_ELEMENT_ORDER = 6
 
@@ -34,7 +34,7 @@ class SpdaModel:
     x and y are the ascending center coordinates of each axis; the elements
     sit at every (x, y) pair, x-major.  Each is an element_x by element_y
     rectangle carrying the uniform unit-energy current 1/sqrt(element area),
-    integrated by an order x order Gauss-Legendre rule.  Neighbouring
+    its coupling integrated by an order x order Gauss-Legendre rule.  Neighbouring
     elements may touch but not overlap.
     """
 
@@ -122,15 +122,14 @@ def _pair_integrals(offsets: np.ndarray, model: SpdaModel, order: int, cfg: Phys
     vals = np.empty(offsets.shape[0])
     block = max(1, 2 ** 20 // delta.shape[0])
     for start in range(0, offsets.shape[0], block):
-        kern = radiation_kernel(offsets[start:start + block, None, :] + delta,
-                                cfg.wavenumber, cfg.impedance)
+        kern = radiation_kernel(offsets[start:start + block, None, :] + delta, cfg.wavenumber)
         vals[start:start + block] = kern @ w_xy
     return vals
 
 
 @dataclass(frozen=True, eq=False)
 class CouplingMatrix:
-    """Mutual-impedance data of a discrete array.
+    """Mutual-coupling data of a discrete array.
 
     radiation holds the pairwise radiated-coupling integrals, N x N, or for
     a coupling-blind model only their diagonal, shape (N,); the full matrix
@@ -177,16 +176,18 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
         self_impedance=cfg.surface_resistance)
 
 
-def discrete_channel(model: SpdaModel, channel) -> np.ndarray:
+def discrete_channel(model: SpdaModel, channel: FarFieldChannel) -> np.ndarray:
     """Per-element channel coefficients, stored conjugated.
 
     Entry n is the conjugate of the channel integrated against the element
-    current over element n, so the received field equals the conjugate inner
-    product of this vector with the drive vector.
+    current 1/sqrt(area) over element n, so the received field equals the
+    conjugate inner product of this vector with the drive vector.  The plane
+    wave integrates exactly over the e_x by e_y rectangle, to
+    channel(center) sqrt(area) sinc(kappa_x e_x / 2) sinc(kappa_y e_y / 2).
     """
-    egrid = aperture_grid(Aperture(model.element_x, model.element_y), model.order)
-    pts = model.centers[:, None, :] + egrid.points[None, :, :]
-    return np.conj((channel(pts) * (1.0 / np.sqrt(model.element_area))) @ egrid.weights)
+    half_sides = 0.5 * np.array([model.element_x, model.element_y])
+    sx, sy = _sinc(channel.wavevector[:2] * half_sides)
+    return np.conj(channel(model.centers) * (np.sqrt(model.element_area) * sx * sy))
 
 
 @dataclass(frozen=True, eq=False)

@@ -96,7 +96,7 @@ def test_criterion_03_kernel_reconstruction_quality():
     axis = np.linspace(-2.0 * wl, 2.0 * wl, 61)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    true = radiation_kernel(pts, cfg.wavenumber, cfg.impedance)
+    true = radiation_kernel(pts, cfg.wavenumber)
     peak = np.max(np.abs(true))
 
     def rel_err(order):
@@ -173,7 +173,7 @@ def test_criterion_05_power_constraint_equality():
     fine = aperture_grid(aperture, 30)
     w = bf(fine.points)
     diffs = fine.points[:, None, :] - fine.points[None, :, :]
-    kern = radiation_kernel(diffs, cfg.wavenumber, cfg.impedance)
+    kern = radiation_kernel(diffs, cfg.wavenumber)
     radiated = 0.5 * np.real(np.vdot(w, fine.weights * (kern @ (fine.weights * w))))
     dissipated = 0.5 * cfg.surface_resistance * np.real(
         np.vdot(w, fine.weights * w))
@@ -202,7 +202,7 @@ def test_criterion_07_infinite_aperture_limit():
     kappa = np.stack([np.where(grazing, 0.0, k0 * np.cos(th_b) * np.sin(ph_b)),
                       np.where(grazing, 0.0, k0 * np.sin(th_b) * np.sin(ph_b))], axis=-1)
     spectral = np.where(grazing, 0.0,
-                        8.0 * np.pi ** 2 * amp2 / (zs + wavenumber_kernel(kappa, k0, Z0)))
+                        8.0 * np.pi ** 2 * amp2 / (zs + wavenumber_kernel(kappa, k0)))
     closed = np.where(grazing, 0.0,
                       (k0 / distance) ** 2 * directivity_factor(cfg, th_b, ph_b))
     scale = np.maximum(np.maximum(np.abs(spectral), np.abs(closed)), 1.0)
@@ -414,7 +414,7 @@ def test_criterion_12_property_suite():
     monotone = bool(np.all(np.diff(state.functional_values)
                            <= 1e-12 * np.max(np.abs(state.functional_values))))
     diffs = grid.points[:, None, :] - grid.points[None, :, :]
-    kern = radiation_kernel(diffs, cfg.wavenumber, cfg.impedance)
+    kern = radiation_kernel(diffs, cfg.wavenumber)
     dense = np.linalg.solve(
         kern * grid.weights[None, :] + cfg.surface_resistance * np.eye(grid.points.shape[0]),
         rhs)

@@ -35,7 +35,7 @@ FRONT_GAIN_CG_ORDER20 = 3.614677454700339
 def _dense_system(cfg, grid):
     # independent assembly of the dense collocation system K diag(w) + Zs I
     diffs = grid.points[:, None, :] - grid.points[None, :, :]
-    kern = radiation_kernel(diffs, cfg.wavenumber, cfg.impedance)
+    kern = radiation_kernel(diffs, cfg.wavenumber)
     return kern * grid.weights[None, :] + cfg.surface_resistance * np.eye(grid.points.shape[0])
 
 
@@ -46,7 +46,7 @@ def test_parity_blocks_equal_dense_fold(cfg, dense_fold, order):
     grid = aperture_grid(Aperture(0.3, 0.5), order)
     diffs = grid.points[:, None, :] - grid.points[None, :, :]
     root = np.sqrt(grid.weights)
-    weighted = root[:, None] * radiation_kernel(diffs, cfg.wavenumber, cfg.impedance) * root
+    weighted = root[:, None] * radiation_kernel(diffs, cfg.wavenumber) * root
     want, basis = dense_fold(weighted, order)
     blocks = discretize_operator(cfg, grid).blocks
     scale = np.max(np.abs(weighted))

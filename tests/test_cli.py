@@ -245,6 +245,31 @@ def test_overflowing_setting_exits_with_one_record(capsys, setting, command, cod
     assert "finite" in record["message"]
 
 
+@pytest.mark.parametrize("setting, command", [
+    ("frequency=1e300", ["kernel"]),
+    ("frequency=1e200", ["gain", "--method", "ka"]),
+    ("frequency=1e200", ["directivity"]),
+    ("aperture.L_x=1e300", ["gain"]),
+    ("aperture.L_x=1e300", ["spda-spacing"]),
+    ("receiver.R0=1e300", ["gain", "--method", "ka"]),
+    ("receiver.R0=1e300", ["gain", "--method", "cg"]),
+    ("receiver.R0=1e300", ["beampattern"]),
+    ("receiver.R0=1e300", ["spda-aperture"]),
+    ("frequency=1e-300", ["gain", "--method", "ka"]),
+    ("frequency=1e-300", ["gain", "--method", "cg"]),
+    ("receiver.R0=1e-300", ["gain", "--method", "ka"]),
+    ("receiver.R0=1e-300", ["directivity"]),
+])
+def test_extreme_setting_is_domain_error(capsys, setting, command):
+    # an overflowing square ended in an OverflowError traceback (the first five
+    # and the last two); on the underflowed channel of the rest the closed form
+    # exited 3 and conjugate gradients 2
+    code, out, err = _run(capsys, command + ["--set", setting])
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["code"] == 2
+
+
 @pytest.mark.parametrize("argv", [["gain", "--method", "ka"], ["gain", "--method", "cg"],
                                   ["gain", "--method", "both"], ["beampattern"]])
 def test_polarization_null_exits_two_with_record(capsys, argv):

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from capa import (C0, MU0, Z0, Aperture, Direction, DomainError,
                   PhysicalConfig, exact_channel, far_field_channel,
-                  fraunhofer_distance, kernel_nulls, null_condition,
-                  radiation_kernel, surface_resistance, wavenumber_kernel)
+                  fraunhofer_distance, kernel_nulls, radiation_kernel, surface_resistance, wavenumber_kernel)
 
 # values frozen from an independent high-precision evaluation
 COPPER_RS_2G4 = 1.2781195929854964e-2
@@ -37,7 +36,6 @@ def test_surface_resistance_copper():
 def test_config_derived_quantities(cfg):
     assert cfg.wavelength == pytest.approx(C0 / 2.4e9, rel=1e-15)
     assert cfg.wavenumber == pytest.approx(2.0 * np.pi / cfg.wavelength, rel=1e-14)
-    assert cfg.impedance == Z0
     assert cfg.surface_resistance == pytest.approx(COPPER_RS_2G4, rel=1e-12)
 
 
@@ -162,12 +160,20 @@ def test_polarized_null_locations():
     assert np.all(np.diff(got_x) > 0) and np.all(np.diff(got_y) > 0)
 
 
-def test_null_condition_changes_sign_at_roots():
-    for u2, roots in ((0.0, X_AXIS_NULLS), (1.0, Y_AXIS_NULLS)):
+def test_kernel_changes_sign_across_pinned_nulls(cfg):
+    k0 = cfg.wavenumber
+    for axis, roots in ((np.array([1.0, 0.0, 0.0]), X_AXIS_NULLS),
+                        (np.array([0.0, 1.0, 0.0]), Y_AXIS_NULLS)):
         for r in roots:
-            lo = null_condition(r - 1e-4, u2)
-            hi = null_condition(r + 1e-4, u2)
+            lo = radiation_kernel((r - 1e-4) / k0 * axis, k0)
+            hi = radiation_kernel((r + 1e-4) / k0 * axis, k0)
             assert lo * hi < 0.0
+
+
+def test_kernel_polarized_flag_is_keyword_only(cfg):
+    # a leftover positional Z0 must not read as polarized=True
+    with pytest.raises(TypeError):
+        radiation_kernel(np.array([0.01, 0.0, 0.0]), cfg.wavenumber, Z0)
 
 
 def test_kernel_vanishes_at_null_separations(cfg):
