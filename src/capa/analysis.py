@@ -34,31 +34,21 @@ def directivity_factor(cfg: PhysicalConfig, theta, phi):
 def infinite_aperture_gain(cfg: PhysicalConfig, theta, phi, distance: float):
     """Per-area normalized array gain in the unbounded-aperture limit.
 
-    Finite apertures approach this value as 4*pi^2 * gain / area.  Evaluated
-    through the wavenumber spectrum, which equals (k0/distance)^2 times the
-    directivity factor; grazing steering returns the limit value 0.
+    Finite apertures approach this value as 4*pi^2 * gain / area.  It is
+    (k0/distance)^2 times the directivity factor, the spectral form
+    8 pi^2 |a|^2 / (Zs + spectrum) evaluated in closed form at the steering
+    wavevector; grazing steering returns the limit value 0.
     """
     if distance <= 0:
         raise DomainError("receiver distance must be positive", module="analysis")
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    if np.any(np.abs(ph) > np.pi / 2):
-        raise DomainError("polar angle must lie in [-pi/2, pi/2]", module="analysis")
-    th, ph = np.broadcast_arrays(th, ph)
-    k0 = cfg.wavenumber
-    zs = cfg.surface_resistance
+    limit = (cfg.wavenumber / distance) ** 2 * np.asarray(directivity_factor(cfg, theta, phi))
     # float pi/2 leaves cos at ~6e-17, so grazing needs a small window
-    grazing = np.abs(np.cos(ph)) < 1e-9
+    grazing = np.abs(np.cos(np.asarray(phi, dtype=float))) < 1e-9
     if np.any(grazing):
         warnings.warn("grazing steering direction: unbounded-aperture gain "
                       "returned as its limit value 0", stacklevel=2)
-    kx, ky, pol = _steering(k0, th, ph)
-    amp2 = (k0 * Z0 / (4.0 * np.pi * distance)) ** 2 * pol ** 2
-    kappa = np.stack([np.where(grazing, 0.0, kx), np.where(grazing, 0.0, ky)], axis=-1)
-    spectrum = wavenumber_kernel(kappa, k0)
-    raw = 8.0 * np.pi ** 2 * amp2 / (zs + spectrum)
-    raw = np.where(grazing, 0.0, raw)
-    return float(raw) if raw.ndim == 0 else raw
+    out = np.where(grazing, 0.0, limit)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,13 +176,14 @@ def steered_gain_profile(cfg: PhysicalConfig, expansion: PlaneWaveExpansion,
     theta and phi broadcast together, and the gains take their broadcast
     shape.  One factorization serves every direction, and the whitened moments
     of all directions come from one stacked substitution with the Cholesky
-    factors of the four reflection-parity blocks.
+    factors of the four reflection-parity blocks.  A distance inside the
+    aperture's far-field boundary warns, as far_field_channel does.
     """
     th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                  np.asarray(phi, dtype=float))
     inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),
                                cfg.surface_resistance)
-    channels = [far_field_channel(cfg, Direction(float(t), float(p)), distance)
+    channels = [far_field_channel(cfg, Direction(float(t), float(p)), distance, aperture)
                 for t, p in zip(th.ravel(), ph.ravel())]
     # a polarization null (sin theta sin phi = 1) radiates nothing: gain 0
     live = [i for i, ch in enumerate(channels) if ch.amplitude != 0.0]

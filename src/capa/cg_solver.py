@@ -137,7 +137,8 @@ def discretize_operator(cfg: PhysicalConfig, grid: ApertureGrid) -> DiscretizedO
     table, kx, ky = _offset_table(axes[:, 0, 0], axes[0, :, 1], lambda offsets:
                                   radiation_kernel(offsets, cfg.wavenumber))
     root = np.sqrt(grid.weights).reshape(m, m)[:a, :a].ravel()
-    blocks = root[:, None] * _fold_matrix(table[kx[:a, None, :, None], ky[None, :a, None, :]])
+    columns = table[kx[:, None, :a, None], ky[None, :, None, :a]].reshape(m * m, a * a)
+    blocks = root[:, None] * _fold_matrix(columns, m)
     blocks *= root
     blocks.setflags(write=False)
     return DiscretizedOperator(config=cfg, grid=grid, blocks=blocks)

@@ -73,9 +73,12 @@ _KEYS: dict[str, _Key] = {
     "power.P_t": _Key(1.0, "pos_float"),
     "kernel.polarized": _Key(True, "bool"),
     "kernel.line": _Key("x", "choice", ("x", "y"), ("kernel", "--line")),
-    "kernel.rmax_wl": _Key(2.5, "pos_float", None, ("kernel", "--rmax")),
+    # eps = 2 pi r / lambda: the polarized kernel's eps^3 overflows past about
+    # 9e101 wavelengths, and past about 2e153 its eps^2 too and it reads NaN
+    "kernel.rmax_wl": _Key(2.5, "pos_float", (0.0, 1e100), ("kernel", "--rmax")),
     "kernel.samples": _Key(1000, "pos_int", None, ("kernel", "--samples")),
-    "nulls.count": _Key(3, "pos_int", None, ("nulls", "--count")),
+    # kernel_nulls bisects each null in about 1 ms, on a bracket grid of 200 per null
+    "nulls.count": _Key(3, "pos_int", (1, 1000), ("nulls", "--count")),
     "wavenumber.line": _Key("x", "choice", ("x", "y"), ("wavenumber", "--line")),
     "wavenumber.samples": _Key(400, "pos_int", None, ("wavenumber", "--samples")),
     "gain.method": _Key("both", "choice", ("ka", "cg", "both"), ("gain", "--method")),
@@ -211,8 +214,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, (np.floating,)):
-        return f"{float(value):.17g}"
     return str(value)
 
 

@@ -120,22 +120,22 @@ def _require_reflection_symmetric(expansion: PlaneWaveExpansion) -> None:
 def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray:
     """Aperture inner products between the expansion's plane waves, as the four
     reflection-parity blocks (4, N, N) of the n x n Gram, N = ceil(M/2)^2, zero
-    on padding: _fold_matrix of its first-quadrant rows c, d < ceil(M/2), n^2/4
-    sinc evaluations, each the arithmetic of its own pair."""
+    on padding: _fold_matrix of its first-quadrant columns c, d < ceil(M/2),
+    n^2/4 sinc evaluations, each the arithmetic of its own pair."""
     _require_reflection_symmetric(expansion)
     m = expansion.order
     a = (m + 1) // 2
     # kappa_x takes only `order` distinct values, each repeated over one chord
     kx = expansion.kappa[::m, 0]
     ky = expansion.kappa[:, 1]
-    qx = _sinc((kx[:a, None] - kx[None, :]) * (0.5 * aperture.length_x))
+    qx = _sinc((kx[:, None] - kx[None, :a]) * (0.5 * aperture.length_x))
     qx *= aperture.area
-    # formed in place: at order 40 the rows are 5 MB
-    rows = ky.reshape(m, m)[:a, :a].reshape(-1, 1) - ky
-    rows *= 0.5 * aperture.length_y
-    rows = _sinc(rows).reshape(a, a, m, m)
-    rows *= qx[:, None, :, None]
-    return _fold_matrix(rows)
+    # formed in place: at order 40 the columns are 5 MB
+    columns = ky[:, None] - ky.reshape(m, m)[:a, :a].ravel()
+    columns *= 0.5 * aperture.length_y
+    columns = _sinc(columns).reshape(m, m, a, a)
+    columns *= qx[:, None, :, None]
+    return _fold_matrix(columns.reshape(m * m, a * a), m)
 
 
 @dataclass(frozen=True, eq=False)

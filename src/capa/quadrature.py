@@ -4,9 +4,10 @@ Two grids are used throughout: a tensor grid over the rectangular aperture
 (for surface integrals) and a nested grid over the propagating disk in the
 wavenumber plane (for spectral integrals).  Both are symmetric about 0 on each
 axis, so the closed form and CG split their systems into the four
-reflection-parity blocks of _fold, and both fold their matrices with
-_fold_matrix.  The CG kernel blocks and the discrete-array coupling matrix are
-both gathered from one pair table.
+reflection-parity blocks of _fold.  _fold is the one map from grid values to
+those blocks: _fold_matrix applies it to a symmetric matrix's first-quadrant
+columns.  The CG kernel blocks and the discrete-array coupling matrix are both
+gathered from one pair table.
 """
 from __future__ import annotations
 
@@ -128,34 +129,28 @@ def _fold(x: np.ndarray, order: int) -> np.ndarray:
     grid = x.reshape((order, order) + tail)
     # sums and differences with the mirror along x, then along y; a sum doubles
     # a center, which its basis vector e_c takes with weight 1/2, and a
-    # difference leaves it exactly 0, the odd part's padding
-    half = np.stack([grid[:a] + grid[::-1][:a], grid[:a] - grid[::-1][:a]])
+    # difference leaves it exactly 0, the odd part's padding.  Each stage is
+    # written in place: np.stack's temporaries took the order-40 Gram and
+    # resolvent from 17.5 to 20.5 MB at peak
+    half = np.empty((2, a, order) + tail, dtype=x.dtype)
+    np.add(grid[:a], grid[::-1][:a], out=half[0])
+    np.subtract(grid[:a], grid[::-1][:a], out=half[1])
     near, far = half[:, :, :a], half[:, :, ::-1][:, :, :a]
-    out = np.stack([near + far, near - far], axis=1)
+    out = np.empty((2, 2, a, a) + tail, dtype=x.dtype)
+    np.add(near, far, out=out[:, 0])
+    np.subtract(near, far, out=out[:, 1])
     out *= _grid_weights(order, 0.5).reshape((a, a) + (1,) * len(tail))
     return out.reshape((4, a * a) + tail)
 
 
-def _fold_matrix(rows: np.ndarray) -> np.ndarray:
-    """Parity blocks (4, N, N), zero on padding, of a grid matrix A[c, d, e, f]
-    unchanged by the reflections, from its first-quadrant rows c, d < ceil(M/2):
-    by the symmetry, those rows folded over the mirrored columns are the blocks'
-    rows, so a diagonal scaling of A scales them by its first-quadrant entries."""
-    a, m = rows.shape[1:3]
-    b = m // 2
-    out = np.zeros((2, 2, a, a, a, a))
-    for px, nx in enumerate((a, b)):
-        fold = (np.add, np.subtract)[px]
-        half = fold(rows[:nx, :, :nx], rows[:nx, :, ::-1][:, :, :nx])
-        for py, ny in enumerate((a, b)):
-            fold = (np.add, np.subtract)[py]
-            fold(half[:, :ny, :, :ny], half[:, :ny, :, ::-1][..., :ny],
-                 out=out[px, py, :nx, :ny, :nx, :ny])
-    # at odd M a center index is its own basis vector e_c, not (e_c + e_c)/sqrt 2:
-    # folding doubles its column, so its row and column each take 1/sqrt 2
-    for axis in range(2, 6):
-        out[(slice(None),) * axis + (slice(b, a),)] *= _HALF
-    return out.reshape(4, a * a, a * a)
+def _fold_matrix(columns: np.ndarray, order: int) -> np.ndarray:
+    """Parity blocks (4, N, N), zero on padding, of a grid matrix A unchanged by
+    the reflections, from its first-quadrant columns (M^2, N): by the symmetry,
+    A v for a basis vector v has in v's own block the coordinates of A e_c, c its
+    first-quadrant index, divided by v's entry there (1/2, 1/sqrt 2 or 1)."""
+    blocks = _fold(columns, order)
+    blocks /= _grid_weights(order, 1.0).ravel()
+    return blocks
 
 
 def _unfold(blocks: np.ndarray, order: int) -> np.ndarray:

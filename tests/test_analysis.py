@@ -27,6 +27,7 @@ from capa.analysis import (
     steered_gain_profile,
     uncoupled_beamformer,
 )
+from capa.physics import wavenumber_kernel
 
 FRONT_DIRECTIVITY_2G4 = 376.9655577720904
 
@@ -49,11 +50,16 @@ def test_directivity_closed_form_off_axis(cfg):
 
 
 def test_unbounded_gain_forms_agree_on_grid(cfg):
-    # the spectral form the function returns matches the closed directivity form
+    # the closed directivity form the function returns matches the spectral
+    # form 8 pi^2 |a|^2 / (Zs + spectrum) at the steering wavevector
     theta = np.linspace(0.0, np.pi, 37)[:, None]
     phi = np.linspace(0.0, np.pi / 2 * 0.999, 19)[None, :]
     vals = infinite_aperture_gain(cfg, theta, phi, 50.0)
-    ref = (cfg.wavenumber / 50.0) ** 2 * directivity_factor(cfg, *np.broadcast_arrays(theta, phi))
+    k0 = cfg.wavenumber
+    sin_t, sin_p = np.sin(theta), np.sin(phi)
+    kappa = np.stack(np.broadcast_arrays(k0 * np.cos(theta) * sin_p, k0 * sin_t * sin_p), axis=-1)
+    amp2 = (k0 * Z0 / (4.0 * np.pi * 50.0)) ** 2 * (1.0 - (sin_t * sin_p) ** 2) ** 2
+    ref = 8.0 * np.pi ** 2 * amp2 / (cfg.surface_resistance + wavenumber_kernel(kappa, k0))
     assert np.allclose(vals, ref, rtol=1e-10)
     assert np.all(vals >= 0.0)
 

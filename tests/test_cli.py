@@ -1,6 +1,8 @@
 """Tests for the experiment command-line driver."""
 
+import ast
 import dataclasses
+import glob
 import json
 import os
 import subprocess
@@ -83,6 +85,18 @@ def test_nulls_reports_both_axes(capsys):
     assert y1[0] == "y" and y1[1] == "1"
     assert float(y1[2]) == pytest.approx(Y_FIRST_NULL_EPS, abs=1e-10)
     assert float(y1[3]) == pytest.approx(Y_FIRST_NULL_WL, abs=1e-10)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # at 1e300 wavelengths eps^2 overflowed: NaN kernel cells, warning records, exit 0
+    (["kernel", "--rmax", "1e300", "--samples", "3"], "kernel.rmax_wl must lie in [0.0, 1e+100]"),
+    # each null costs about 1 ms of bisection, so an unbounded count ran for minutes
+    (["nulls", "--count", "1001"], "nulls.count must lie in [1, 1000]"),
+])
+def test_flag_past_its_bound_exits_two(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"code": 2, "module": "cli", "message": message}
 
 
 def test_kernel_sign_changes_bracket_nulls(capsys):
@@ -171,6 +185,8 @@ def test_rmax_flag_accepts_wavelength_suffix(capsys):
      "spda.spacings_wl", [0.5, 0.25]),
     (["spda-aperture", "--sides", "0.125", "--set", "quadrature.M=6"],
      "spda.sides_m", [0.125]),
+    # the largest rmax runs without an overflow warning record
+    (["kernel", "--rmax", "1e100", "--samples", "3"], "kernel.rmax_wl", 1e100),
 ])
 def test_each_flag_sets_its_key(capsys, argv, key, expected):
     code, out, err = _run(capsys, argv)
@@ -410,6 +426,19 @@ def test_directivity_smoke(capsys):
     assert len(rows) == 2 * 2 * 3
 
 
+def test_directivity_warns_once_inside_far_field(capsys):
+    # inside the 8.01 m boundary directivity warns once, as gain does, and no
+    # warning prints at the defaults
+    code, out, err = _run(capsys, ["directivity"])
+    assert code == 0 and out and err == ""
+    code, out, err = _run(capsys, ["directivity", "--set", "receiver.R0=1",
+                                   "--set", "quadrature.M=6"])
+    assert code == 0 and out
+    (record,) = (json.loads(line) for line in err.splitlines())
+    assert record["warning"] == "UserWarning"
+    assert "far-field boundary 8.01 m" in record["message"]
+
+
 def test_directivity_plane_outside_choices_exits_two(capsys):
     code, out, err = _run(capsys, ["directivity", "--set", "directivity.plane=X"])
     assert code == 2 and out == ""
@@ -562,3 +591,20 @@ def test_runtime_imports_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_source_imports_only_numpy_and_stdlib():
+    # also catches an import inside a function body, which importing capa never runs
+    allowed = {"numpy", "capa"} | set(sys.stdlib_module_names)
+    for path in glob.glob(os.path.join(os.path.dirname(capa.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path, name)
