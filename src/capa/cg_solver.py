@@ -113,7 +113,7 @@ class DiscretizedOperator:
     def preconditioner(self) -> NystromPreconditioner:
         """Nystrom preconditioner of each block's real rows, built on first use."""
         rng = np.random.default_rng(_SKETCH_SEED)
-        rows = _parity_rows(self.grid.order)
+        rows = _parity_rows(self.grid.shape)
         factors = [_nystrom_sketch(block[np.ix_(real, real)], self.surface_resistance, rng)
                    for block, real in zip(self.blocks, rows)]
         ranks = tuple(shrink.size for _, shrink in factors)
@@ -138,7 +138,7 @@ def discretize_operator(cfg: PhysicalConfig, grid: ApertureGrid) -> DiscretizedO
                                   radiation_kernel(offsets, cfg.wavenumber))
     root = np.sqrt(grid.weights).reshape(m, m)[:a, :a].ravel()
     columns = table[kx[:, None, :a, None], ky[None, :, None, :a]].reshape(m * m, a * a)
-    blocks = root[:, None] * _fold_matrix(columns, m)
+    blocks = root[:, None] * _fold_matrix(columns, grid.shape)
     blocks *= root
     blocks.setflags(write=False)
     return DiscretizedOperator(config=cfg, grid=grid, blocks=blocks)
@@ -157,12 +157,12 @@ def _weighted_apply(op: DiscretizedOperator, values: np.ndarray) -> np.ndarray:
 def _folded(op: DiscretizedOperator, values: np.ndarray) -> np.ndarray:
     """Complex grid values as weighted parity-block values (4, N, 2)."""
     values = np.sqrt(op.grid.weights) * np.asarray(values, dtype=complex)
-    return _fold(np.stack([values.real, values.imag], axis=-1), op.grid.order)
+    return _fold(np.stack([values.real, values.imag], axis=-1), op.grid.shape)
 
 
 def _unfolded(op: DiscretizedOperator, values: np.ndarray) -> np.ndarray:
     """Inverse of _folded."""
-    grid = _unfold(values, op.grid.order) / np.sqrt(op.grid.weights)[:, None]
+    grid = _unfold(values, op.grid.shape) / np.sqrt(op.grid.weights)[:, None]
     return grid[:, 0] + 1j * grid[:, 1]
 
 

@@ -135,7 +135,7 @@ def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray
     columns *= 0.5 * aperture.length_y
     columns = _sinc(columns).reshape(m, m, a, a)
     columns *= qx[:, None, :, None]
-    return _fold_matrix(columns.reshape(m * m, a * a), m)
+    return _fold_matrix(columns.reshape(m * m, a * a), (m, m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +216,7 @@ def _closed_form_gains(inverse: InverseOperatorData, moments: np.ndarray,
     Cholesky factors, not an inverse of the non-symmetric system.
     """
     root = np.sqrt(inverse.lambda_diag).reshape((-1,) + (1,) * (moments.ndim - 1))
-    whitened = inverse.factor.solve(_fold(root * moments, inverse.order))
+    whitened = inverse.factor.solve(_fold(root * moments, (inverse.order, inverse.order)))
     penalty = np.sum(whitened.real ** 2 + whitened.imag ** 2, axis=(0, 1))
     net = matched_energy - penalty
     if np.any(net <= 0.0):
@@ -250,7 +250,7 @@ class ClosedFormBeamformer:
         """Lambda^1/2 U^T L^-T L^-1 U Lambda^1/2 a, the expansion-wave amplitudes."""
         inverse = self.inverse
         return np.sqrt(inverse.lambda_diag) * _unfold(
-            inverse.factor.solve(self.whitened, transpose=True), inverse.order)
+            inverse.factor.solve(self.whitened, transpose=True), (inverse.order, inverse.order))
 
     def __call__(self, points) -> np.ndarray:
         s = np.asarray(points, dtype=float)

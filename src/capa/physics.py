@@ -20,6 +20,8 @@ COPPER_CONDUCTIVITY = 5.8e7   # [S/m]
 # Below this separation (in wavelengths) the direct kernel formula loses
 # precision to cancellation and the analytic zero-separation limit is used.
 _SMALL_SEPARATION_WL = 1e-6
+# radiation_kernel's polarized terms divide by (k r)^3, which overflows from here
+_MAX_EPS = float(np.cbrt(np.finfo(float).max))
 
 
 def _square_is_finite(x: float) -> bool:
@@ -143,30 +145,77 @@ def radiation_kernel(displacement, wavenumber: float, *, polarized: bool = True)
         With the default True the y-polarization term (second y-derivative of
         the sinc propagator) is included.  False drops it, leaving the
         isotropic kernel whose zeros sit at half-wavelength multiples.
+
+    Raises DomainError for a non-finite wavenumber or displacement and for a
+    separation eps = k r at or above the cube root of the largest float,
+    about 5.6e102, where eps^3 overflows.
     """
     s = np.asarray(displacement, dtype=float)
     if s.shape[-1] != 3:
         raise DomainError("displacement must have three components", module="physics")
-    r = np.linalg.norm(s, axis=-1)
-    eps = wavenumber * r
+    if not np.isfinite(wavenumber):
+        raise DomainError("wavenumber must be finite", module="physics")
+    # flat, so every step below writes into an array, a single displacement too
+    shape = s.shape[:-1]
+    s = s.reshape(-1, 3)
+    # each temporary is written in place, in the operand order of the formulas
+    # in the comments, so every value is that of the formulas to the last bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        # r = |s|, summed over x, y, z in order
+        r = s[:, 0] * s[:, 0]
+        tmp = s[:, 1] * s[:, 1]
+        r += tmp
+        np.multiply(s[:, 2], s[:, 2], out=tmp)
+        r += tmp
+        np.sqrt(r, out=r)
+        eps = np.multiply(wavenumber, r, out=tmp)
+    # NaN and inf fail the comparison too
+    if not np.all(eps < _MAX_EPS):
+        raise DomainError("separation k*r must be finite and below "
+                          f"{_MAX_EPS:.3g}, where (k*r)^3 overflows", module="physics")
     small = eps < 2.0 * np.pi * _SMALL_SEPARATION_WL
-    e = np.where(small, 1.0, eps)
+    # e = where(small, 1, eps)
+    e = eps
+    e[small] = 1.0
     sin_e = np.sin(e)
     cos_e = np.cos(e)
     pref = wavenumber ** 2 * Z0 / (4.0 * np.pi)
     if not polarized:
-        out = pref * sin_e / e
+        # pref * sin_e / e
+        out = np.multiply(pref, sin_e, out=sin_e)
+        out /= e
         limit = pref
     else:
-        r_safe = np.where(small, 1.0, r)
-        u2 = (s[..., 1] / r_safe) ** 2
-        # radial-derivative pieces of the sinc propagator, scaled by e^3
-        first = (e * cos_e - sin_e) / e ** 3
-        second = (2.0 * sin_e - 2.0 * e * cos_e - e ** 2 * sin_e) / e ** 3
-        out = pref * (sin_e / e + u2 * second + (1.0 - u2) * first)
+        # u2 = (s_y / where(small, 1, r))^2
+        r[small] = 1.0
+        u2 = np.divide(s[:, 1], r, out=r)
+        u2 *= u2
+        # radial-derivative pieces of the sinc propagator, scaled by e^3:
+        # first = (e cos_e - sin_e) / e^3,
+        # second = (2 sin_e - 2 e cos_e - e^2 sin_e) / e^3
+        e3 = e ** 3
+        e_cos = np.multiply(e, cos_e, out=cos_e)
+        first = e_cos - sin_e
+        first /= e3
+        second = 2.0 * sin_e
+        # 2 (e cos_e) equals (2 e) cos_e: doubling is exact
+        e_cos *= 2.0
+        second -= e_cos
+        # out = pref * (sin_e / e + u2 second + (1 - u2) first)
+        out = np.divide(sin_e, e, out=e_cos)
+        np.square(e, out=e)
+        e *= sin_e
+        second -= e
+        second /= e3
+        second *= u2
+        out += second
+        np.subtract(1.0, u2, out=u2)
+        u2 *= first
+        out += u2
+        out *= pref
         limit = pref * (2.0 / 3.0)
-    result = np.where(small, limit, out)
-    return float(result) if result.ndim == 0 else result
+    out[small] = limit
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def wavenumber_kernel(kappa, wavenumber: float):

@@ -3,11 +3,13 @@
 Two grids are used throughout: a tensor grid over the rectangular aperture
 (for surface integrals) and a nested grid over the propagating disk in the
 wavenumber plane (for spectral integrals).  Both are symmetric about 0 on each
-axis, so the closed form and CG split their systems into the four
-reflection-parity blocks of _fold.  _fold is the one map from grid values to
-those blocks: _fold_matrix applies it to a symmetric matrix's first-quadrant
-columns.  The CG kernel blocks and the discrete-array coupling matrix are both
-gathered from one pair table.
+axis, as is a discrete array's element lattice, so the closed form, CG and the
+discrete-array solve split their systems into the four reflection-parity
+blocks of _fold.  _fold is the one map from the values on a grid of shape
+(mx, my) to those blocks (the two grids here are square, a lattice need not
+be): _fold_matrix applies it to a symmetric matrix's first-quadrant columns.
+The CG kernel blocks and the discrete-array coupling blocks are both gathered
+from one pair table.
 """
 from __future__ import annotations
 
@@ -67,6 +69,11 @@ class ApertureGrid:
     def size(self) -> int:
         return self.order ** 2
 
+    @property
+    def shape(self) -> tuple:
+        """(x nodes, y nodes), the grid shape the parity fold takes."""
+        return (self.order, self.order)
+
     def integrate(self, values):
         """Surface integral of samples taken on the grid (last axis)."""
         return np.asarray(values) @ self.weights
@@ -94,80 +101,86 @@ def _offset_table(xs: np.ndarray, ys: np.ndarray, values, decimals: int | None =
     return values(offsets.reshape(-1, 3)).reshape(dx.size, dy.size), kx, ky
 
 
-# The reflection-parity basis of an M x M grid, row-major, symmetric about 0 on
-# each axis (M-1-c mirrors c).  An axis splits into its even part, (e_c +
-# e_M-1-c)/sqrt 2 for c < M/2 and the center e_c at odd M, and its odd part,
-# (e_c - e_M-1-c)/sqrt 2.  Block 2 px + py is odd in x if px and odd in y if py,
-# stored on ceil(M/2)^2 rows; an axis with M // 2 odd indices leaves padding.
+# The reflection-parity basis of an mx x my grid, row-major, symmetric about 0
+# on each axis (m-1-c mirrors c).  An axis of m indices splits into its even
+# part, (e_c + e_m-1-c)/sqrt 2 for c < m/2 and the center e_c at odd m, and its
+# odd part, (e_c - e_m-1-c)/sqrt 2.  Block 2 px + py is odd in x if px and odd
+# in y if py, stored on ceil(mx/2) ceil(my/2) rows; an axis with m // 2 odd
+# indices leaves padding.
 _HALF = np.sqrt(0.5)
 
 
-def _grid_weights(order: int, center: float) -> np.ndarray:
+def _grid_weights(shape: tuple, center: float) -> np.ndarray:
     """Product weights over a block's rows: 1/2 for two paired indices (exactly;
     1/sqrt 2 squared rounds up), center / sqrt 2 for one center, center^2 for two."""
-    a, b = (order + 1) // 2, order // 2
-    axis = np.full(a, _HALF)
-    axis[b:] = center
-    weights = np.multiply.outer(axis, axis)
-    weights[:b, :b] = 0.5
+    axes = []
+    for m in shape:
+        axis = np.full((m + 1) // 2, _HALF)
+        axis[m // 2:] = center
+        axes.append(axis)
+    weights = np.multiply.outer(*axes)
+    weights[:shape[0] // 2, :shape[1] // 2] = 0.5
     return weights
 
 
-def _parity_rows(order: int) -> np.ndarray:
-    """(4, ceil(M/2)^2) mask of each parity block's real rows; False is padding."""
-    a, b = (order + 1) // 2, order // 2
-    real = [np.arange(a) < n for n in (a, b)]
-    return np.array([np.multiply.outer(px, py).ravel() for px in real for py in real])
+def _parity_rows(shape: tuple) -> np.ndarray:
+    """(4, ceil(mx/2) ceil(my/2)) mask of each parity block's real rows; False
+    is padding."""
+    px, py = ([np.arange((m + 1) // 2) < n for n in ((m + 1) // 2, m // 2)] for m in shape)
+    return np.array([np.multiply.outer(x, y).ravel() for x in px for y in py])
 
 
-def _fold(x: np.ndarray, order: int) -> np.ndarray:
+def _fold(x: np.ndarray, shape: tuple) -> np.ndarray:
     """Coordinates of grid-indexed x, (n,) or (n, D), in the reflection-parity
-    basis: (4, N) or (4, N, D), one block per parity on N = ceil(M/2)^2 rows,
-    zero on padding.  The basis is orthonormal, so norms carry over."""
-    a = (order + 1) // 2
+    basis of the grid shape (mx, my): (4, N) or (4, N, D), one block per parity
+    on N = ceil(mx/2) ceil(my/2) rows, zero on padding.  The basis is
+    orthonormal, so norms carry over."""
+    mx, my = shape
+    ax, ay = (mx + 1) // 2, (my + 1) // 2
     tail = x.shape[1:]
-    grid = x.reshape((order, order) + tail)
+    grid = x.reshape((mx, my) + tail)
     # sums and differences with the mirror along x, then along y; a sum doubles
     # a center, which its basis vector e_c takes with weight 1/2, and a
     # difference leaves it exactly 0, the odd part's padding.  Each stage is
     # written in place: np.stack's temporaries took the order-40 Gram and
     # resolvent from 17.5 to 20.5 MB at peak
-    half = np.empty((2, a, order) + tail, dtype=x.dtype)
-    np.add(grid[:a], grid[::-1][:a], out=half[0])
-    np.subtract(grid[:a], grid[::-1][:a], out=half[1])
-    near, far = half[:, :, :a], half[:, :, ::-1][:, :, :a]
-    out = np.empty((2, 2, a, a) + tail, dtype=x.dtype)
+    half = np.empty((2, ax, my) + tail, dtype=x.dtype)
+    np.add(grid[:ax], grid[::-1][:ax], out=half[0])
+    np.subtract(grid[:ax], grid[::-1][:ax], out=half[1])
+    near, far = half[:, :, :ay], half[:, :, ::-1][:, :, :ay]
+    out = np.empty((2, 2, ax, ay) + tail, dtype=x.dtype)
     np.add(near, far, out=out[:, 0])
     np.subtract(near, far, out=out[:, 1])
-    out *= _grid_weights(order, 0.5).reshape((a, a) + (1,) * len(tail))
-    return out.reshape((4, a * a) + tail)
+    out *= _grid_weights(shape, 0.5).reshape((ax, ay) + (1,) * len(tail))
+    return out.reshape((4, ax * ay) + tail)
 
 
-def _fold_matrix(columns: np.ndarray, order: int) -> np.ndarray:
+def _fold_matrix(columns: np.ndarray, shape: tuple) -> np.ndarray:
     """Parity blocks (4, N, N), zero on padding, of a grid matrix A unchanged by
-    the reflections, from its first-quadrant columns (M^2, N): by the symmetry,
+    the reflections, from its first-quadrant columns (mx my, N): by the symmetry,
     A v for a basis vector v has in v's own block the coordinates of A e_c, c its
     first-quadrant index, divided by v's entry there (1/2, 1/sqrt 2 or 1)."""
-    blocks = _fold(columns, order)
-    blocks /= _grid_weights(order, 1.0).ravel()
+    blocks = _fold(columns, shape)
+    blocks /= _grid_weights(shape, 1.0).ravel()
     return blocks
 
 
-def _unfold(blocks: np.ndarray, order: int) -> np.ndarray:
+def _unfold(blocks: np.ndarray, shape: tuple) -> np.ndarray:
     """Inverse of _fold, for parity coordinates that are zero on padding."""
-    a, b = (order + 1) // 2, order // 2
+    mx, my = shape
+    (ax, bx), (ay, by) = (((m + 1) // 2, m // 2) for m in shape)
     tail = blocks.shape[2:]
-    weights = _grid_weights(order, 1.0).reshape((a, a) + (1,) * len(tail))
-    even, odd = (blocks.reshape((2, 2, a, a) + tail) * weights).swapaxes(0, 1)
+    weights = _grid_weights(shape, 1.0).reshape((ax, ay) + (1,) * len(tail))
+    even, odd = (blocks.reshape((2, 2, ax, ay) + tail) * weights).swapaxes(0, 1)
     # the even and odd parts along y, then along x, recombined with the mirror;
-    # at odd M the odd part's padding adds nothing to the center
-    half = np.empty((2, a, order) + tail, dtype=blocks.dtype)
-    half[:, :, :a] = even + odd
-    half[:, :, order - b:] = (even[:, :, :b] - odd[:, :, :b])[:, :, ::-1]
-    out = np.empty((order, order) + tail, dtype=blocks.dtype)
-    out[:a] = half[0] + half[1]
-    out[order - b:] = (half[0, :b] - half[1, :b])[::-1]
-    return out.reshape((order * order,) + tail)
+    # at odd m the odd part's padding adds nothing to the center
+    half = np.empty((2, ax, my) + tail, dtype=blocks.dtype)
+    half[:, :, :ay] = even + odd
+    half[:, :, my - by:] = (even[:, :, :by] - odd[:, :, :by])[:, :, ::-1]
+    out = np.empty((mx, my) + tail, dtype=blocks.dtype)
+    out[:ax] = half[0] + half[1]
+    out[mx - bx:] = (half[0, :bx] - half[1, :bx])[::-1]
+    return out.reshape((mx * my,) + tail)
 
 
 def aperture_grid(aperture: Aperture, order: int) -> ApertureGrid:

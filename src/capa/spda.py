@@ -7,13 +7,19 @@ per axis, so that four-fold node sum folds onto the distinct per-axis node
 differences: D^2 kernel evaluations per center offset, D = 19 at the default
 order 6, instead of one per node pair.  On a lattice the coupling depends only
 on the center offset and is even in each axis offset, so one table over the
-distinct per-axis |offsets| fills the coupling matrix.  The optimal drive
-vector and its gain follow from one symmetric positive-definite solve,
-elementwise for the coupling-blind diagonal model.
+distinct per-axis |offsets|, with each pair's per-axis index into it, holds
+the coupling matrix.  The optimal drive vector and its gain follow from one
+symmetric positive-definite solve.  On a lattice whose pairs keep their table
+entries when either axis is reversed (every element_layout lattice, shifted or
+not) the matrix splits into four reflection-parity blocks (quadrature._fold;
+Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992), folded
+from its first-quadrant columns by quadrature._fold_matrix and factored as one
+stacked Cholesky, so no N x N matrix is gathered; any other lattice is
+factored whole.  The coupling-blind diagonal model is solved elementwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,7 +28,7 @@ from ._linalg import cholesky
 from .errors import DomainError, NumericError
 from .kernel_approx import PlaneWaveExpansion, _sinc, beamform_ka
 from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
-from .quadrature import _offset_table, legendre_rule
+from .quadrature import _fold, _fold_matrix, _offset_table, _unfold, legendre_rule
 
 _DEFAULT_ELEMENT_ORDER = 6
 
@@ -131,24 +137,59 @@ def _pair_integrals(offsets: np.ndarray, model: SpdaModel, order: int, cfg: Phys
 class CouplingMatrix:
     """Mutual-coupling data of a discrete array.
 
-    radiation holds the pairwise radiated-coupling integrals, N x N, or for
-    a coupling-blind model only their diagonal, shape (N,); the full matrix
-    adds the per-element self impedance on the diagonal.
+    table holds the radiated-coupling integral of each distinct per-axis
+    (|dx|, |dy|) pair, the zero offset first, and kx (nx, nx) and ky (ny, ny)
+    each element pair's table index per axis; the full matrix adds the
+    per-element self impedance on the diagonal.  A coupling-blind model
+    (diagonal) keeps only the zero-offset entry on the diagonal.  radiation
+    and matrix are dense views, gathered on first use; the beamformer does
+    not need them.
     """
 
-    radiation: np.ndarray = field(repr=False)
+    table: np.ndarray = field(repr=False)
+    kx: np.ndarray = field(repr=False)
+    ky: np.ndarray = field(repr=False)
     self_impedance: float
+    diagonal: bool = False
+
+    @property
+    def shape(self) -> tuple:
+        """(elements along x, elements along y)."""
+        return (self.kx.shape[0], self.ky.shape[0])
+
+    @property
+    def size(self) -> int:
+        return self.kx.shape[0] * self.ky.shape[0]
+
+    def columns(self, cx: int, cy: int) -> np.ndarray:
+        """Radiation between every element and the elements of the first cx
+        x positions and first cy y positions, (N, cx cy), x-major."""
+        # element (a, b) has x coordinate a and y coordinate b, row-major
+        return self.table[self.kx[:, None, :cx, None],
+                          self.ky[None, :, None, :cy]].reshape(self.size, cx * cy)
+
+    @cached_property
+    def mirrored(self) -> bool:
+        """Whether reversing either axis of the lattice leaves every pair's
+        table entry unchanged, so the matrix splits into four parity blocks."""
+        return all(np.array_equal(k[::-1, ::-1], k) for k in (self.kx, self.ky))
+
+    @cached_property
+    def radiation(self) -> np.ndarray:
+        """Pairwise radiation, N x N, or its diagonal (N,) for a diagonal model."""
+        if self.diagonal:
+            return np.full(self.size, self.table[0, 0])
+        return self.columns(*self.shape)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        m = np.diag(self.radiation) if self.radiation.ndim == 1 else self.radiation.copy()
+        m = np.diag(self.radiation) if self.diagonal else self.radiation.copy()
         m.flat[::m.shape[0] + 1] += self.self_impedance
         return m
 
     def diagonal_only(self) -> "CouplingMatrix":
         """Coupling-blind variant: off-diagonal radiation terms dropped."""
-        return CouplingMatrix(radiation=np.diag(self.radiation).copy(),
-                              self_impedance=self.self_impedance)
+        return replace(self, diagonal=True)
 
 
 def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
@@ -168,12 +209,8 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
     order = model.order if mode == "exact" else 1
     table, kx, ky = _offset_table(model.x, model.y, lambda offsets:
                                   _pair_integrals(offsets, model, order, cfg), decimals=12)
-    # element (a, b) has x coordinate a and y coordinate b, row-major; the
-    # element current carries unit energy, so its loss is Zs exactly
-    n = model.n_elements
-    return CouplingMatrix(
-        radiation=table[kx[:, None, :, None], ky[None, :, None, :]].reshape(n, n),
-        self_impedance=cfg.surface_resistance)
+    # the element current carries unit energy, so its loss is Zs exactly
+    return CouplingMatrix(table=table, kx=kx, ky=ky, self_impedance=cfg.surface_resistance)
 
 
 def discrete_channel(model: SpdaModel, channel: FarFieldChannel) -> np.ndarray:
@@ -201,28 +238,41 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
                                 power: float = 1.0) -> DiscreteBeamformer:
     """Optimal drive vector under the coupling model, with its array gain.
 
-    A dense coupling matrix is factored once by Cholesky and solved by two
-    triangular substitutions; a diagonal coupling (from diagonal_only) is
+    A mirrored lattice's coupling matrix is factored as its four parity
+    blocks, folded from its first-quadrant columns, by one stacked Cholesky;
+    any other is factored whole, as a stack of one.  The drive follows by two
+    triangular substitutions.  A diagonal coupling (from diagonal_only) is
     solved elementwise.
     """
     if power <= 0:
         raise DomainError("transmit power must be positive", module="spda")
     h = np.asarray(h, dtype=complex)
-    if h.shape != (coupling.radiation.shape[0],):
+    if h.shape != (coupling.size,):
         raise DomainError("channel vector length does not match the coupling matrix",
                           module="spda")
-    if coupling.radiation.ndim == 1:
-        diag = coupling.radiation + coupling.self_impedance
-        if not np.all(diag > 0.0):
+    if coupling.diagonal:
+        diag = coupling.table[0, 0] + coupling.self_impedance
+        if not diag > 0.0:
             raise NumericError("coupling matrix is not positive definite", module="spda")
         # psi = D: h^H psi^-1 h = ||D^-1/2 h||^2 and psi^-1 h = D^-1 h
         whitened = h / np.sqrt(diag)
         direction = h / diag
     else:
-        # psi = L L^T: h^H psi^-1 h = ||L^-1 h||^2 and psi^-1 h = L^-T (L^-1 h)
-        factor = cholesky(coupling.matrix, "coupling matrix is not positive definite", "spda")
-        whitened = factor.solve(h)
+        # psi = L L^T: h^H psi^-1 h = ||L^-1 h||^2 and psi^-1 h = L^-T (L^-1 h),
+        # block by block; the parity basis is orthonormal, so norms carry over
+        shape = coupling.shape
+        if coupling.mirrored:
+            blocks = _fold_matrix(coupling.columns(*((m + 1) // 2 for m in shape)), shape)
+            # every block's diagonal, padding included: a padding row is then a Zs row
+            diagonal = np.arange(blocks.shape[-1])
+            blocks[:, diagonal, diagonal] += coupling.self_impedance
+            rhs = _fold(h, shape)
+        else:
+            blocks, rhs = coupling.matrix[None], h[None]
+        factor = cholesky(blocks, "coupling matrix is not positive definite", "spda")
+        whitened = factor.solve(rhs)
         direction = factor.solve(whitened, transpose=True)
+        direction = _unfold(direction, shape) if coupling.mirrored else direction[0]
     inner = float(np.vdot(whitened, whitened).real)
     if inner <= 0.0:
         raise NumericError("whitened channel energy is non-positive", module="spda")

@@ -20,25 +20,30 @@ def _fresh_cg_operator():
     cg_solver._operator.cache_clear()
 
 
-def _dense_fold(matrix, order):
-    # the parity basis from its definition, as rows, one stack per block:
-    # (e_c + e_M-1-c)/sqrt 2 and the center e_c even, (e_c - e_M-1-c)/sqrt 2
-    # odd, along each axis; padding rows are zero
-    a, b = (order + 1) // 2, order // 2
-    axis = np.zeros((2, a, order))
-    for c in range(b):
-        axis[:, c, c] = np.sqrt(0.5)
-        axis[:, c, order - 1 - c] = [np.sqrt(0.5), -np.sqrt(0.5)]
-    if order % 2:
-        axis[0, b, b] = 1.0
-    basis = np.einsum("pac,qbd->pqabcd", axis, axis).reshape(4, a * a, order * order)
+def _dense_fold(matrix, shape):
+    # the parity basis of an mx x my grid from its definition, as rows, one
+    # stack per block: (e_c + e_m-1-c)/sqrt 2 and the center e_c even,
+    # (e_c - e_m-1-c)/sqrt 2 odd, along each axis; padding rows are zero
+    axes = []
+    for m in shape:
+        a, b = (m + 1) // 2, m // 2
+        axis = np.zeros((2, a, m))
+        for c in range(b):
+            axis[:, c, c] = np.sqrt(0.5)
+            axis[:, c, m - 1 - c] = [np.sqrt(0.5), -np.sqrt(0.5)]
+        if m % 2:
+            axis[0, b, b] = 1.0
+        axes.append(axis)
+    (mx, my), (ax, ay) = shape, (axis.shape[1] for axis in axes)
+    basis = np.einsum("pac,qbd->pqabcd", *axes).reshape(4, ax * ay, mx * my)
     return basis @ matrix @ basis.transpose(0, 2, 1), basis
 
 
 @pytest.fixture(scope="session")
 def dense_fold():
-    """Parity blocks (4, N, N) of a dense grid-indexed matrix (M^2, M^2), and
-    the basis rows (4, N, M^2): the oracle for both solvers' folded blocks."""
+    """Parity blocks (4, N, N) of a dense grid-indexed matrix (mx my, mx my) on
+    the grid shape (mx, my), and the basis rows (4, N, mx my): the oracle for
+    every folded block."""
     return _dense_fold
 
 

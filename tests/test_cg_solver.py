@@ -27,7 +27,7 @@ from capa.cg_solver import (
     solve_fredholm,
     synthesize_beamformer,
 )
-from capa.quadrature import _fold, _parity_rows
+from capa.quadrature import _fold, _fold_matrix, _parity_rows, legendre_rule
 
 FRONT_GAIN_CG_ORDER20 = 3.614677454700339
 
@@ -39,19 +39,36 @@ def _dense_system(cfg, grid):
     return kern * grid.weights[None, :] + cfg.surface_resistance * np.eye(grid.points.shape[0])
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 12, pytest.param((4, 7), id="4x7")])
 def test_parity_blocks_equal_dense_fold(cfg, dense_fold, order):
     # the blocks gathered from the offset table must equal the parity fold of
-    # the per-pair weighted kernel, and the fold must be block diagonal
-    grid = aperture_grid(Aperture(0.3, 0.5), order)
-    diffs = grid.points[:, None, :] - grid.points[None, :, :]
-    root = np.sqrt(grid.weights)
+    # the per-pair weighted kernel, and the fold must be block diagonal; a
+    # non-square grid, as a discrete lattice may have, is folded by
+    # _fold_matrix from its first-quadrant columns
+    if isinstance(order, tuple):
+        shape = order
+        rules = [legendre_rule(m) for m in shape]
+        xs, ys = (0.5 * side * rule.nodes for side, rule in zip((0.3, 0.5), rules))
+        points = np.stack(np.broadcast_arrays(xs[:, None], ys, 0.0), axis=-1).reshape(-1, 3)
+        weights = np.outer(0.15 * rules[0].weights, 0.25 * rules[1].weights).ravel()
+    else:
+        shape = (order, order)
+        grid = aperture_grid(Aperture(0.3, 0.5), order)
+        points, weights = grid.points, grid.weights
+    n = shape[0] * shape[1]
+    diffs = points[:, None, :] - points[None, :, :]
+    root = np.sqrt(weights)
     weighted = root[:, None] * radiation_kernel(diffs, cfg.wavenumber) * root
-    want, basis = dense_fold(weighted, order)
-    blocks = discretize_operator(cfg, grid).blocks
+    want, basis = dense_fold(weighted, shape)
+    if isinstance(order, tuple):
+        ax, ay = ((m + 1) // 2 for m in shape)
+        columns = weighted.reshape(shape + shape)[:, :, :ax, :ay].reshape(n, ax * ay)
+        blocks = _fold_matrix(columns, shape)
+    else:
+        blocks = discretize_operator(cfg, grid).blocks
     scale = np.max(np.abs(weighted))
     assert np.max(np.abs(blocks - want)) <= 1e-14 * scale
-    rows = basis.reshape(-1, order * order)
+    rows = basis.reshape(-1, n)
     full = rows @ weighted @ rows.T
     size = blocks.shape[1]
     for k in range(4):
@@ -290,7 +307,7 @@ def test_nystrom_preconditioned_spectrum_floor(cfg, side, order):
     op = discretize_operator(cfg, aperture_grid(Aperture(side, side), order))
     pre = op.preconditioner
     zs = op.surface_resistance
-    for k, real in enumerate(_parity_rows(order)):
+    for k, real in enumerate(_parity_rows((order, order))):
         n = int(real.sum())
         weighted = op.blocks[k][np.ix_(real, real)] + zs * np.eye(n)
         basis, shrink = pre.basis[k][real], pre.shrink[k]
@@ -339,7 +356,7 @@ def test_empty_parity_blocks_stay_frozen(cfg, aperture, front_channel, order):
     dense = _dense_system(cfg, grid)
     for rhs, filled in ((np.conj(front_channel(grid.points)), [0]),
                         (x * np.exp(2j * y / aperture.length_y), [2, 3])):
-        folded = _fold(rhs, order)
+        folded = _fold(rhs, (order, order))
         assert np.all(np.delete(folded, filled, axis=0) == 0.0)
         state = solve_fredholm(op, rhs, tol=1e-12)
         want = np.linalg.solve(dense, rhs)
@@ -352,7 +369,7 @@ def test_padding_stays_zero_at_odd_order(cfg, aperture, oblique_channel):
     order = 9
     grid = aperture_grid(aperture, order)
     op = discretize_operator(cfg, grid)
-    padding = ~_parity_rows(order)
+    padding = ~_parity_rows((order, order))
     assert padding.any()
     assert np.all(op.blocks[padding] == 0.0)
     assert np.all(op.blocks.transpose(0, 2, 1)[padding] == 0.0)

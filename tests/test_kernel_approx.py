@@ -147,7 +147,7 @@ def test_gram_matrix_matches_quadrature(cfg, aperture, dense_fold):
     # entry (i, l) integrates phase_l times conj(phase_i)
     dense = phases.conj().T @ (grid.weights[:, None] * phases)
     assert np.max(np.abs(dense.imag)) < 1e-10
-    want, _ = dense_fold(dense.real, exp.order)
+    want, _ = dense_fold(dense.real, (exp.order, exp.order))
     assert np.max(np.abs(gram_matrix(exp, aperture) - want)) < 1e-10
 
 
@@ -159,9 +159,9 @@ def test_gram_matrix_equals_full_pairwise_formula(cfg, dense_fold, order):
     for inner_rule in ("chebyshev", "legendre"):
         exp = build_expansion(cfg, order, inner_rule=inner_rule)
         blocks = gram_matrix(exp, aperture)
-        want, _ = dense_fold(dense_gram(exp, aperture), order)
+        want, _ = dense_fold(dense_gram(exp, aperture), (order, order))
         assert np.max(np.abs(blocks - want)) <= 1e-14 * np.max(np.abs(want)), inner_rule
-        padding = ~_parity_rows(order)
+        padding = ~_parity_rows((order, order))
         assert np.all(blocks[padding] == 0.0)
         assert np.all(blocks.transpose(0, 2, 1)[padding] == 0.0)
 
@@ -194,26 +194,29 @@ def test_expansion_is_reflection_symmetric_bit_for_bit(cfg, inner_rule):
         assert np.array_equal(rho[:, ::-1], rho), order
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 6, 7])
+@pytest.mark.parametrize("order", [1, 2, 3, 6, 7, pytest.param((3, 4), id="3x4")])
 def test_parity_fold_is_orthonormal(order):
     # the blocks' rows are an orthonormal basis of the terms; padding rows are 0
-    n = order * order
-    basis = _fold(np.eye(n), order).reshape(-1, n)
-    size = ((order + 1) // 2) ** 2
+    shape = order if isinstance(order, tuple) else (order, order)
+    n = shape[0] * shape[1]
+    basis = _fold(np.eye(n), shape).reshape(-1, n)
+    size = ((shape[0] + 1) // 2) * ((shape[1] + 1) // 2)
     live = np.abs(basis).sum(axis=1) > 0.0
     assert basis.shape == (4 * size, n) and live.sum() == n
+    assert np.array_equal(live, _parity_rows(shape).ravel())
     assert np.allclose(basis[live] @ basis[live].T, np.eye(n), rtol=0.0, atol=1e-15)
-    x = np.random.default_rng(order).standard_normal((n, 2))
-    assert np.allclose(_unfold(_fold(x, order), order), x, rtol=0.0, atol=1e-15)
+    x = np.random.default_rng(n).standard_normal((n, 2))
+    assert np.allclose(_unfold(_fold(x, shape), shape), x, rtol=0.0, atol=1e-15)
 
 
 def resolvent(data):
     """(I + Lambda Q)^-1 = Lambda^1/2 U^T L^-T L^-1 U Lambda^-1/2 from the
     factored parity blocks, U the change to the parity basis."""
     root = np.sqrt(data.lambda_diag)
-    blocks = _fold(np.eye(root.size), data.order)
+    shape = (data.order, data.order)
+    blocks = _fold(np.eye(root.size), shape)
     solved = data.factor.solve(data.factor.solve(blocks), transpose=True)
-    inner = _unfold(solved, data.order).real
+    inner = _unfold(solved, shape).real
     return root[:, None] * inner / root[None, :]
 
 
@@ -302,7 +305,7 @@ def test_projection_matches_eager_formula(cfg, aperture, oblique_channel):
     root = np.sqrt(data.lambda_diag)
     # the parity basis change U as rows (padding rows are zero) and the
     # block-diagonal L^-1
-    basis = _fold(np.eye(exp.term_count), exp.order).reshape(-1, exp.term_count)
+    basis = _fold(np.eye(exp.term_count), (exp.order, exp.order)).reshape(-1, exp.term_count)
     blocks = np.linalg.inv(data.factor.lower)
     lower = np.zeros((basis.shape[0],) * 2)
     for k, block in enumerate(blocks):

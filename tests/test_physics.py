@@ -121,6 +121,59 @@ def test_kernel_axis_values_match_independent_algebra(cfg):
     assert np.allclose(on_y, want_y, rtol=1e-12)
 
 
+def _kernel_formula(displacement, wavenumber, polarized):
+    # the kernel written out plainly, one array per term
+    s = np.asarray(displacement, dtype=float)
+    r = np.linalg.norm(s, axis=-1)
+    eps = wavenumber * r
+    small = eps < 2.0 * np.pi * 1e-6
+    e = np.where(small, 1.0, eps)
+    sin_e, cos_e = np.sin(e), np.cos(e)
+    pref = wavenumber ** 2 * Z0 / (4.0 * np.pi)
+    if not polarized:
+        return np.where(small, pref, pref * sin_e / e)
+    u2 = (s[..., 1] / np.where(small, 1.0, r)) ** 2
+    first = (e * cos_e - sin_e) / e ** 3
+    second = (2.0 * sin_e - 2.0 * e * cos_e - e ** 2 * sin_e) / e ** 3
+    out = pref * (sin_e / e + u2 * second + (1.0 - u2) * first)
+    return np.where(small, pref * (2.0 / 3.0), out)
+
+
+@pytest.mark.parametrize("polarized", [True, False])
+def test_kernel_bit_identical_to_plain_formula(cfg, polarized):
+    # the in-place evaluation keeps every operation's operands and order;
+    # separations from zero through below and above the small-separation
+    # threshold (1e-6 wavelengths) to 30 m, off the plane too
+    rng = np.random.default_rng(11)
+    scales = rng.choice([0.0, 1e-9, 1e-7, 1.2e-7, 1e-3, 0.05, 1.0, 30.0], size=(20000, 1))
+    disp = rng.standard_normal((20000, 3)) * scales
+    disp[:5000, 2] = 0.0
+    k0 = cfg.wavenumber
+    got = radiation_kernel(disp.reshape(100, 200, 3), k0, polarized=polarized)
+    assert got.shape == (100, 200)
+    assert np.array_equal(got, _kernel_formula(disp, k0, polarized).reshape(100, 200))
+    for single in ([0.0, 0.0, 0.0], [1e-9, -2e-9, 0.0], [0.01, 0.02, -0.03]):
+        value = radiation_kernel(single, k0, polarized=polarized)
+        assert type(value) is float
+        assert value == _kernel_formula(single, k0, polarized)
+
+
+def test_kernel_refuses_non_finite_or_overflowing_separation(cfg):
+    # raised before any arithmetic warns: pytest turns warnings into errors
+    k0 = cfg.wavenumber
+    for bad in ([1e200, 0.0, 0.0], [np.nan, 0.0, 0.0], [[0.1, 0.0, 0.0], [0.0, np.inf, 0.0]]):
+        with pytest.raises(DomainError):
+            radiation_kernel(bad, k0)
+    for k in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            radiation_kernel([0.1, 0.0, 0.0], k)
+    # (k r)^3 overflows from the cube root of the largest float on
+    edge = float(np.cbrt(np.finfo(float).max))
+    with pytest.raises(DomainError):
+        radiation_kernel([edge, 0.0, 0.0], 1.0)
+    assert np.isfinite(radiation_kernel([0.0, np.nextafter(edge, 0.0), 0.0], 1.0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_kernel_even_under_reflection(sx, sy):

@@ -1,5 +1,8 @@
 """Tests for the discrete-array geometry, coupling, and beamforming."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,6 @@ from capa import (
     spda,
 )
 from capa.spda import (
-    CouplingMatrix,
     SpdaModel,
     aperture_sweep,
     coupling_matrix,
@@ -220,7 +222,7 @@ def test_diagonal_coupling_reduces_to_matched_filter(cfg, oblique_channel):
     matched = h / np.linalg.norm(h)
     direction = bf.weights / np.linalg.norm(bf.weights)
     assert abs(np.vdot(matched, direction)) == pytest.approx(1.0, rel=1e-12)
-    lossy = CouplingMatrix(radiation=-np.diag(coupling.matrix), self_impedance=0.0)
+    lossy = replace(coupling, table=-coupling.table, self_impedance=0.0)
     with pytest.raises(NumericError):
         optimal_discrete_beamformer(h, lossy)
 
@@ -236,6 +238,66 @@ def test_coupling_translation_invariant(cfg, oblique_channel):
     gain_a = optimal_discrete_beamformer(discrete_channel(base, oblique_channel), coupling_matrix(base, cfg)).gain
     gain_b = optimal_discrete_beamformer(discrete_channel(shifted, oblique_channel), coupling_matrix(shifted, cfg)).gain
     assert gain_b == pytest.approx(gain_a, rel=1e-12)
+
+
+def _dense_drive(h, coupling):
+    """Gain and drive from np.linalg.cholesky of the gathered dense matrix."""
+    lower = np.linalg.cholesky(coupling.matrix)
+    whitened = np.linalg.solve(lower, h)
+    inner = np.vdot(whitened, whitened).real
+    return 2.0 * inner, np.sqrt(2.0 / inner) * np.linalg.solve(lower.T, whitened)
+
+
+@pytest.mark.parametrize("sides, pitch_wl, mode, counts", [
+    ((0.25, 0.25), 0.5, "exact", (4, 4)),     # even counts
+    ((0.31, 0.31), 0.35, "exact", (7, 7)),    # odd counts: padding rows
+    ((0.2, 0.45), 0.3, "point", (5, 12)),     # n_x != n_y
+])
+def test_parity_solve_matches_dense_cholesky(cfg, oblique_channel, sides, pitch_wl, mode,
+                                             counts):
+    side = 0.1 * cfg.wavelength
+    model = element_layout(Aperture(*sides), pitch_wl * cfg.wavelength, side, side)
+    assert (model.x.size, model.y.size) == counts
+    coupling = coupling_matrix(model, cfg, mode=mode)
+    assert coupling.mirrored
+    h = discrete_channel(model, oblique_channel)
+    bf = optimal_discrete_beamformer(h, coupling)
+    gain, weights = _dense_drive(h, coupling)
+    assert bf.gain == pytest.approx(gain, rel=1e-12)
+    assert np.max(np.abs(bf.weights - weights)) <= 1e-10 * np.max(np.abs(weights))
+
+
+def test_irregular_lattice_solves_as_one_block(cfg, oblique_channel):
+    # unequal x gaps: reversing x moves pairs to other table entries, so the
+    # matrix is factored whole
+    wl = cfg.wavelength
+    side = 0.08 * wl
+    model = SpdaModel(x=np.array([0.0, 0.4, 1.1]) * wl, y=(np.arange(4) - 1.5) * 0.55 * wl,
+                      element_x=side, element_y=side)
+    coupling = coupling_matrix(model, cfg)
+    assert not coupling.mirrored
+    h = discrete_channel(model, oblique_channel)
+    bf = optimal_discrete_beamformer(h, coupling)
+    gain, weights = _dense_drive(h, coupling)
+    assert bf.gain == pytest.approx(gain, rel=1e-12)
+    assert np.max(np.abs(bf.weights - weights)) <= 1e-10 * np.max(np.abs(weights))
+
+
+def test_mirrored_solves_form_no_dense_matrix(cfg, oblique_channel):
+    # 32 x 32 elements: one N x N float array alone would be 8.4 MB
+    side = 0.1 * cfg.wavelength
+    model = element_layout(Aperture(0.5, 0.5), 0.125 * cfg.wavelength, side, side)
+    coupling = coupling_matrix(model, cfg, mode="point")
+    h = discrete_channel(model, oblique_channel)
+    for drive in (coupling, coupling.diagonal_only()):
+        tracemalloc.start()
+        try:
+            optimal_discrete_beamformer(h, drive)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * model.n_elements ** 2, drive.diagonal
+        assert "radiation" not in vars(drive) and "matrix" not in vars(drive)
 
 
 def _brute_force_pair(model, cfg, offset):
