@@ -21,8 +21,10 @@ def directivity_factor(cfg: PhysicalConfig, theta, phi):
     """
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
-    if np.any(np.abs(ph) > np.pi / 2):
+    if not np.all(np.abs(ph) <= np.pi / 2):
         raise DomainError("polar angle must lie in [-pi/2, pi/2]", module="analysis")
+    if not np.all(np.isfinite(th)):
+        raise DomainError("azimuth must be finite", module="analysis")
     zs = cfg.surface_resistance
     pol = _steering(cfg.wavenumber, th, ph)[2]
     num = Z0 ** 2 * pol ** 2 * np.cos(ph)
@@ -39,8 +41,8 @@ def infinite_aperture_gain(cfg: PhysicalConfig, theta, phi, distance: float):
     8 pi^2 |a|^2 / (Zs + spectrum) evaluated in closed form at the steering
     wavevector; grazing steering returns the limit value 0.
     """
-    if distance <= 0:
-        raise DomainError("receiver distance must be positive", module="analysis")
+    if not 0 < distance < np.inf:
+        raise DomainError("receiver distance must be positive and finite", module="analysis")
     limit = (cfg.wavenumber / distance) ** 2 * np.asarray(directivity_factor(cfg, theta, phi))
     # float pi/2 leaves cos at ~6e-17, so grazing needs a small window
     grazing = np.abs(np.cos(np.asarray(phi, dtype=float))) < 1e-9
@@ -76,8 +78,8 @@ class UncoupledBeamformer:
 def uncoupled_beamformer(cfg: PhysicalConfig, channel: FarFieldChannel,
                          aperture: Aperture, power: float = 1.0) -> UncoupledBeamformer:
     """Coupling-blind matched filter normalized with the surface resistance."""
-    if power <= 0:
-        raise DomainError("transmit power must be positive", module="analysis")
+    if not 0 < power < np.inf:
+        raise DomainError("transmit power must be positive and finite", module="analysis")
     _require_radiating(channel, "analysis")
     eta = aperture.area * abs(channel.amplitude) ** 2
     scale = float(np.sqrt(2.0 * power / (cfg.surface_resistance * eta)))

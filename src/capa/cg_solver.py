@@ -205,8 +205,8 @@ def solve_fredholm(op: DiscretizedOperator, rhs: np.ndarray, tol: float = 1e-8,
     whose stationary point is the solution, which must decrease monotonically.
     A non-finite residual or a curvature that is not positive raises NumericError.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive", module="cg_solver")
+    if not 0 < tol < np.inf:
+        raise DomainError("tolerance must be positive and finite", module="cg_solver")
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1", module="cg_solver")
     b = _folded(op, rhs)
@@ -309,8 +309,8 @@ class FredholmSolution:
 def synthesize_beamformer(op: DiscretizedOperator, channel: FarFieldChannel,
                           state: CgState, power: float = 1.0) -> FredholmSolution:
     """Power-normalize a grid solution into a transmit beamformer."""
-    if power <= 0:
-        raise DomainError("transmit power must be positive", module="cg_solver")
+    if not 0 < power < np.inf:
+        raise DomainError("transmit power must be positive and finite", module="cg_solver")
     h = channel(op.grid.points)
     inner = np.sum(op.grid.weights * h * state.values)
     if np.real(inner) <= 0.0:

@@ -174,8 +174,8 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
     system is formed.  A system that is not positive definite reports the
     condition estimate of its worst block.
     """
-    if surface_resistance <= 0:
-        raise DomainError("surface resistance must be positive", module="kernel_approx")
+    if not 0 < surface_resistance < np.inf:
+        raise DomainError("surface resistance must be positive and finite", module="kernel_approx")
     m = expansion.order
     a = (m + 1) // 2
     if np.shape(gram) != (4, a * a, a * a):
@@ -273,8 +273,8 @@ def beamform_ka(cfg: PhysicalConfig, channel: FarFieldChannel,
     The resolvent data may be precomputed once and shared across steering
     directions for the same expansion and aperture.
     """
-    if power <= 0:
-        raise DomainError("transmit power must be positive", module="kernel_approx")
+    if not 0 < power < np.inf:
+        raise DomainError("transmit power must be positive and finite", module="kernel_approx")
     _require_radiating(channel, "kernel_approx")
     if inverse is None:
         inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),

@@ -32,9 +32,9 @@ def _square_is_finite(x: float) -> bool:
 def surface_resistance(frequency: float, mu_s: float = MU0,
                        sigma_s: float = COPPER_CONDUCTIVITY) -> float:
     """Surface resistance of a good conductor, sqrt(pi*f*mu/sigma)."""
-    if frequency <= 0 or mu_s <= 0 or sigma_s <= 0:
-        raise DomainError("frequency, permeability, and conductivity must be positive",
-                          module="physics")
+    if not (0 < frequency < np.inf and 0 < mu_s < np.inf and 0 < sigma_s < np.inf):
+        raise DomainError("frequency, permeability, and conductivity must be positive "
+                          "and finite", module="physics")
     return float(np.sqrt(np.pi * frequency * mu_s / sigma_s))
 
 

@@ -3,13 +3,14 @@
 Two grids are used throughout: a tensor grid over the rectangular aperture
 (for surface integrals) and a nested grid over the propagating disk in the
 wavenumber plane (for spectral integrals).  Both are symmetric about 0 on each
-axis, as is a discrete array's element lattice, so the closed form, CG and the
-discrete-array solve split their systems into the four reflection-parity
-blocks of _fold.  _fold is the one map from the values on a grid of shape
-(mx, my) to those blocks (the two grids here are square, a lattice need not
-be): _fold_matrix applies it to a symmetric matrix's first-quadrant columns.
-The CG kernel blocks and the discrete-array coupling blocks are both gathered
-from one pair table.
+axis, as is a discrete array's centered uniform lattice, so the closed form,
+CG and the discrete-array solve split their systems into the four
+reflection-parity blocks of _fold.  _fold is the one map from the values on a
+grid of shape (mx, my) to those blocks (the two grids here are square, a
+lattice need not be): _fold_matrix applies it to a symmetric matrix's
+first-quadrant columns.  The CG kernel blocks and the discrete-array coupling
+blocks are both gathered from one pair table, _offset_table: CG's over the
+node offsets of its grid, the array's over the integer steps of its lattice.
 """
 from __future__ import annotations
 
@@ -79,20 +80,16 @@ class ApertureGrid:
         return np.asarray(values) @ self.weights
 
 
-def _offset_table(xs: np.ndarray, ys: np.ndarray, values, decimals: int | None = None):
+def _offset_table(xs: np.ndarray, ys: np.ndarray, values):
     """Table of a function even in each axis offset over the distinct per-axis
     |offsets| of the tensor grid xs by ys, and per axis the (n, n) table index
     of every pair.  values maps K offsets (|dx|, |dy|, 0), shape (K, 3), to K
     values and is called once, on the offsets ascending, so its first row is
-    the zero offset.  With decimals the offsets are rounded first, so offsets
-    that differ only by rounding share an entry; without it every entry is the
-    value its own pair gives."""
+    the zero offset.  On integer coordinates 0..n-1 the offsets are the steps
+    |i - j| and each pair's index is its step."""
     axes = []
     for coords in (xs, ys):
-        diffs = np.abs(coords[:, None] - coords)
-        if decimals is not None:
-            diffs = np.round(diffs, decimals)
-        distinct, index = np.unique(diffs, return_inverse=True)
+        distinct, index = np.unique(np.abs(coords[:, None] - coords), return_inverse=True)
         axes.append((distinct, index.reshape(coords.size, coords.size)))
     (dx, kx), (dy, ky) = axes
     offsets = np.zeros((dx.size, dy.size, 3))
@@ -223,8 +220,8 @@ def disk_wavenumber_grid(wavenumber: float, order: int,
     rule; "chebyshev" uses a Chebyshev-weighted rule that absorbs the
     inverse-square-root rim singularity of the coupling spectrum.
     """
-    if wavenumber <= 0:
-        raise DomainError("wavenumber must be positive", module="quadrature")
+    if not 0 < wavenumber < np.inf:
+        raise DomainError("wavenumber must be positive and finite", module="quadrature")
     if inner_rule not in ("legendre", "chebyshev"):
         raise DomainError("inner_rule must be 'legendre' or 'chebyshev'", module="quadrature")
     rule = legendre_rule(order)

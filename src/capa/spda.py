@@ -1,26 +1,26 @@
-"""Spatially discrete arrays: identical elements on a lattice inside the aperture.
+"""Spatially discrete arrays: identical elements on a centered uniform lattice.
 
-Each element is a small rectangle carrying the uniform unit-energy current;
+An array is nx by ny elements at one pitch, centered on the aperture.  Each
+element is a small rectangle carrying the uniform unit-energy current;
 mutual coupling between elements integrates the radiation kernel over both
 element surfaces.  The element rule is a product of one symmetric Gauss rule
 per axis, so that four-fold node sum folds onto the distinct per-axis node
 differences: D^2 kernel evaluations per center offset, D = 19 at the default
-order 6, instead of one per node pair.  On a lattice the coupling depends only
-on the center offset and is even in each axis offset, so one table over the
-distinct per-axis |offsets|, with each pair's per-axis index into it, holds
-the coupling matrix.  The optimal drive vector and its gain follow from one
-symmetric positive-definite solve.  On a lattice whose pairs keep their table
-entries when either axis is reversed (every element_layout lattice, shifted or
-not) the matrix splits into four reflection-parity blocks (quadrature._fold;
-Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29, 1992), folded
-from its first-quadrant columns by quadrature._fold_matrix and factored as one
-stacked Cholesky, so no N x N matrix is gathered; any other lattice is
-factored whole.  The coupling-blind diagonal model is solved elementwise.
+order 6, instead of one per node pair.  The coupling depends only on the
+center offset, (i - j) pitch per axis, and is even in each, so one table over
+the integer steps |i - j| holds the block-Toeplitz coupling matrix.  The
+optimal drive vector and its gain follow from one symmetric positive-definite
+solve.  Reversing either axis keeps every step, so the matrix splits into four
+reflection-parity blocks (quadrature._fold; Allgower, Boehmer, Georg &
+Miranda, SIAM J. Numer. Anal. 29, 1992), folded from its first-quadrant
+columns by quadrature._fold_matrix and factored as one stacked Cholesky, so
+no N x N matrix is gathered.  The coupling-blind model is solved elementwise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -33,47 +33,55 @@ from .quadrature import _fold, _fold_matrix, _offset_table, _unfold, legendre_ru
 _DEFAULT_ELEMENT_ORDER = 6
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpdaModel:
-    """Lattice of identical rectangular elements in the aperture plane z = 0.
+    """Centered uniform lattice of identical rectangular elements in z = 0.
 
-    x and y are the ascending center coordinates of each axis; the elements
-    sit at every (x, y) pair, x-major.  Each is an element_x by element_y
-    rectangle carrying the uniform unit-energy current 1/sqrt(element area),
-    its coupling integrated by an order x order Gauss-Legendre rule.  Neighbouring
-    elements may touch but not overlap.
+    nx by ny elements sit pitch apart on each axis, centered on the origin,
+    x-major; x and y are the ascending center coordinates per axis.  Each is an element_x by element_y rectangle carrying the uniform
+    unit-energy current 1/sqrt(element area), its coupling integrated by an
+    order x order Gauss-Legendre rule.  Neighbouring elements may touch but
+    not overlap.
     """
 
-    x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
+    nx: int
+    ny: int
+    pitch: float
     element_x: float
     element_y: float
     order: int = _DEFAULT_ELEMENT_ORDER
 
     def __post_init__(self):
+        if not all(isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
+                   for n in (self.nx, self.ny)):
+            raise DomainError("element counts must be integers of at least 1", module="spda")
+        if not 0 < self.pitch < np.inf:
+            raise DomainError("lattice pitch must be positive and finite", module="spda")
         if not (0 < self.element_x < np.inf and 0 < self.element_y < np.inf):
             raise DomainError("element side lengths must be positive and finite", module="spda")
         legendre_rule(self.order)  # DomainError unless an integer in [1, 512]
-        for name, side in (("x", self.element_x), ("y", self.element_y)):
-            coords = np.array(getattr(self, name), dtype=float)
-            if coords.ndim != 1 or coords.size < 1 or not np.isfinite(coords).all():
-                raise DomainError(f"{name} must be a finite, non-empty 1-D array",
-                                  module="spda")
-            if np.any(np.diff(coords) < side - 1e-12):
-                raise DomainError(f"element surfaces overlap: {name} must ascend by at "
-                                  "least one element side", module="spda")
-            coords.setflags(write=False)
-            object.__setattr__(self, name, coords)
+        for name, count, side in (("x", self.nx, self.element_x), ("y", self.ny, self.element_y)):
+            if count > 1 and self.pitch < side - 1e-12:
+                raise DomainError(f"element surfaces overlap: the pitch must be at least "
+                                  f"the element side along {name}", module="spda")
+
+    @property
+    def x(self) -> np.ndarray:
+        return (np.arange(self.nx) - 0.5 * (self.nx - 1)) * self.pitch
+
+    @property
+    def y(self) -> np.ndarray:
+        return (np.arange(self.ny) - 0.5 * (self.ny - 1)) * self.pitch
 
     @property
     def centers(self) -> np.ndarray:
         """Element centers, shape (N, 3), x-major, in z = 0."""
-        nx, ny = self.x.size, self.y.size
+        nx, ny = self.nx, self.ny
         return np.column_stack([np.repeat(self.x, ny), np.tile(self.y, nx), np.zeros(nx * ny)])
 
     @property
     def n_elements(self) -> int:
-        return self.x.size * self.y.size
+        return self.nx * self.ny
 
     @property
     def element_area(self) -> float:
@@ -96,9 +104,7 @@ def element_layout(aperture: Aperture, spacing: float, element_x: float,
     ny = int(np.floor(aperture.length_y / spacing + 1e-9))
     if nx < 1 or ny < 1:
         raise DomainError("aperture is smaller than one lattice pitch", module="spda")
-    return SpdaModel(x=(np.arange(nx) - 0.5 * (nx - 1)) * spacing,
-                     y=(np.arange(ny) - 0.5 * (ny - 1)) * spacing,
-                     element_x=float(element_x), element_y=float(element_y), order=order)
+    return SpdaModel(nx, ny, float(spacing), float(element_x), float(element_y), order=order)
 
 
 def _difference_rule(side: float, order: int):
@@ -137,13 +143,13 @@ def _pair_integrals(offsets: np.ndarray, model: SpdaModel, order: int, cfg: Phys
 class CouplingMatrix:
     """Mutual-coupling data of a discrete array.
 
-    table holds the radiated-coupling integral of each distinct per-axis
-    (|dx|, |dy|) pair, the zero offset first, and kx (nx, nx) and ky (ny, ny)
-    each element pair's table index per axis; the full matrix adds the
-    per-element self impedance on the diagonal.  A coupling-blind model
-    (diagonal) keeps only the zero-offset entry on the diagonal.  radiation
-    and matrix are dense views, gathered on first use; the beamformer does
-    not need them.
+    table (nx, ny) holds the radiated-coupling integral of the elements
+    (|i - j|, |k - l|) lattice steps apart, the zero offset first, and kx
+    (nx, nx) and ky (ny, ny) each element pair's table index per axis, the
+    step |i - j| itself; the full matrix adds the per-element self impedance
+    on the diagonal.  A coupling-blind model (diagonal) keeps only the
+    zero-offset entry on the diagonal.  radiation and matrix are dense views,
+    gathered on first use; the beamformer does not need them.
     """
 
     table: np.ndarray = field(repr=False)
@@ -167,12 +173,6 @@ class CouplingMatrix:
         # element (a, b) has x coordinate a and y coordinate b, row-major
         return self.table[self.kx[:, None, :cx, None],
                           self.ky[None, :, None, :cy]].reshape(self.size, cx * cy)
-
-    @cached_property
-    def mirrored(self) -> bool:
-        """Whether reversing either axis of the lattice leaves every pair's
-        table entry unchanged, so the matrix splits into four parity blocks."""
-        return all(np.array_equal(k[::-1, ::-1], k) for k in (self.kx, self.ky))
 
     @cached_property
     def radiation(self) -> np.ndarray:
@@ -201,14 +201,15 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
     "point" uses the one-node rule at the element center, so every pair,
     the diagonal included, is the element area times the kernel at the
     center offset (A K(0) on the diagonal), a sampled positive-definite
-    function.  Either way a pair's value depends only on its (|dx|, |dy|),
-    rounded to 1e-12 m, and is tabulated once per distinct pair.
+    function.  Either way a pair's value depends only on its per-axis steps
+    (|i - j|, |k - l|) and is tabulated once per distinct pair, at the center
+    offset of those steps times the pitch.
     """
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
     order = model.order if mode == "exact" else 1
-    table, kx, ky = _offset_table(model.x, model.y, lambda offsets:
-                                  _pair_integrals(offsets, model, order, cfg), decimals=12)
+    table, kx, ky = _offset_table(np.arange(model.nx), np.arange(model.ny), lambda steps:
+                                  _pair_integrals(steps * model.pitch, model, order, cfg))
     # the element current carries unit energy, so its loss is Zs exactly
     return CouplingMatrix(table=table, kx=kx, ky=ky, self_impedance=cfg.surface_resistance)
 
@@ -238,14 +239,13 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
                                 power: float = 1.0) -> DiscreteBeamformer:
     """Optimal drive vector under the coupling model, with its array gain.
 
-    A mirrored lattice's coupling matrix is factored as its four parity
-    blocks, folded from its first-quadrant columns, by one stacked Cholesky;
-    any other is factored whole, as a stack of one.  The drive follows by two
-    triangular substitutions.  A diagonal coupling (from diagonal_only) is
-    solved elementwise.
+    The coupling matrix is factored as its four parity blocks, folded from
+    its first-quadrant columns, by one stacked Cholesky, and the drive
+    follows by two triangular substitutions.  A diagonal coupling (from
+    diagonal_only) is solved elementwise.
     """
-    if power <= 0:
-        raise DomainError("transmit power must be positive", module="spda")
+    if not 0 < power < np.inf:
+        raise DomainError("transmit power must be positive and finite", module="spda")
     h = np.asarray(h, dtype=complex)
     if h.shape != (coupling.size,):
         raise DomainError("channel vector length does not match the coupling matrix",
@@ -261,23 +261,33 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
         # psi = L L^T: h^H psi^-1 h = ||L^-1 h||^2 and psi^-1 h = L^-T (L^-1 h),
         # block by block; the parity basis is orthonormal, so norms carry over
         shape = coupling.shape
-        if coupling.mirrored:
-            blocks = _fold_matrix(coupling.columns(*((m + 1) // 2 for m in shape)), shape)
-            # every block's diagonal, padding included: a padding row is then a Zs row
-            diagonal = np.arange(blocks.shape[-1])
-            blocks[:, diagonal, diagonal] += coupling.self_impedance
-            rhs = _fold(h, shape)
-        else:
-            blocks, rhs = coupling.matrix[None], h[None]
+        blocks = _fold_matrix(coupling.columns(*((m + 1) // 2 for m in shape)), shape)
+        # every block's diagonal, padding included: a padding row is then a Zs row
+        diagonal = np.arange(blocks.shape[-1])
+        blocks[:, diagonal, diagonal] += coupling.self_impedance
         factor = cholesky(blocks, "coupling matrix is not positive definite", "spda")
-        whitened = factor.solve(rhs)
-        direction = factor.solve(whitened, transpose=True)
-        direction = _unfold(direction, shape) if coupling.mirrored else direction[0]
+        whitened = factor.solve(_fold(h, shape))
+        direction = _unfold(factor.solve(whitened, transpose=True), shape)
     inner = float(np.vdot(whitened, whitened).real)
     if inner <= 0.0:
         raise NumericError("whitened channel energy is non-positive", module="spda")
     weights = np.sqrt(2.0 * power / inner) * direction
     return DiscreteBeamformer(weights=weights, gain=2.0 * inner, power=power)
+
+
+def _lattice_gains(cfg: PhysicalConfig, channel: FarFieldChannel, aperture: Aperture,
+                   spacing: float, element_x: float | None, element_y: float | None,
+                   mode: str) -> tuple:
+    """Element count, coupled gain and coupling-blind gain of element_layout's
+    lattice on aperture at spacing; element sides default to a tenth of a
+    wavelength.  The coupling-blind drive is solved elementwise."""
+    ex = 0.1 * cfg.wavelength if element_x is None else element_x
+    ey = 0.1 * cfg.wavelength if element_y is None else element_y
+    model = element_layout(aperture, spacing, ex, ey)
+    coupling = coupling_matrix(model, cfg, mode=mode)
+    h = discrete_channel(model, channel)
+    return (model.n_elements, optimal_discrete_beamformer(h, coupling).gain,
+            optimal_discrete_beamformer(h, coupling.diagonal_only()).gain)
 
 
 @dataclass(frozen=True)
@@ -298,19 +308,13 @@ def spacing_sweep(cfg: PhysicalConfig, expansion: PlaneWaveExpansion, aperture: 
     same reference: the closed-form gain of the continuous surface under
     expansion, for the same aperture and channel.
     """
-    ex = 0.1 * cfg.wavelength if element_x is None else element_x
-    ey = 0.1 * cfg.wavelength if element_y is None else element_y
     reference = beamform_ka(cfg, channel, expansion, aperture).gain
     rows = []
     for d in np.asarray(spacings, dtype=float):
-        model = element_layout(aperture, float(d), ex, ey)
-        coupling = coupling_matrix(model, cfg, mode=mode)
-        h = discrete_channel(model, channel)
-        coupled = optimal_discrete_beamformer(h, coupling)
-        blind = optimal_discrete_beamformer(h, coupling.diagonal_only())
-        rows.append(SpacingSweepRow(spacing=float(d), n_elements=model.n_elements,
-                                    gain_coupled=coupled.gain, gain_uncoupled=blind.gain,
-                                    gain_reference=reference))
+        n, coupled, blind = _lattice_gains(cfg, channel, aperture, float(d), element_x,
+                                           element_y, mode)
+        rows.append(SpacingSweepRow(spacing=float(d), n_elements=n, gain_coupled=coupled,
+                                    gain_uncoupled=blind, gain_reference=reference))
     return rows
 
 
@@ -327,16 +331,12 @@ def aperture_sweep(cfg: PhysicalConfig, expansion: PlaneWaveExpansion, spacing: 
                    element_y: float | None = None,
                    mode: str = "exact") -> list[ApertureSweepRow]:
     """Coupled discrete gain versus aperture size, with the closed-form gain of
-    the continuous surface under expansion as each row's reference."""
-    ex = 0.1 * cfg.wavelength if element_x is None else element_x
-    ey = 0.1 * cfg.wavelength if element_y is None else element_y
+    the continuous surface under expansion as each row's reference.  Element
+    sides default to a tenth of a wavelength."""
     rows = []
     for ap in apertures:
         reference = beamform_ka(cfg, channel, expansion, ap).gain
-        model = element_layout(ap, spacing, ex, ey)
-        coupling = coupling_matrix(model, cfg, mode=mode)
-        h = discrete_channel(model, channel)
-        coupled = optimal_discrete_beamformer(h, coupling)
-        rows.append(ApertureSweepRow(area=ap.area, n_elements=model.n_elements,
-                                     gain_discrete=coupled.gain, gain_reference=reference))
+        n, coupled, _ = _lattice_gains(cfg, channel, ap, spacing, element_x, element_y, mode)
+        rows.append(ApertureSweepRow(area=ap.area, n_elements=n, gain_discrete=coupled,
+                                     gain_reference=reference))
     return rows

@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capa import (C0, MU0, Z0, Aperture, Direction, DomainError,
-                  PhysicalConfig, exact_channel, far_field_channel,
-                  fraunhofer_distance, kernel_nulls, radiation_kernel, surface_resistance, wavenumber_kernel)
+                  PhysicalConfig, aperture_grid, beamform_cg, beamform_ka, build_expansion,
+                  coupling_matrix, directivity_factor, discrete_channel,
+                  discretize_operator, disk_wavenumber_grid, element_layout,
+                  exact_channel, far_field_channel, fraunhofer_distance, gram_matrix,
+                  infinite_aperture_gain, inverse_operator, kernel_nulls,
+                  optimal_discrete_beamformer, radiation_kernel, solve_fredholm,
+                  surface_resistance, uncoupled_beamformer, wavenumber_kernel)
 
 # values frozen from an independent high-precision evaluation
 COPPER_RS_2G4 = 1.2781195929854964e-2
@@ -273,6 +278,50 @@ def test_far_field_rejects_bad_distance(cfg):
     # the amplitude overflows: refused before the far-field boundary warning
     with pytest.raises(DomainError, match="amplitude is not finite"):
         far_field_channel(cfg, Direction(0.0, 0.0), 1e-320, Aperture(0.5, 0.5))
+
+
+def _discrete_drive(cfg, aperture, channel, power):
+    model = element_layout(aperture, 0.5 * cfg.wavelength, 0.1 * cfg.wavelength,
+                           0.1 * cfg.wavelength)
+    return optimal_discrete_beamformer(discrete_channel(model, channel),
+                                       coupling_matrix(model, cfg, mode="point"), power=power)
+
+
+def _cg_solve(cfg, aperture, channel, tol):
+    op = discretize_operator(cfg, aperture_grid(aperture, 4))
+    return solve_fredholm(op, np.conj(channel(op.grid.points)), tol=tol)
+
+
+def _resolvent(cfg, aperture, channel, surface_resistance):
+    expansion = build_expansion(cfg, 4)
+    return inverse_operator(expansion, gram_matrix(expansion, aperture), surface_resistance)
+
+
+# each entry point with a positive or bounded scalar input, given value v; a
+# comparison written as v <= 0 lets NaN through
+_POSITIVE_INPUTS = {
+    "beamform_ka power": lambda cfg, ap, ch, v: beamform_ka(cfg, ch, build_expansion(cfg, 4),
+                                                            ap, power=v),
+    "beamform_cg power": lambda cfg, ap, ch, v: beamform_cg(cfg, ch, ap, 4, power=v),
+    "uncoupled_beamformer power": lambda cfg, ap, ch, v: uncoupled_beamformer(cfg, ch, ap,
+                                                                              power=v),
+    "optimal_discrete_beamformer power": _discrete_drive,
+    "solve_fredholm tol": _cg_solve,
+    "infinite_aperture_gain distance": lambda cfg, ap, ch, v: infinite_aperture_gain(
+        cfg, 0.0, 0.0, v),
+    "surface_resistance frequency": lambda cfg, ap, ch, v: surface_resistance(v),
+    "disk_wavenumber_grid wavenumber": lambda cfg, ap, ch, v: disk_wavenumber_grid(v, 4),
+    "inverse_operator surface_resistance": _resolvent,
+    "directivity_factor theta": lambda cfg, ap, ch, v: directivity_factor(cfg, v, 0.0),
+    "directivity_factor phi": lambda cfg, ap, ch, v: directivity_factor(cfg, 0.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", list(_POSITIVE_INPUTS.values()), ids=list(_POSITIVE_INPUTS))
+def test_non_finite_input_is_domain_error(cfg, aperture, front_channel, call, value):
+    with pytest.raises(DomainError):
+        call(cfg, aperture, front_channel, value)
 
 
 def test_exact_channel_approaches_planar_model(cfg):

@@ -32,9 +32,8 @@ from capa.spda import (
 
 
 def _two_element_model(cfg, separation_y, element_wl=0.05, order=6):
-    half = 0.5 * separation_y
     side = element_wl * cfg.wavelength
-    return SpdaModel(x=[0.0], y=[-half, half], element_x=side, element_y=side, order=order)
+    return SpdaModel(1, 2, separation_y, side, side, order=order)
 
 
 def test_layout_counts_and_centering(cfg, aperture):
@@ -60,50 +59,57 @@ def test_layout_rejects_bad_geometry(cfg, aperture):
     with pytest.raises(DomainError):
         element_layout(Aperture(0.01, 0.01), d, 0.1 * d, 0.1 * d)
     with pytest.raises(DomainError):
-        SpdaModel(x=np.zeros((2, 2)), y=[0.0], element_x=d, element_y=d)
+        SpdaModel(0, 1, d, d, d)
     with pytest.raises(DomainError):
-        SpdaModel(x=[0.0], y=[0.0], element_x=-d, element_y=d)
-    with pytest.raises(DomainError):
-        SpdaModel(x=[0.0], y=[0.0, 0.001 * d], element_x=d, element_y=d)
+        SpdaModel(1, 1, d, -d, d)
+    with pytest.raises(DomainError, match="overlap"):
+        SpdaModel(1, 2, 0.001 * d, d, d)
     nan = float("nan")
     with pytest.raises(DomainError):
         element_layout(aperture, nan, 0.1 * d, 0.1 * d)
     with pytest.raises(DomainError):
         element_layout(aperture, d, nan, 0.1 * d)
+    for pitch in (nan, np.inf, 0.0, -d):
+        with pytest.raises(DomainError, match="pitch"):
+            SpdaModel(2, 1, pitch, 0.1 * d, 0.1 * d)
     with pytest.raises(DomainError):
-        SpdaModel(x=[nan], y=[0.0], element_x=d, element_y=d)
+        SpdaModel(1, 1, d, nan, d)
     with pytest.raises(DomainError):
-        SpdaModel(x=[0.0], y=[0.0], element_x=nan, element_y=d)
-    with pytest.raises(DomainError):
-        SpdaModel(x=[0.0], y=[0.0], element_x=d, element_y=np.inf)
+        SpdaModel(1, 1, d, d, np.inf)
     side = 0.1 * cfg.wavelength
     below_side = side - 1e-9 * cfg.wavelength
-    for x in ([0.0, 0.0], [0.0, below_side]):
-        with pytest.raises(DomainError, match="overlap"):
-            SpdaModel(x=x, y=[0.0], element_x=side, element_y=side)
+    with pytest.raises(DomainError, match="overlap"):
+        SpdaModel(2, 1, below_side, side, side)
+    # one element per axis has no neighbour to overlap, and the slack is 1e-12 m
+    SpdaModel(1, 2, side, 2.0 * side, side)
+    SpdaModel(2, 2, side - 5e-13, side, side)
 
 
 def test_model_is_a_lattice_with_integer_order(cfg):
     side = 0.1 * cfg.wavelength
-    model = SpdaModel(x=[0.0, 0.2], y=[-0.1, 0.0, 0.1], element_x=side, element_y=side)
+    model = SpdaModel(2, 3, 0.1, side, side)
     assert model.n_elements == 6
-    assert np.array_equal(model.centers, [[0.0, -0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.1, 0.0],
-                                          [0.2, -0.1, 0.0], [0.2, 0.0, 0.0], [0.2, 0.1, 0.0]])
+    assert np.array_equal(model.centers, [[-0.05, -0.1, 0.0], [-0.05, 0.0, 0.0],
+                                          [-0.05, 0.1, 0.0], [0.05, -0.1, 0.0],
+                                          [0.05, 0.0, 0.0], [0.05, 0.1, 0.0]])
     for order in (2.5, True, 0):
         with pytest.raises(DomainError):
-            SpdaModel(x=[0.0], y=[0.0], element_x=side, element_y=side, order=order)
+            SpdaModel(1, 1, side, side, side, order=order)
     with pytest.raises(DomainError):
         element_layout(Aperture(0.25, 0.25), 0.5 * cfg.wavelength, side, side, order=2.5)
-    with pytest.raises(DomainError):
-        SpdaModel(x=[], y=[0.0], element_x=side, element_y=side)
-    with pytest.raises(DomainError, match="overlap"):
-        SpdaModel(x=[0.2, 0.0], y=[0.0], element_x=side, element_y=side)
+    for count in (0, -1, 2.0, True, np.nan):
+        with pytest.raises(DomainError, match="counts"):
+            SpdaModel(count, 1, side, side, side)
+        with pytest.raises(DomainError, match="counts"):
+            SpdaModel(1, count, side, side, side)
+    assert SpdaModel(np.int64(2), 1, side, side, side).n_elements == 2
 
 
 def test_array_holding_dataclasses_compare_by_identity(cfg):
     # a generated __eq__ would compare the array fields and raise ValueError
     side = 0.1 * cfg.wavelength
-    for make in (lambda: SpdaModel(x=[0.0, 1.0], y=[0.0], element_x=side, element_y=side),
+    model = SpdaModel(2, 1, 1.0, side, side)
+    for make in (lambda: coupling_matrix(model, cfg, mode="point"),
                  lambda: aperture_grid(Aperture(0.5, 0.5), 4)):
         first, second = make(), make()
         assert first == first
@@ -113,7 +119,7 @@ def test_array_holding_dataclasses_compare_by_identity(cfg):
 
 def test_single_element_gain_formula(cfg, front_channel):
     side = 0.1 * cfg.wavelength
-    model = SpdaModel(x=[0.0], y=[0.0], element_x=side, element_y=side)
+    model = SpdaModel(1, 1, side, side, side)
     coupling = coupling_matrix(model, cfg)
     h = discrete_channel(model, front_channel)
     bf = optimal_discrete_beamformer(h, coupling)
@@ -227,19 +233,6 @@ def test_diagonal_coupling_reduces_to_matched_filter(cfg, oblique_channel):
         optimal_discrete_beamformer(h, lossy)
 
 
-def test_coupling_translation_invariant(cfg, oblique_channel):
-    base = _two_element_model(cfg, 0.4 * cfg.wavelength)
-    shifted = SpdaModel(x=base.x + 0.07, y=base.y - 0.03,
-                        element_x=base.element_x, element_y=base.element_y,
-                        order=base.order)
-    psi_a = coupling_matrix(base, cfg).matrix
-    psi_b = coupling_matrix(shifted, cfg).matrix
-    assert np.allclose(psi_a, psi_b, rtol=1e-12)
-    gain_a = optimal_discrete_beamformer(discrete_channel(base, oblique_channel), coupling_matrix(base, cfg)).gain
-    gain_b = optimal_discrete_beamformer(discrete_channel(shifted, oblique_channel), coupling_matrix(shifted, cfg)).gain
-    assert gain_b == pytest.approx(gain_a, rel=1e-12)
-
-
 def _dense_drive(h, coupling):
     """Gain and drive from np.linalg.cholesky of the gathered dense matrix."""
     lower = np.linalg.cholesky(coupling.matrix)
@@ -257,25 +250,8 @@ def test_parity_solve_matches_dense_cholesky(cfg, oblique_channel, sides, pitch_
                                              counts):
     side = 0.1 * cfg.wavelength
     model = element_layout(Aperture(*sides), pitch_wl * cfg.wavelength, side, side)
-    assert (model.x.size, model.y.size) == counts
+    assert (model.nx, model.ny) == counts
     coupling = coupling_matrix(model, cfg, mode=mode)
-    assert coupling.mirrored
-    h = discrete_channel(model, oblique_channel)
-    bf = optimal_discrete_beamformer(h, coupling)
-    gain, weights = _dense_drive(h, coupling)
-    assert bf.gain == pytest.approx(gain, rel=1e-12)
-    assert np.max(np.abs(bf.weights - weights)) <= 1e-10 * np.max(np.abs(weights))
-
-
-def test_irregular_lattice_solves_as_one_block(cfg, oblique_channel):
-    # unequal x gaps: reversing x moves pairs to other table entries, so the
-    # matrix is factored whole
-    wl = cfg.wavelength
-    side = 0.08 * wl
-    model = SpdaModel(x=np.array([0.0, 0.4, 1.1]) * wl, y=(np.arange(4) - 1.5) * 0.55 * wl,
-                      element_x=side, element_y=side)
-    coupling = coupling_matrix(model, cfg)
-    assert not coupling.mirrored
     h = discrete_channel(model, oblique_channel)
     bf = optimal_discrete_beamformer(h, coupling)
     gain, weights = _dense_drive(h, coupling)
@@ -319,39 +295,50 @@ def _brute_force_pair(model, cfg, offset):
 def test_exact_mode_matches_brute_force_pair(cfg):
     model = _two_element_model(cfg, 0.3 * cfg.wavelength, element_wl=0.08, order=6)
     got = coupling_matrix(model, cfg, mode="exact").radiation[0, 1]
-    want = _brute_force_pair(model, cfg, model.centers[0] - model.centers[1])
+    want = _brute_force_pair(model, cfg, np.array([0.0, -model.pitch, 0.0]))
     assert got == pytest.approx(want, rel=1e-10)
-    refined = SpdaModel(x=model.x, y=model.y, element_x=model.element_x,
-                        element_y=model.element_y, order=12)
+    refined = replace(model, order=12)
     finer = coupling_matrix(refined, cfg, mode="exact").radiation[0, 1]
     assert got == pytest.approx(finer, rel=1e-6)
+
+
+def _lattice_offsets(model):
+    """Center offsets (N, N, 3) of every element pair, (i - j) pitch per axis,
+    from each element's integer lattice position."""
+    n = np.arange(model.n_elements)
+    steps = np.column_stack([n // model.ny, n % model.ny, np.zeros_like(n)])
+    return (steps[:, None, :] - steps) * model.pitch
 
 
 @settings(max_examples=30, deadline=None)
 @given(order=st.integers(1, 8),
        sides=st.tuples(st.floats(0.02, 0.2), st.floats(0.02, 0.2)).filter(
            lambda s: abs(s[0] - s[1]) > 1e-3),
-       x_gap=st.floats(0.0, 1.5), y_gaps=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
-       shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
-def test_difference_fold_matches_brute_force_pairs(cfg, order, sides, x_gap, y_gaps, shift):
-    # unequal element sides on an irregular 2 x 3 center grid, lengths in
-    # wavelengths; odd orders put a node at 0
+       gap=st.floats(0.0, 1.5))
+def test_difference_fold_matches_brute_force_pairs(cfg, order, sides, gap):
+    # unequal element sides on a 2 x 3 lattice, lengths in wavelengths; odd
+    # orders put a node at 0
     wl = cfg.wavelength
     ex, ey = sides[0] * wl, sides[1] * wl
-    xs = shift[0] * wl + np.array([0.0, ex + x_gap * wl])
-    ys = shift[1] * wl + np.cumsum([0.0, ey + y_gaps[0] * wl, ey + y_gaps[1] * wl])
-    model = SpdaModel(x=xs, y=ys, element_x=ex, element_y=ey, order=order)
-    centers = model.centers
+    model = SpdaModel(2, 3, max(ex, ey) + gap * wl, ex, ey, order=order)
     got = coupling_matrix(model, cfg, mode="exact").radiation
-    want = np.array([[_brute_force_pair(model, cfg, np.round(ci - cj, 12)) for cj in centers]
-                     for ci in centers])
+    want = np.array([[_brute_force_pair(model, cfg, offset) for offset in row]
+                     for row in _lattice_offsets(model)])
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("mode, per_offset", [("exact", 19 ** 2), ("point", 1)])
-def test_coupling_evaluates_kernel_once_per_node_difference(cfg, monkeypatch, mode, per_offset):
-    # a 4 x 4 lattice has 4 distinct |offsets| per axis, 16 table entries; the
-    # order-6 rule has 19 distinct node differences per axis, the point rule 1
+@pytest.mark.parametrize("mode, per_offset, side_m, pitch_wl, steps", [
+    pytest.param("exact", 19 ** 2, 0.25, 0.5, 4, id="exact-361"),
+    pytest.param("point", 1, 0.25, 0.5, 4, id="point-1"),
+    # 32 elements per axis at lambda/8 on 0.5 m: 32 steps per axis, the
+    # largest lattice of capa spda-spacing and the lattice benchmark
+    pytest.param("exact", 19 ** 2, 0.5, 0.125, 32, id="exact-361-32x32"),
+])
+def test_coupling_evaluates_kernel_once_per_node_difference(cfg, monkeypatch, mode, per_offset,
+                                                            side_m, pitch_wl, steps):
+    # an n x n lattice has n distinct steps |i - j| per axis, n^2 table
+    # entries; the order-6 rule has 19 distinct node differences per axis,
+    # the point rule 1
     entries = []
 
     def counting(displacement, *args, **kwargs):
@@ -360,34 +347,31 @@ def test_coupling_evaluates_kernel_once_per_node_difference(cfg, monkeypatch, mo
 
     monkeypatch.setattr(spda, "radiation_kernel", counting)
     side = 0.1 * cfg.wavelength
-    model = element_layout(Aperture(0.25, 0.25), 0.5 * cfg.wavelength, side, side)
-    assert model.n_elements == 16 and model.order == 6
-    coupling_matrix(model, cfg, mode=mode)
-    assert sum(entries) == 16 * per_offset
+    model = element_layout(Aperture(side_m, side_m), pitch_wl * cfg.wavelength, side, side)
+    assert model.n_elements == steps ** 2 and model.order == 6
+    coupling = coupling_matrix(model, cfg, mode=mode)
+    assert coupling.table.shape == (steps, steps)
+    index = np.arange(steps)
+    assert np.array_equal(coupling.kx, np.abs(index[:, None] - index))
+    assert sum(entries) == steps ** 2 * per_offset
 
 
 @pytest.mark.parametrize("mode", ["exact", "point"])
 def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode):
-    # 3 x 4 grid with unequal pitches, x spaced non-uniformly so the table
-    # holds offsets no uniform pitch produces
+    # 3 x 4 lattice: every pair's table entry against its own integral at the
+    # center offset (i - j) pitch
     wl = cfg.wavelength
-    xs = np.array([0.0, 0.4, 1.1]) * wl + 0.013
-    ys = (np.arange(4) - 1.5) * 0.55 * wl - 0.021
     side = 0.08 * wl
-    model = SpdaModel(x=xs, y=ys, element_x=side, element_y=side)
-    centers = model.centers
+    model = SpdaModel(3, 4, 0.55 * wl, side, side)
     got = coupling_matrix(model, cfg, mode=mode).radiation
     assert np.array_equal(got, got.T)
     want = np.empty_like(got)
-    for i, ci in enumerate(centers):
-        for j, cj in enumerate(centers):
+    for i, row in enumerate(_lattice_offsets(model)):
+        for j, offset in enumerate(row):
             if mode == "exact":
-                # the table rounds offsets to 1e-12 m, which alone moves a
-                # pair integral by up to about 1e-11 relative
-                want[i, j] = _brute_force_pair(model, cfg, np.round(ci - cj, 12))
+                want[i, j] = _brute_force_pair(model, cfg, offset)
             else:
-                want[i, j] = model.element_area * radiation_kernel(
-                    ci - cj, cfg.wavenumber)
+                want[i, j] = model.element_area * radiation_kernel(offset, cfg.wavenumber)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
 
 
