@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
-from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_radiating,
+from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _is_count, _require_radiating,
                       radiation_kernel)
 from .quadrature import (ApertureGrid, _fold, _fold_matrix, _offset_table, _parity_rows,
                          _unfold, aperture_grid)
@@ -207,8 +207,8 @@ def solve_fredholm(op: DiscretizedOperator, rhs: np.ndarray, tol: float = 1e-8,
     """
     if not 0 < tol < np.inf:
         raise DomainError("tolerance must be positive and finite", module="cg_solver")
-    if max_iter < 1:
-        raise DomainError("max_iter must be at least 1", module="cg_solver")
+    if not _is_count(max_iter):
+        raise DomainError("max_iter must be an integer of at least 1", module="cg_solver")
     b = _folded(op, rhs)
     b_norm2 = float(np.sum(_dot(b, b)))
     if b_norm2 <= 0.0:

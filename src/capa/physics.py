@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -22,11 +23,18 @@ COPPER_CONDUCTIVITY = 5.8e7   # [S/m]
 _SMALL_SEPARATION_WL = 1e-6
 # radiation_kernel's polarized terms divide by (k r)^3, which overflows from here
 _MAX_EPS = float(np.cbrt(np.finfo(float).max))
+# rows per block of radiation_kernel: 2^15 doubles, 256 KB, per temporary
+_KERNEL_BLOCK = 2 ** 15
 
 
 def _square_is_finite(x: float) -> bool:
     with np.errstate(over="ignore"):
         return bool(np.isfinite(np.square(x)))
+
+
+def _is_count(n) -> bool:
+    """An integer of at least 1; a bool or a whole float is not one."""
+    return isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
 
 
 def surface_resistance(frequency: float, mu_s: float = MU0,
@@ -52,10 +60,10 @@ class PhysicalConfig:
     surface_resistance: float | None = None
 
     def __post_init__(self):
-        if self.frequency <= 0:
-            raise DomainError("frequency must be positive", module="physics")
-        if self.mu_s <= 0 or self.sigma_s <= 0:
-            raise DomainError("material parameters must be positive", module="physics")
+        if not 0 < self.frequency < np.inf:
+            raise DomainError("frequency must be positive and finite", module="physics")
+        if not (0 < self.mu_s < np.inf and 0 < self.sigma_s < np.inf):
+            raise DomainError("material parameters must be positive and finite", module="physics")
         if self.surface_resistance is None:
             object.__setattr__(self, "surface_resistance",
                                surface_resistance(self.frequency, self.mu_s, self.sigma_s))
@@ -133,6 +141,30 @@ def _steering(wavenumber: float, theta, phi):
     return kx, ky, pol
 
 
+def _kernel_block(s: np.ndarray, wavenumber: float, polarized: bool) -> np.ndarray:
+    """radiation_kernel on the displacement rows s, shape (n, 3)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.sqrt(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2])
+        eps = wavenumber * r
+    # NaN and inf fail the comparison too
+    if not np.all(eps < _MAX_EPS):
+        raise DomainError("separation k*r must be finite and below "
+                          f"{_MAX_EPS:.3g}, where (k*r)^3 overflows", module="physics")
+    small = eps < 2.0 * np.pi * _SMALL_SEPARATION_WL
+    e = np.where(small, 1.0, eps)
+    sin_e, cos_e = np.sin(e), np.cos(e)
+    pref = wavenumber ** 2 * Z0 / (4.0 * np.pi)
+    if not polarized:
+        return np.where(small, pref, pref * sin_e / e)
+    u2 = (s[:, 1] / np.where(small, 1.0, r)) ** 2
+    # radial-derivative pieces of the sinc propagator
+    e_cos, e3 = e * cos_e, e ** 3
+    first = (e_cos - sin_e) / e3
+    second = (2.0 * sin_e - 2.0 * e_cos - e ** 2 * sin_e) / e3
+    out = pref * (sin_e / e + u2 * second + (1.0 - u2) * first)
+    return np.where(small, pref * (2.0 / 3.0), out)
+
+
 def radiation_kernel(displacement, wavenumber: float, *, polarized: bool = True):
     """Real radiation-coupling kernel between two points of the surface, in
     free space (Z0).
@@ -155,66 +187,13 @@ def radiation_kernel(displacement, wavenumber: float, *, polarized: bool = True)
         raise DomainError("displacement must have three components", module="physics")
     if not np.isfinite(wavenumber):
         raise DomainError("wavenumber must be finite", module="physics")
-    # flat, so every step below writes into an array, a single displacement too
     shape = s.shape[:-1]
     s = s.reshape(-1, 3)
-    # each temporary is written in place, in the operand order of the formulas
-    # in the comments, so every value is that of the formulas to the last bit
-    with np.errstate(over="ignore", invalid="ignore"):
-        # r = |s|, summed over x, y, z in order
-        r = s[:, 0] * s[:, 0]
-        tmp = s[:, 1] * s[:, 1]
-        r += tmp
-        np.multiply(s[:, 2], s[:, 2], out=tmp)
-        r += tmp
-        np.sqrt(r, out=r)
-        eps = np.multiply(wavenumber, r, out=tmp)
-    # NaN and inf fail the comparison too
-    if not np.all(eps < _MAX_EPS):
-        raise DomainError("separation k*r must be finite and below "
-                          f"{_MAX_EPS:.3g}, where (k*r)^3 overflows", module="physics")
-    small = eps < 2.0 * np.pi * _SMALL_SEPARATION_WL
-    # e = where(small, 1, eps)
-    e = eps
-    e[small] = 1.0
-    sin_e = np.sin(e)
-    cos_e = np.cos(e)
-    pref = wavenumber ** 2 * Z0 / (4.0 * np.pi)
-    if not polarized:
-        # pref * sin_e / e
-        out = np.multiply(pref, sin_e, out=sin_e)
-        out /= e
-        limit = pref
-    else:
-        # u2 = (s_y / where(small, 1, r))^2
-        r[small] = 1.0
-        u2 = np.divide(s[:, 1], r, out=r)
-        u2 *= u2
-        # radial-derivative pieces of the sinc propagator, scaled by e^3:
-        # first = (e cos_e - sin_e) / e^3,
-        # second = (2 sin_e - 2 e cos_e - e^2 sin_e) / e^3
-        e3 = e ** 3
-        e_cos = np.multiply(e, cos_e, out=cos_e)
-        first = e_cos - sin_e
-        first /= e3
-        second = 2.0 * sin_e
-        # 2 (e cos_e) equals (2 e) cos_e: doubling is exact
-        e_cos *= 2.0
-        second -= e_cos
-        # out = pref * (sin_e / e + u2 second + (1 - u2) first)
-        out = np.divide(sin_e, e, out=e_cos)
-        np.square(e, out=e)
-        e *= sin_e
-        second -= e
-        second /= e3
-        second *= u2
-        out += second
-        np.subtract(1.0, u2, out=u2)
-        u2 *= first
-        out += u2
-        out *= pref
-        limit = pref * (2.0 / 3.0)
-    out[small] = limit
+    # in blocks of rows, so that each temporary of the formula stays cache-sized
+    out = np.empty(s.shape[0])
+    for start in range(0, s.shape[0], _KERNEL_BLOCK):
+        rows = slice(start, start + _KERNEL_BLOCK)
+        out[rows] = _kernel_block(s[rows], wavenumber, polarized)
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
@@ -228,6 +207,9 @@ def wavenumber_kernel(kappa, wavenumber: float):
     k = np.asarray(kappa, dtype=float)
     if k.shape[-1] not in (2, 3):
         raise DomainError("wavevector must have 2 or 3 components", module="physics")
+    # a NaN falls outside the disk by every comparison below and would read 0
+    if not np.isfinite(wavenumber) or np.any(np.isnan(k[..., :2])):
+        raise DomainError("wavenumber must be finite and wavevector not NaN", module="physics")
     kx = k[..., 0]
     ky = k[..., 1]
     n2 = (kx ** 2 + ky ** 2) / wavenumber ** 2
@@ -250,8 +232,8 @@ def kernel_nulls(s_y_over_r: float, count: int = 3, polarized: bool = True) -> n
     """
     if not -1.0 <= s_y_over_r <= 1.0:
         raise DomainError("s_y/r ratio must lie in [-1, 1]", module="physics")
-    if count < 1:
-        raise DomainError("count must be at least 1", module="physics")
+    if not _is_count(count):
+        raise DomainError("count must be an integer of at least 1", module="physics")
     # unit ray at k = 1, where the displacement's length is eps itself
     ray = np.array([np.sqrt(1.0 - s_y_over_r ** 2), s_y_over_r, 0.0])
 

@@ -8,21 +8,20 @@ CG and the discrete-array solve split their systems into the four
 reflection-parity blocks of _fold.  _fold is the one map from the values on a
 grid of shape (mx, my) to those blocks (the two grids here are square, a
 lattice need not be): _fold_matrix applies it to a symmetric matrix's
-first-quadrant columns.  The CG kernel blocks and the discrete-array coupling
-blocks are both gathered from one pair table, _offset_table: CG's over the
-node offsets of its grid, the array's over the integer steps of its lattice.
+first-quadrant columns.  _offset_table builds CG's kernel table over the node
+offsets of its grid and the discrete-array coupling table over the integer
+steps |i - j| of its lattice, where a pair's step is its table index.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .physics import Aperture
+from .physics import Aperture, _is_count
 
 _MAX_ORDER = 512
 
@@ -43,7 +42,7 @@ def legendre_rule(order: int) -> GaussLegendreRule:
     companion matrix, polishes them by one Newton step and symmetrizes nodes
     and weights about 0.
     """
-    if isinstance(order, bool) or not isinstance(order, Integral) or not 1 <= order <= _MAX_ORDER:
+    if not (_is_count(order) and order <= _MAX_ORDER):
         raise DomainError(f"order must be an integer in [1, {_MAX_ORDER}]", module="quadrature")
     order = int(order)
     x, w = leggauss(order)

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
 from ._linalg import cholesky
 from .errors import DomainError, NumericError
 from .kernel_approx import PlaneWaveExpansion, _sinc, beamform_ka
-from .physics import Aperture, FarFieldChannel, PhysicalConfig, radiation_kernel
+from .physics import Aperture, FarFieldChannel, PhysicalConfig, _is_count, radiation_kernel
 from .quadrature import _fold, _fold_matrix, _offset_table, _unfold, legendre_rule
 
 _DEFAULT_ELEMENT_ORDER = 6
@@ -38,10 +37,10 @@ class SpdaModel:
     """Centered uniform lattice of identical rectangular elements in z = 0.
 
     nx by ny elements sit pitch apart on each axis, centered on the origin,
-    x-major; x and y are the ascending center coordinates per axis.  Each is an element_x by element_y rectangle carrying the uniform
-    unit-energy current 1/sqrt(element area), its coupling integrated by an
-    order x order Gauss-Legendre rule.  Neighbouring elements may touch but
-    not overlap.
+    x-major; x and y are the ascending center coordinates per axis.  Each is
+    an element_x by element_y rectangle carrying the uniform unit-energy
+    current 1/sqrt(element area), its coupling integrated by an order x order
+    Gauss-Legendre rule.  Neighbouring elements may touch but not overlap.
     """
 
     nx: int
@@ -52,8 +51,7 @@ class SpdaModel:
     order: int = _DEFAULT_ELEMENT_ORDER
 
     def __post_init__(self):
-        if not all(isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
-                   for n in (self.nx, self.ny)):
+        if not (_is_count(self.nx) and _is_count(self.ny)):
             raise DomainError("element counts must be integers of at least 1", module="spda")
         if not 0 < self.pitch < np.inf:
             raise DomainError("lattice pitch must be positive and finite", module="spda")
@@ -132,6 +130,8 @@ def _pair_integrals(offsets: np.ndarray, model: SpdaModel, order: int, cfg: Phys
     delta = np.stack(np.broadcast_arrays(dx[:, None], dy, 0.0), axis=-1).reshape(-1, 3)
     w_xy = np.outer(wx, wy).ravel() / model.element_area
     vals = np.empty(offsets.shape[0])
+    # about 2^20 displacements per block: it bounds only the displacement array
+    # (radiation_kernel blocks its own temporaries), and the @ w_xy sums round with it
     block = max(1, 2 ** 20 // delta.shape[0])
     for start in range(0, offsets.shape[0], block):
         kern = radiation_kernel(offsets[start:start + block, None, :] + delta, cfg.wavenumber)
@@ -144,35 +144,35 @@ class CouplingMatrix:
     """Mutual-coupling data of a discrete array.
 
     table (nx, ny) holds the radiated-coupling integral of the elements
-    (|i - j|, |k - l|) lattice steps apart, the zero offset first, and kx
-    (nx, nx) and ky (ny, ny) each element pair's table index per axis, the
-    step |i - j| itself; the full matrix adds the per-element self impedance
-    on the diagonal.  A coupling-blind model (diagonal) keeps only the
-    zero-offset entry on the diagonal.  radiation and matrix are dense views,
-    gathered on first use; the beamformer does not need them.
+    (|i - j|, |k - l|) lattice steps apart, the zero offset first, so each
+    pair's table index is its step per axis; the full matrix adds the
+    per-element self impedance on the diagonal.  A coupling-blind model
+    (diagonal) keeps only the zero-offset entry on the diagonal.  radiation
+    and matrix are dense views, gathered on first use; the beamformer does
+    not need them.
     """
 
     table: np.ndarray = field(repr=False)
-    kx: np.ndarray = field(repr=False)
-    ky: np.ndarray = field(repr=False)
     self_impedance: float
     diagonal: bool = False
 
     @property
     def shape(self) -> tuple:
         """(elements along x, elements along y)."""
-        return (self.kx.shape[0], self.ky.shape[0])
+        return self.table.shape
 
     @property
     def size(self) -> int:
-        return self.kx.shape[0] * self.ky.shape[0]
+        return self.table.size
 
     def columns(self, cx: int, cy: int) -> np.ndarray:
         """Radiation between every element and the elements of the first cx
         x positions and first cy y positions, (N, cx cy), x-major."""
         # element (a, b) has x coordinate a and y coordinate b, row-major
-        return self.table[self.kx[:, None, :cx, None],
-                          self.ky[None, :, None, :cy]].reshape(self.size, cx * cy)
+        nx, ny = self.shape
+        sx = np.abs(np.arange(nx)[:, None] - np.arange(cx))
+        sy = np.abs(np.arange(ny)[:, None] - np.arange(cy))
+        return self.table[sx[:, None, :, None], sy[None, :, None, :]].reshape(self.size, cx * cy)
 
     @cached_property
     def radiation(self) -> np.ndarray:
@@ -203,15 +203,15 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
     center offset (A K(0) on the diagonal), a sampled positive-definite
     function.  Either way a pair's value depends only on its per-axis steps
     (|i - j|, |k - l|) and is tabulated once per distinct pair, at the center
-    offset of those steps times the pitch.
+    offset of those steps times the pitch; the table is all the result keeps.
     """
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
     order = model.order if mode == "exact" else 1
-    table, kx, ky = _offset_table(np.arange(model.nx), np.arange(model.ny), lambda steps:
-                                  _pair_integrals(steps * model.pitch, model, order, cfg))
+    table = _offset_table(np.arange(model.nx), np.arange(model.ny), lambda steps:
+                          _pair_integrals(steps * model.pitch, model, order, cfg))[0]
     # the element current carries unit energy, so its loss is Zs exactly
-    return CouplingMatrix(table=table, kx=kx, ky=ky, self_impedance=cfg.surface_resistance)
+    return CouplingMatrix(table=table, self_impedance=cfg.surface_resistance)
 
 
 def discrete_channel(model: SpdaModel, channel: FarFieldChannel) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,13 @@ from hypothesis import strategies as st
 
 from capa import (C0, MU0, Z0, Aperture, Direction, DomainError,
                   PhysicalConfig, aperture_grid, beamform_cg, beamform_ka, build_expansion,
-                  coupling_matrix, directivity_factor, discrete_channel,
+                  coupling_matrix, coupling_ratio, directivity_factor, discrete_channel,
                   discretize_operator, disk_wavenumber_grid, element_layout,
                   exact_channel, far_field_channel, fraunhofer_distance, gram_matrix,
                   infinite_aperture_gain, inverse_operator, kernel_nulls,
                   optimal_discrete_beamformer, radiation_kernel, solve_fredholm,
                   surface_resistance, uncoupled_beamformer, wavenumber_kernel)
+from capa.physics import _KERNEL_BLOCK
 
 # values frozen from an independent high-precision evaluation
 COPPER_RS_2G4 = 1.2781195929854964e-2
@@ -146,9 +149,10 @@ def _kernel_formula(displacement, wavenumber, polarized):
 
 @pytest.mark.parametrize("polarized", [True, False])
 def test_kernel_bit_identical_to_plain_formula(cfg, polarized):
-    # the in-place evaluation keeps every operation's operands and order;
-    # separations from zero through below and above the small-separation
-    # threshold (1e-6 wavelengths) to 30 m, off the plane too
+    # the blocked evaluation applies the formula's operations, operands and
+    # order to each block of rows; separations from zero through below and
+    # above the small-separation threshold (1e-6 wavelengths) to 30 m, off the
+    # plane too
     rng = np.random.default_rng(11)
     scales = rng.choice([0.0, 1e-9, 1e-7, 1.2e-7, 1e-3, 0.05, 1.0, 30.0], size=(20000, 1))
     disp = rng.standard_normal((20000, 3)) * scales
@@ -157,6 +161,15 @@ def test_kernel_bit_identical_to_plain_formula(cfg, polarized):
     got = radiation_kernel(disp.reshape(100, 200, 3), k0, polarized=polarized)
     assert got.shape == (100, 200)
     assert np.array_equal(got, _kernel_formula(disp, k0, polarized).reshape(100, 200))
+    # two full blocks and a tail, every block with separations on both sides
+    # of the threshold
+    rows = 2 * _KERNEL_BLOCK + 17
+    many = rng.standard_normal((rows, 3)) * rng.choice([0.0, 1e-9, 1e-7, 0.05, 1.0], (rows, 1))
+    for block in (many[:_KERNEL_BLOCK], many[_KERNEL_BLOCK:2 * _KERNEL_BLOCK], many[-17:]):
+        near = np.linalg.norm(block, axis=-1) * k0 < 2.0 * np.pi * 1e-6
+        assert near.any() and not near.all()
+    got = radiation_kernel(many, k0, polarized=polarized)
+    assert np.array_equal(got, _kernel_formula(many, k0, polarized))
     for single in ([0.0, 0.0, 0.0], [1e-9, -2e-9, 0.0], [0.01, 0.02, -0.03]):
         value = radiation_kernel(single, k0, polarized=polarized)
         assert type(value) is float
@@ -169,6 +182,11 @@ def test_kernel_refuses_non_finite_or_overflowing_separation(cfg):
     for bad in ([1e200, 0.0, 0.0], [np.nan, 0.0, 0.0], [[0.1, 0.0, 0.0], [0.0, np.inf, 0.0]]):
         with pytest.raises(DomainError):
             radiation_kernel(bad, k0)
+    # the only NaN in the last of three blocks
+    late = np.full((2 * _KERNEL_BLOCK + 5, 3), 0.01)
+    late[-1, 1] = np.nan
+    with pytest.raises(DomainError):
+        radiation_kernel(late, k0)
     for k in (np.nan, np.inf):
         with pytest.raises(DomainError):
             radiation_kernel([0.1, 0.0, 0.0], k)
@@ -177,6 +195,20 @@ def test_kernel_refuses_non_finite_or_overflowing_separation(cfg):
     with pytest.raises(DomainError):
         radiation_kernel([edge, 0.0, 0.0], 1.0)
     assert np.isfinite(radiation_kernel([0.0, np.nextafter(edge, 0.0), 0.0], 1.0))
+
+
+@pytest.mark.parametrize("polarized", [True, False])
+def test_kernel_peak_memory_is_output_plus_blocks(cfg, polarized):
+    # 2^20 displacements: the 8 MB output plus at most 4 MB of block
+    # temporaries, however many rows the call has
+    disp = np.random.default_rng(5).standard_normal((2 ** 20, 3))
+    tracemalloc.start()
+    try:
+        radiation_kernel(disp, cfg.wavenumber, polarized=polarized)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,9 +319,9 @@ def _discrete_drive(cfg, aperture, channel, power):
                                        coupling_matrix(model, cfg, mode="point"), power=power)
 
 
-def _cg_solve(cfg, aperture, channel, tol):
+def _cg_solve(cfg, aperture, channel, tol, max_iter=10_000):
     op = discretize_operator(cfg, aperture_grid(aperture, 4))
-    return solve_fredholm(op, np.conj(channel(op.grid.points)), tol=tol)
+    return solve_fredholm(op, np.conj(channel(op.grid.points)), tol=tol, max_iter=max_iter)
 
 
 def _resolvent(cfg, aperture, channel, surface_resistance):
@@ -322,6 +354,36 @@ _POSITIVE_INPUTS = {
 def test_non_finite_input_is_domain_error(cfg, aperture, front_channel, call, value):
     with pytest.raises(DomainError):
         call(cfg, aperture, front_channel, value)
+
+
+# inputs that a guard written as v <= 0 or v < 1 lets through: a NaN, an
+# infinite material parameter, and a count that is not an integer
+_NAN_OR_FRACTIONAL_INPUTS = {
+    "config frequency nan": (lambda cfg, ap, ch: PhysicalConfig(
+        frequency=np.nan, surface_resistance=0.01), "frequency must be positive and finite"),
+    "config mu_s nan": (lambda cfg, ap, ch: PhysicalConfig(
+        frequency=2.4e9, mu_s=np.nan, surface_resistance=0.01), "material"),
+    "config sigma_s inf": (lambda cfg, ap, ch: PhysicalConfig(
+        frequency=2.4e9, sigma_s=np.inf, surface_resistance=0.01), "material"),
+    "solve_fredholm max_iter nan": (lambda cfg, ap, ch: _cg_solve(cfg, ap, ch, 1e-8, np.nan),
+                                    "max_iter"),
+    "solve_fredholm max_iter 2.5": (lambda cfg, ap, ch: _cg_solve(cfg, ap, ch, 1e-8, 2.5),
+                                    "max_iter"),
+    "kernel_nulls count 2.5": (lambda cfg, ap, ch: kernel_nulls(0.0, count=2.5), "count"),
+    "kernel_nulls count nan": (lambda cfg, ap, ch: kernel_nulls(0.0, count=np.nan), "count"),
+    "wavenumber_kernel kappa nan": (lambda cfg, ap, ch: wavenumber_kernel(
+        [np.nan, 0.0], cfg.wavenumber), "NaN"),
+    "wavenumber_kernel wavenumber nan": (lambda cfg, ap, ch: wavenumber_kernel(
+        [0.0, 0.0], np.nan), "finite"),
+    "coupling_ratio kappa nan": (lambda cfg, ap, ch: coupling_ratio(cfg, [np.nan, 0.0]), "NaN"),
+}
+
+
+@pytest.mark.parametrize("call, match", list(_NAN_OR_FRACTIONAL_INPUTS.values()),
+                         ids=list(_NAN_OR_FRACTIONAL_INPUTS))
+def test_nan_or_fractional_input_is_domain_error(cfg, aperture, front_channel, call, match):
+    with pytest.raises(DomainError, match=match):
+        call(cfg, aperture, front_channel)
 
 
 def test_exact_channel_approaches_planar_model(cfg):
