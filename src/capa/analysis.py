@@ -10,7 +10,8 @@ from .errors import DomainError, NumericError
 from .kernel_approx import (PlaneWaveExpansion, _closed_form_gains, channel_moments,
                             gram_matrix, inverse_operator)
 from .physics import (Z0, Aperture, Direction, FarFieldChannel, PhysicalConfig,
-                      _require_radiating, _steering, far_field_channel, wavenumber_kernel)
+                      _require_finite, _require_positive, _require_radiating, _steering,
+                      far_field_channel, wavenumber_kernel)
 from .quadrature import aperture_grid
 
 
@@ -23,8 +24,7 @@ def directivity_factor(cfg: PhysicalConfig, theta, phi):
     ph = np.asarray(phi, dtype=float)
     if not np.all(np.abs(ph) <= np.pi / 2):
         raise DomainError("polar angle must lie in [-pi/2, pi/2]", module="analysis")
-    if not np.all(np.isfinite(th)):
-        raise DomainError("azimuth must be finite", module="analysis")
+    _require_finite("azimuth", th, module="analysis")
     zs = cfg.surface_resistance
     pol = _steering(cfg.wavenumber, th, ph)[2]
     num = Z0 ** 2 * pol ** 2 * np.cos(ph)
@@ -41,8 +41,7 @@ def infinite_aperture_gain(cfg: PhysicalConfig, theta, phi, distance: float):
     8 pi^2 |a|^2 / (Zs + spectrum) evaluated in closed form at the steering
     wavevector; grazing steering returns the limit value 0.
     """
-    if not 0 < distance < np.inf:
-        raise DomainError("receiver distance must be positive and finite", module="analysis")
+    _require_positive("receiver distance", distance, module="analysis")
     limit = (cfg.wavenumber / distance) ** 2 * np.asarray(directivity_factor(cfg, theta, phi))
     # float pi/2 leaves cos at ~6e-17, so grazing needs a small window
     grazing = np.abs(np.cos(np.asarray(phi, dtype=float))) < 1e-9
@@ -78,8 +77,7 @@ class UncoupledBeamformer:
 def uncoupled_beamformer(cfg: PhysicalConfig, channel: FarFieldChannel,
                          aperture: Aperture, power: float = 1.0) -> UncoupledBeamformer:
     """Coupling-blind matched filter normalized with the surface resistance."""
-    if not 0 < power < np.inf:
-        raise DomainError("transmit power must be positive and finite", module="analysis")
+    _require_positive("transmit power", power, module="analysis")
     _require_radiating(channel, "analysis")
     eta = aperture.area * abs(channel.amplitude) ** 2
     scale = float(np.sqrt(2.0 * power / (cfg.surface_resistance * eta)))
@@ -103,6 +101,7 @@ def beampattern(w, cfg: PhysicalConfig, aperture: Aperture, theta, phi,
     """
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
+    _require_finite("steering angles", th, ph, module="analysis")
     th, ph = np.broadcast_arrays(th, ph)
     shape = th.shape
     # on the tensor grid exp(-j(kx x_i + ky y_j)) = exp(-j kx x_i) exp(-j ky y_j),
@@ -132,6 +131,7 @@ def half_power_width(angle: np.ndarray, values: np.ndarray) -> float:
     v = np.asarray(values, dtype=float)
     if a.ndim != 1 or a.shape != v.shape or a.size < 3:
         raise DomainError("angle and values must be matching 1-D arrays", module="analysis")
+    _require_finite("angle and values", a, v, module="analysis")
     level = np.max(v) / np.sqrt(2.0)
     i_pk = int(np.argmax(v))
     left = a[0]

@@ -26,8 +26,8 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericError
-from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _is_count, _require_radiating,
-                      radiation_kernel)
+from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _is_count, _require_finite,
+                      _require_positive, _require_radiating, radiation_kernel)
 from .quadrature import (ApertureGrid, _fold, _fold_matrix, _offset_table, _parity_rows,
                          _unfold, aperture_grid)
 
@@ -205,10 +205,10 @@ def solve_fredholm(op: DiscretizedOperator, rhs: np.ndarray, tol: float = 1e-8,
     whose stationary point is the solution, which must decrease monotonically.
     A non-finite residual or a curvature that is not positive raises NumericError.
     """
-    if not 0 < tol < np.inf:
-        raise DomainError("tolerance must be positive and finite", module="cg_solver")
+    _require_positive("tolerance", tol, module="cg_solver")
     if not _is_count(max_iter):
         raise DomainError("max_iter must be an integer of at least 1", module="cg_solver")
+    _require_finite("right-hand side", rhs, module="cg_solver")
     b = _folded(op, rhs)
     b_norm2 = float(np.sum(_dot(b, b)))
     if b_norm2 <= 0.0:
@@ -309,8 +309,7 @@ class FredholmSolution:
 def synthesize_beamformer(op: DiscretizedOperator, channel: FarFieldChannel,
                           state: CgState, power: float = 1.0) -> FredholmSolution:
     """Power-normalize a grid solution into a transmit beamformer."""
-    if not 0 < power < np.inf:
-        raise DomainError("transmit power must be positive and finite", module="cg_solver")
+    _require_positive("transmit power", power, module="cg_solver")
     h = channel(op.grid.points)
     inner = np.sum(op.grid.weights * h * state.values)
     if np.real(inner) <= 0.0:

@@ -18,27 +18,42 @@ import numpy as np
 
 from ._linalg import CholeskyFactor, cholesky
 from .errors import DomainError, NumericError
-from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_radiating,
-                      wavenumber_kernel)
+from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_positive,
+                      _require_radiating, wavenumber_kernel)
 from .quadrature import _fold, _fold_matrix, _unfold, disk_wavenumber_grid
 
 @dataclass(frozen=True, eq=False)
 class PlaneWaveExpansion:
-    """Finite plane-wave approximation of the radiation kernel.
+    """Finite plane-wave approximation of the radiation kernel at a wavenumber,
+    from the disk rule of the given order and inner rule (disk_wavenumber_grid).
 
-    The kernel is approximated as sum_i rho_i * exp(j * kappa_i . s) with
-    strictly positive coefficients rho.  kappa is chord-major: term c*order + d
-    is node d of chord c, so kappa_x is constant over each run of `order` terms,
-    and the third component is zero.  gram_matrix and wave_sum rely on this.
-    The expansion is also unchanged by the reflections x -> -x and y -> -y:
-    chord M-1-c mirrors chord c and node M-1-d of a chord mirrors node d, bit
-    for bit (see _require_reflection_symmetric).  gram_matrix and inverse_operator
-    rely on this and refuse an expansion without it.
+    The kernel is approximated as sum_i rho_i * exp(j * kappa_i . s): kappa are
+    the rule's nodes and rho > 0 its weights times the coupling spectrum over
+    (2 pi)^2.  kappa is chord-major: term c*order + d is node d of chord c, so
+    kappa_x is constant over each run of `order` terms, and the third component
+    is zero.  gram_matrix and wave_sum rely on this.  Built from the rule alone,
+    the expansion is unchanged by the reflections x -> -x and y -> -y: chord
+    M-1-c mirrors chord c and node M-1-d of a chord mirrors node d, bit for bit.
+    gram_matrix and inverse_operator rely on this.
     """
 
+    wavenumber: float
     order: int
-    kappa: np.ndarray = field(repr=False)
-    coefficients: np.ndarray = field(repr=False)
+    inner_rule: str
+    kappa: np.ndarray = field(init=False, repr=False)
+    coefficients: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        grid = disk_wavenumber_grid(self.wavenumber, self.order, self.inner_rule)
+        spectrum = wavenumber_kernel(grid.kappa, self.wavenumber)
+        rho = grid.weights * spectrum / (2.0 * np.pi) ** 2
+        if np.any(rho <= 0.0):
+            raise NumericError("expansion produced non-positive coefficients",
+                               module="kernel_approx")
+        rho.setflags(write=False)
+        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "kappa", grid.kappa)
+        object.__setattr__(self, "coefficients", rho)
 
     @property
     def term_count(self) -> int:
@@ -75,7 +90,8 @@ class PlaneWaveExpansion:
 
 def build_expansion(cfg: PhysicalConfig, order: int,
                     inner_rule: str = "chebyshev") -> PlaneWaveExpansion:
-    """Plane-wave expansion of the radiation kernel at the given quadrature order.
+    """Plane-wave expansion of the radiation kernel at the configuration's
+    wavenumber and the given quadrature order.
 
     The default "chebyshev" chord rule absorbs the inverse-square-root rim
     singularity of the spectrum and converges spectrally; "legendre" converges
@@ -83,14 +99,7 @@ def build_expansion(cfg: PhysicalConfig, order: int,
     rule resolves exp(j kappa . s) over an aperture of side L only when the order
     is at least about k L.
     """
-    grid = disk_wavenumber_grid(cfg.wavenumber, order, inner_rule)
-    spectrum = wavenumber_kernel(grid.kappa, cfg.wavenumber)
-    rho = grid.weights * spectrum / (2.0 * np.pi) ** 2
-    if np.any(rho <= 0.0):
-        raise NumericError("expansion produced non-positive coefficients",
-                           module="kernel_approx")
-    rho.setflags(write=False)
-    return PlaneWaveExpansion(order=int(order), kappa=grid.kappa, coefficients=rho)
+    return PlaneWaveExpansion(cfg.wavenumber, order, inner_rule)
 
 
 def _sinc(t: np.ndarray) -> np.ndarray:
@@ -102,27 +111,11 @@ def _sinc(t: np.ndarray) -> np.ndarray:
     return np.divide(np.sin(t), t, out=t)
 
 
-def _require_reflection_symmetric(expansion: PlaneWaveExpansion) -> None:
-    """Raise DomainError unless the expansion is unchanged by the reflections
-    x -> -x and y -> -y, bit for bit: chord M-1-c has the kappa_x of chord c
-    negated and the same kappa_y, node M-1-d of a chord the kappa_y of node d
-    negated, and the coefficients are invariant under both node maps."""
-    m = expansion.order
-    kx, ky = np.moveaxis(expansion.kappa.reshape(m, m, 3)[..., :2], -1, 0)
-    rho = expansion.coefficients.reshape(m, m)
-    if not (np.array_equal(kx[::-1], -kx) and np.array_equal(ky[::-1], ky)
-            and np.array_equal(ky[:, ::-1], -ky) and np.array_equal(rho[::-1], rho)
-            and np.array_equal(rho[:, ::-1], rho)):
-        raise DomainError("expansion is not symmetric under the reflections "
-                          "x -> -x and y -> -y", module="kernel_approx")
-
-
 def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray:
     """Aperture inner products between the expansion's plane waves, as the four
     reflection-parity blocks (4, N, N) of the n x n Gram, N = ceil(M/2)^2, zero
     on padding: _fold_matrix of its first-quadrant columns c, d < ceil(M/2),
     n^2/4 sinc evaluations, each the arithmetic of its own pair."""
-    _require_reflection_symmetric(expansion)
     m = expansion.order
     a = (m + 1) // 2
     # kappa_x takes only `order` distinct values, each repeated over one chord
@@ -166,21 +159,18 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
 
     gram holds the Gram matrix Q as its four parity blocks (4, N, N), as
     gram_matrix returns them, and Lambda is the diagonal of expansion
-    coefficients over the surface resistance.  The expansion must be
-    invariant under both reflections, bit for bit, or a DomainError is
-    raised.  Each block Q_k is scaled by the first-quadrant Lambda^1/2 on
-    both sides and I is added, and the blocks are factored as one stacked
-    Cholesky: about n^3/48 flops instead of n^3/3, and no inverse of the
-    system is formed.  A system that is not positive definite reports the
-    condition estimate of its worst block.
+    coefficients over the surface resistance.  The expansion is invariant
+    under both reflections by construction.  Each block Q_k is scaled by the
+    first-quadrant Lambda^1/2 on both sides and I is added, and the blocks
+    are factored as one stacked Cholesky: about n^3/48 flops instead of
+    n^3/3, and no inverse of the system is formed.  A system that is not
+    positive definite reports the condition estimate of its worst block.
     """
-    if not 0 < surface_resistance < np.inf:
-        raise DomainError("surface resistance must be positive and finite", module="kernel_approx")
+    _require_positive("surface resistance", surface_resistance, module="kernel_approx")
     m = expansion.order
     a = (m + 1) // 2
     if np.shape(gram) != (4, a * a, a * a):
         raise DomainError(f"gram must have shape (4, {a * a}, {a * a})", module="kernel_approx")
-    _require_reflection_symmetric(expansion)
     # Lambda overflows at a tiny surface resistance; cholesky refuses the result
     with np.errstate(over="ignore", invalid="ignore"):
         lam = expansion.coefficients / surface_resistance
@@ -273,8 +263,7 @@ def beamform_ka(cfg: PhysicalConfig, channel: FarFieldChannel,
     The resolvent data may be precomputed once and shared across steering
     directions for the same expansion and aperture.
     """
-    if not 0 < power < np.inf:
-        raise DomainError("transmit power must be positive and finite", module="kernel_approx")
+    _require_positive("transmit power", power, module="kernel_approx")
     _require_radiating(channel, "kernel_approx")
     if inverse is None:
         inverse = inverse_operator(expansion, gram_matrix(expansion, aperture),

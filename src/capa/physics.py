@@ -37,12 +37,23 @@ def _is_count(n) -> bool:
     return isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
 
 
+def _require_positive(what: str, *values, module: str) -> None:
+    """DomainError unless every value lies in (0, inf); NaN fails the comparison too."""
+    if not all(0 < v < np.inf for v in values):
+        raise DomainError(f"{what} must be positive and finite", module=module)
+
+
+def _require_finite(what: str, *arrays, module: str) -> None:
+    """DomainError unless every entry of every array is finite."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise DomainError(f"{what} must be finite", module=module)
+
+
 def surface_resistance(frequency: float, mu_s: float = MU0,
                        sigma_s: float = COPPER_CONDUCTIVITY) -> float:
     """Surface resistance of a good conductor, sqrt(pi*f*mu/sigma)."""
-    if not (0 < frequency < np.inf and 0 < mu_s < np.inf and 0 < sigma_s < np.inf):
-        raise DomainError("frequency, permeability, and conductivity must be positive "
-                          "and finite", module="physics")
+    _require_positive("frequency, permeability, and conductivity", frequency, mu_s, sigma_s,
+                      module="physics")
     return float(np.sqrt(np.pi * frequency * mu_s / sigma_s))
 
 
@@ -60,15 +71,12 @@ class PhysicalConfig:
     surface_resistance: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.frequency < np.inf:
-            raise DomainError("frequency must be positive and finite", module="physics")
-        if not (0 < self.mu_s < np.inf and 0 < self.sigma_s < np.inf):
-            raise DomainError("material parameters must be positive and finite", module="physics")
+        _require_positive("frequency", self.frequency, module="physics")
+        _require_positive("material parameters", self.mu_s, self.sigma_s, module="physics")
         if self.surface_resistance is None:
             object.__setattr__(self, "surface_resistance",
                                surface_resistance(self.frequency, self.mu_s, self.sigma_s))
-        if not 0.0 < self.surface_resistance < np.inf:
-            raise DomainError("surface resistance must be positive and finite", module="physics")
+        _require_positive("surface resistance", self.surface_resistance, module="physics")
         if not _square_is_finite(self.wavenumber):
             raise DomainError("frequency is too large: the squared wavenumber overflows",
                               module="physics")
@@ -90,9 +98,7 @@ class Aperture:
     length_y: float
 
     def __post_init__(self):
-        if not (0 < self.length_x < np.inf and 0 < self.length_y < np.inf):
-            raise DomainError("aperture side lengths must be positive and finite",
-                              module="physics")
+        _require_positive("aperture side lengths", self.length_x, self.length_y, module="physics")
         if not _square_is_finite(self.diagonal):
             raise DomainError("aperture is too large: its squared diagonal overflows",
                               module="physics")
@@ -178,15 +184,14 @@ def radiation_kernel(displacement, wavenumber: float, *, polarized: bool = True)
         the sinc propagator) is included.  False drops it, leaving the
         isotropic kernel whose zeros sit at half-wavelength multiples.
 
-    Raises DomainError for a non-finite wavenumber or displacement and for a
-    separation eps = k r at or above the cube root of the largest float,
-    about 5.6e102, where eps^3 overflows.
+    Raises DomainError for a wavenumber that is not positive and finite, for a
+    non-finite displacement and for a separation eps = k r at or above the
+    cube root of the largest float, about 5.6e102, where eps^3 overflows.
     """
     s = np.asarray(displacement, dtype=float)
     if s.shape[-1] != 3:
         raise DomainError("displacement must have three components", module="physics")
-    if not np.isfinite(wavenumber):
-        raise DomainError("wavenumber must be finite", module="physics")
+    _require_positive("wavenumber", wavenumber, module="physics")
     shape = s.shape[:-1]
     s = s.reshape(-1, 3)
     # in blocks of rows, so that each temporary of the formula stays cache-sized
@@ -207,9 +212,10 @@ def wavenumber_kernel(kappa, wavenumber: float):
     k = np.asarray(kappa, dtype=float)
     if k.shape[-1] not in (2, 3):
         raise DomainError("wavevector must have 2 or 3 components", module="physics")
+    _require_positive("wavenumber", wavenumber, module="physics")
     # a NaN falls outside the disk by every comparison below and would read 0
-    if not np.isfinite(wavenumber) or np.any(np.isnan(k[..., :2])):
-        raise DomainError("wavenumber must be finite and wavevector not NaN", module="physics")
+    if np.any(np.isnan(k[..., :2])):
+        raise DomainError("wavevector must not be NaN", module="physics")
     kx = k[..., 0]
     ky = k[..., 1]
     n2 = (kx ** 2 + ky ** 2) / wavenumber ** 2
@@ -305,8 +311,7 @@ def far_field_channel(cfg: PhysicalConfig, direction: Direction, distance: float
     When the aperture is supplied, distances inside its far-field boundary
     trigger a warning but are still accepted.
     """
-    if distance <= 0:
-        raise DomainError("receiver distance must be positive", module="physics")
+    _require_positive("receiver distance", distance, module="physics")
     k0 = cfg.wavenumber
     kx, ky, pol = _steering(k0, direction.theta, direction.phi)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -340,6 +345,7 @@ def exact_channel(cfg: PhysicalConfig, receiver, points):
     """
     r = np.asarray(receiver, dtype=float)
     s = np.asarray(points, dtype=float)
+    _require_finite("receiver and surface points", r, s, module="physics")
     d = r - s
     dist = np.linalg.norm(d, axis=-1)
     if np.any(dist == 0.0):

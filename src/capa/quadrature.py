@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .physics import Aperture, _is_count
+from .physics import Aperture, _is_count, _require_positive
 
 _MAX_ORDER = 512
 
@@ -219,8 +219,7 @@ def disk_wavenumber_grid(wavenumber: float, order: int,
     rule; "chebyshev" uses a Chebyshev-weighted rule that absorbs the
     inverse-square-root rim singularity of the coupling spectrum.
     """
-    if not 0 < wavenumber < np.inf:
-        raise DomainError("wavenumber must be positive and finite", module="quadrature")
+    _require_positive("wavenumber", wavenumber, module="quadrature")
     if inner_rule not in ("legendre", "chebyshev"):
         raise DomainError("inner_rule must be 'legendre' or 'chebyshev'", module="quadrature")
     rule = legendre_rule(order)

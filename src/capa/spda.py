@@ -26,7 +26,8 @@ import numpy as np
 from ._linalg import cholesky
 from .errors import DomainError, NumericError
 from .kernel_approx import PlaneWaveExpansion, _sinc, beamform_ka
-from .physics import Aperture, FarFieldChannel, PhysicalConfig, _is_count, radiation_kernel
+from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _is_count, _require_finite,
+                      _require_positive, radiation_kernel)
 from .quadrature import _fold, _fold_matrix, _offset_table, _unfold, legendre_rule
 
 _DEFAULT_ELEMENT_ORDER = 6
@@ -53,10 +54,8 @@ class SpdaModel:
     def __post_init__(self):
         if not (_is_count(self.nx) and _is_count(self.ny)):
             raise DomainError("element counts must be integers of at least 1", module="spda")
-        if not 0 < self.pitch < np.inf:
-            raise DomainError("lattice pitch must be positive and finite", module="spda")
-        if not (0 < self.element_x < np.inf and 0 < self.element_y < np.inf):
-            raise DomainError("element side lengths must be positive and finite", module="spda")
+        _require_positive("lattice pitch", self.pitch, module="spda")
+        _require_positive("element side lengths", self.element_x, self.element_y, module="spda")
         legendre_rule(self.order)  # DomainError unless an integer in [1, 512]
         for name, count, side in (("x", self.nx, self.element_x), ("y", self.ny, self.element_y)):
             if count > 1 and self.pitch < side - 1e-12:
@@ -93,8 +92,7 @@ def element_layout(aperture: Aperture, spacing: float, element_x: float,
     The element count per axis is the number of whole pitches that fit; the
     lattice is centered so every element lies inside the aperture.
     """
-    if not 0 < spacing < np.inf:
-        raise DomainError("element spacing must be positive and finite", module="spda")
+    _require_positive("element spacing", spacing, module="spda")
     if element_x > spacing or element_y > spacing:
         raise DomainError("element does not fit inside the lattice pitch", module="spda")
     # tiny slack so representable lengths like L = n*d count n pitches
@@ -244,12 +242,12 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
     follows by two triangular substitutions.  A diagonal coupling (from
     diagonal_only) is solved elementwise.
     """
-    if not 0 < power < np.inf:
-        raise DomainError("transmit power must be positive and finite", module="spda")
+    _require_positive("transmit power", power, module="spda")
     h = np.asarray(h, dtype=complex)
     if h.shape != (coupling.size,):
         raise DomainError("channel vector length does not match the coupling matrix",
                           module="spda")
+    _require_finite("channel vector", h, module="spda")
     if coupling.diagonal:
         diag = coupling.table[0, 0] + coupling.self_impedance
         if not diag > 0.0:

@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capa import (C0, MU0, Z0, Aperture, Direction, DomainError,
-                  PhysicalConfig, aperture_grid, beamform_cg, beamform_ka, build_expansion,
-                  coupling_matrix, coupling_ratio, directivity_factor, discrete_channel,
-                  discretize_operator, disk_wavenumber_grid, element_layout,
-                  exact_channel, far_field_channel, fraunhofer_distance, gram_matrix,
+                  PhysicalConfig, SpdaModel, aperture_grid, beampattern, beamform_cg,
+                  beamform_ka, build_expansion, coupling_matrix, coupling_ratio,
+                  directivity_factor, discrete_channel, discretize_operator,
+                  disk_wavenumber_grid, element_layout, exact_channel, far_field_channel,
+                  fraunhofer_distance, gram_matrix, half_power_width,
                   infinite_aperture_gain, inverse_operator, kernel_nulls,
                   optimal_discrete_beamformer, radiation_kernel, solve_fredholm,
                   surface_resistance, uncoupled_beamformer, wavenumber_kernel)
+from capa import physics
 from capa.physics import _KERNEL_BLOCK
 
 # values frozen from an independent high-precision evaluation
@@ -312,11 +316,14 @@ def test_far_field_rejects_bad_distance(cfg):
         far_field_channel(cfg, Direction(0.0, 0.0), 1e-320, Aperture(0.5, 0.5))
 
 
-def _discrete_drive(cfg, aperture, channel, power):
+def _discrete_problem(cfg, aperture, channel):
     model = element_layout(aperture, 0.5 * cfg.wavelength, 0.1 * cfg.wavelength,
                            0.1 * cfg.wavelength)
-    return optimal_discrete_beamformer(discrete_channel(model, channel),
-                                       coupling_matrix(model, cfg, mode="point"), power=power)
+    return discrete_channel(model, channel), coupling_matrix(model, cfg, mode="point")
+
+
+def _discrete_drive(cfg, aperture, channel, power):
+    return optimal_discrete_beamformer(*_discrete_problem(cfg, aperture, channel), power=power)
 
 
 def _cg_solve(cfg, aperture, channel, tol, max_iter=10_000):
@@ -329,8 +336,8 @@ def _resolvent(cfg, aperture, channel, surface_resistance):
     return inverse_operator(expansion, gram_matrix(expansion, aperture), surface_resistance)
 
 
-# each entry point with a positive or bounded scalar input, given value v; a
-# comparison written as v <= 0 lets NaN through
+# each entry point with a positive scalar input, given value v; a comparison
+# written as v <= 0 lets NaN through, and one written as v < inf lets 0 through
 _POSITIVE_INPUTS = {
     "beamform_ka power": lambda cfg, ap, ch, v: beamform_ka(cfg, ch, build_expansion(cfg, 4),
                                                             ap, power=v),
@@ -344,16 +351,92 @@ _POSITIVE_INPUTS = {
     "surface_resistance frequency": lambda cfg, ap, ch, v: surface_resistance(v),
     "disk_wavenumber_grid wavenumber": lambda cfg, ap, ch, v: disk_wavenumber_grid(v, 4),
     "inverse_operator surface_resistance": _resolvent,
+    "config frequency": lambda cfg, ap, ch, v: PhysicalConfig(frequency=v),
+    "config mu_s": lambda cfg, ap, ch, v: PhysicalConfig(frequency=2.4e9, mu_s=v),
+    "config surface_resistance": lambda cfg, ap, ch, v: PhysicalConfig(
+        frequency=2.4e9, surface_resistance=v),
+    "aperture length_x": lambda cfg, ap, ch, v: Aperture(v, 0.5),
+    # v = -1 is the wavenumber -k, which read every separation as zero
+    "radiation_kernel wavenumber": lambda cfg, ap, ch, v: radiation_kernel(
+        [[0.1, 0.0, 0.0], [0.3, 0.2, 0.0]], v * cfg.wavenumber),
+    "wavenumber_kernel wavenumber": lambda cfg, ap, ch, v: wavenumber_kernel(
+        [0.0, 0.0], v * cfg.wavenumber),
+    "far_field_channel distance": lambda cfg, ap, ch, v: far_field_channel(
+        cfg, Direction(0.0, 0.0), v),
+    "spda_model pitch": lambda cfg, ap, ch, v: SpdaModel(2, 2, v, 0.01, 0.01),
+    "spda_model element_y": lambda cfg, ap, ch, v: SpdaModel(2, 2, 0.1, 0.01, v),
+    "element_layout spacing": lambda cfg, ap, ch, v: element_layout(ap, v, 0.01, 0.01),
+}
+# angles are bounded rather than positive
+_ANGLE_INPUTS = {
     "directivity_factor theta": lambda cfg, ap, ch, v: directivity_factor(cfg, v, 0.0),
     "directivity_factor phi": lambda cfg, ap, ch, v: directivity_factor(cfg, 0.0, v),
 }
+_BAD_SCALARS = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0}
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("call", list(_POSITIVE_INPUTS.values()), ids=list(_POSITIVE_INPUTS))
+def _scalar_cases(inputs, value_ids):
+    return [pytest.param(call, _BAD_SCALARS[v], id=f"{name}-{v}")
+            for name, call in inputs.items() for v in value_ids]
+
+
+# warnings are errors: a guard must refuse the value before numpy warns about it
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, value", _scalar_cases(_POSITIVE_INPUTS, _BAD_SCALARS)
+                         + _scalar_cases(_ANGLE_INPUTS, ("nan", "inf")))
 def test_non_finite_input_is_domain_error(cfg, aperture, front_channel, call, value):
     with pytest.raises(DomainError):
         call(cfg, aperture, front_channel, value)
+
+
+def test_positive_finite_comparisons_live_in_one_guard():
+    # the domain (0, inf) is written once, in physics._require_positive
+    package = Path(physics.__file__).parent
+    guard = next(node for node in ast.parse((package / "physics.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_require_positive")
+    body = range(guard.lineno, guard.end_lineno + 1)
+    stray = [f"{path.name}:{n}" for path in sorted(package.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if "< np.inf" in line and not (path.name == "physics.py" and n in body)]
+    assert stray == []
+
+
+def _spoiled_drive(cfg, aperture, channel, value):
+    h, coupling = _discrete_problem(cfg, aperture, channel)
+    h[0] = value
+    return optimal_discrete_beamformer(h, coupling)
+
+
+def _spoiled_cg_solve(cfg, aperture, channel, value):
+    op = discretize_operator(cfg, aperture_grid(aperture, 4))
+    rhs = np.conj(channel(op.grid.points))
+    rhs[3] = value
+    return solve_fredholm(op, rhs)
+
+
+_RECEIVER_POINTS = [[0.25, 0.25, 0.0], [-0.25, 0.1, 0.0]]
+# array inputs whose NaN or inf used to reach the output: as a NaN gain or
+# pattern, a full-range width, a RuntimeWarning or a NumericError
+_NON_FINITE_ARRAYS = {
+    "optimal_discrete_beamformer h nan": lambda cfg, ap, ch: _spoiled_drive(cfg, ap, ch, np.nan),
+    "optimal_discrete_beamformer h inf": lambda cfg, ap, ch: _spoiled_drive(cfg, ap, ch, np.inf),
+    "beampattern theta nan": lambda cfg, ap, ch: beampattern(
+        uncoupled_beamformer(cfg, ch, ap), cfg, ap, np.array([0.0, np.nan]), 0.0),
+    "exact_channel receiver nan": lambda cfg, ap, ch: exact_channel(
+        cfg, [0.0, 0.0, np.nan], _RECEIVER_POINTS),
+    "exact_channel receiver inf": lambda cfg, ap, ch: exact_channel(
+        cfg, [0.0, 0.0, np.inf], _RECEIVER_POINTS),
+    "half_power_width values nan": lambda cfg, ap, ch: half_power_width(
+        np.linspace(-1.0, 1.0, 5), np.array([0.1, 0.5, 1.0, np.nan, 0.1])),
+    "solve_fredholm rhs nan": lambda cfg, ap, ch: _spoiled_cg_solve(cfg, ap, ch, np.nan),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", list(_NON_FINITE_ARRAYS.values()), ids=list(_NON_FINITE_ARRAYS))
+def test_non_finite_array_input_is_domain_error(cfg, aperture, front_channel, call):
+    with pytest.raises(DomainError, match="must be finite"):
+        call(cfg, aperture, front_channel)
 
 
 # inputs that a guard written as v <= 0 or v < 1 lets through: a NaN, an
