@@ -7,9 +7,11 @@ import numpy as np
 
 from .errors import NumericError
 
-# rows per substitution panel of CholeskyFactor.solve: a general inverse of a
-# 256-row panel costs more than two of 128 rows, and solves take the same time
+# rows per substitution panel of CholeskyFactor.solve: solves at N = 576 and
+# 1,024 slowed with 64-row panels, and a panel inverse costs p^3/3 flops
 _PANEL = 128
+# rows below which _lower_inverse takes one general inverse instead of halving
+_INVERSE_BASE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +69,22 @@ def cholesky(matrix: np.ndarray, message: str, module: str) -> CholeskyFactor:
         raise NumericError(f"{message}: {exc} (condition estimate {cond:.3e})",
                            module=module) from exc
     n = lower.shape[-1]
-    panel_inverses = tuple(np.tril(np.linalg.inv(lower[..., a:a + _PANEL, a:a + _PANEL]))
+    panel_inverses = tuple(_lower_inverse(lower[..., a:a + _PANEL, a:a + _PANEL])
                            for a in range(0, n, _PANEL))
     return CholeskyFactor(lower=lower, panel_inverses=panel_inverses)
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix (p, p), or of each of a stack, by
+    halves: [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], so the
+    work is p^3/3 flops of products; a general inverse is taken only of
+    blocks of at most _INVERSE_BASE rows.  The upper triangle is exactly 0."""
+    p = lower.shape[-1]
+    if p <= _INVERSE_BASE:
+        return np.tril(np.linalg.inv(lower))
+    h = p // 2
+    out = np.zeros_like(lower)
+    out[..., :h, :h] = _lower_inverse(lower[..., :h, :h])
+    out[..., h:, h:] = _lower_inverse(lower[..., h:, h:])
+    out[..., h:, :h] = -(out[..., h:, h:] @ (lower[..., h:, :h] @ out[..., :h, :h]))
+    return out

@@ -186,10 +186,12 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
 
 def channel_moments(channel: FarFieldChannel, expansion: PlaneWaveExpansion,
                     aperture: Aperture) -> np.ndarray:
-    """Aperture inner products between the conjugate channel and each plane wave."""
-    dk = expansion.kappa - channel.wavevector
-    mx = _sinc(dk[:, 0] * (0.5 * aperture.length_x))
-    my = _sinc(dk[:, 1] * (0.5 * aperture.length_y))
+    """Aperture inner products between the conjugate channel and each plane wave;
+    the x factor is taken once per chord, where kappa_x is constant."""
+    m = expansion.order
+    kx, ky = channel.wavevector[:2]
+    mx = np.repeat(_sinc((expansion.kappa[::m, 0] - kx) * (0.5 * aperture.length_x)), m)
+    my = _sinc((expansion.kappa[:, 1] - ky) * (0.5 * aperture.length_y))
     return np.conj(channel.amplitude) * aperture.area * mx * my
 
 

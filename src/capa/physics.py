@@ -43,6 +43,14 @@ def _require_positive(what: str, *values, module: str) -> None:
         raise DomainError(f"{what} must be positive and finite", module=module)
 
 
+def _require_wavenumber(wavenumber: float, module: str) -> None:
+    """DomainError unless the wavenumber and its square are positive and finite:
+    the kernels scale and divide by k^2, which must not overflow or underflow to 0."""
+    _require_positive("wavenumber", wavenumber, module=module)
+    k = float(wavenumber)
+    _require_positive("squared wavenumber", k * k, module=module)
+
+
 def _require_finite(what: str, *arrays, module: str) -> None:
     """DomainError unless every entry of every array is finite."""
     if not all(np.all(np.isfinite(a)) for a in arrays):
@@ -77,9 +85,7 @@ class PhysicalConfig:
             object.__setattr__(self, "surface_resistance",
                                surface_resistance(self.frequency, self.mu_s, self.sigma_s))
         _require_positive("surface resistance", self.surface_resistance, module="physics")
-        if not _square_is_finite(self.wavenumber):
-            raise DomainError("frequency is too large: the squared wavenumber overflows",
-                              module="physics")
+        _require_wavenumber(self.wavenumber, module="physics")
 
     @property
     def wavelength(self) -> float:
@@ -184,14 +190,15 @@ def radiation_kernel(displacement, wavenumber: float, *, polarized: bool = True)
         the sinc propagator) is included.  False drops it, leaving the
         isotropic kernel whose zeros sit at half-wavelength multiples.
 
-    Raises DomainError for a wavenumber that is not positive and finite, for a
-    non-finite displacement and for a separation eps = k r at or above the
-    cube root of the largest float, about 5.6e102, where eps^3 overflows.
+    Raises DomainError for a wavenumber that is not positive and finite or whose
+    square overflows or underflows, for a non-finite displacement and for a
+    separation eps = k r at or above the cube root of the largest float, about
+    5.6e102, where eps^3 overflows.
     """
     s = np.asarray(displacement, dtype=float)
     if s.shape[-1] != 3:
         raise DomainError("displacement must have three components", module="physics")
-    _require_positive("wavenumber", wavenumber, module="physics")
+    _require_wavenumber(wavenumber, module="physics")
     shape = s.shape[:-1]
     s = s.reshape(-1, 3)
     # in blocks of rows, so that each temporary of the formula stays cache-sized
@@ -212,7 +219,7 @@ def wavenumber_kernel(kappa, wavenumber: float):
     k = np.asarray(kappa, dtype=float)
     if k.shape[-1] not in (2, 3):
         raise DomainError("wavevector must have 2 or 3 components", module="physics")
-    _require_positive("wavenumber", wavenumber, module="physics")
+    _require_wavenumber(wavenumber, module="physics")
     # a NaN falls outside the disk by every comparison below and would read 0
     if np.any(np.isnan(k[..., :2])):
         raise DomainError("wavevector must not be NaN", module="physics")

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .physics import Aperture, _is_count, _require_positive
+from .physics import Aperture, _is_count, _require_wavenumber
 
 _MAX_ORDER = 512
 
@@ -106,9 +106,11 @@ def _offset_table(xs: np.ndarray, ys: np.ndarray, values):
 _HALF = np.sqrt(0.5)
 
 
+@lru_cache
 def _grid_weights(shape: tuple, center: float) -> np.ndarray:
     """Product weights over a block's rows: 1/2 for two paired indices (exactly;
-    1/sqrt 2 squared rounds up), center / sqrt 2 for one center, center^2 for two."""
+    1/sqrt 2 squared rounds up), center / sqrt 2 for one center, center^2 for
+    two.  Built once per shape and center, read-only."""
     axes = []
     for m in shape:
         axis = np.full((m + 1) // 2, _HALF)
@@ -116,6 +118,7 @@ def _grid_weights(shape: tuple, center: float) -> np.ndarray:
         axes.append(axis)
     weights = np.multiply.outer(*axes)
     weights[:shape[0] // 2, :shape[1] // 2] = 0.5
+    weights.setflags(write=False)
     return weights
 
 
@@ -219,7 +222,7 @@ def disk_wavenumber_grid(wavenumber: float, order: int,
     rule; "chebyshev" uses a Chebyshev-weighted rule that absorbs the
     inverse-square-root rim singularity of the coupling spectrum.
     """
-    _require_positive("wavenumber", wavenumber, module="quadrature")
+    _require_wavenumber(wavenumber, module="quadrature")
     if inner_rule not in ("legendre", "chebyshev"):
         raise DomainError("inner_rule must be 'legendre' or 'chebyshev'", module="quadrature")
     rule = legendre_rule(order)

@@ -3,14 +3,15 @@
 An array is nx by ny elements at one pitch, centered on the aperture.  Each
 element is a small rectangle carrying the uniform unit-energy current;
 mutual coupling between elements integrates the radiation kernel over both
-element surfaces.  The element rule is a product of one symmetric Gauss rule
-per axis, so that four-fold node sum folds onto the distinct per-axis node
-differences: D^2 kernel evaluations per center offset, D = 19 at the default
-order 6, instead of one per node pair.  The coupling depends only on the
-center offset, (i - j) pitch per axis, and is even in each, so one table over
-the integer steps |i - j| holds the block-Toeplitz coupling matrix.  The
-optimal drive vector and its gain follow from one symmetric positive-definite
-solve.  Reversing either axis keeps every step, so the matrix splits into four
+element surfaces.  Per axis, the two uniform currents convolve to a hat,
+int int f(u - v) du dv = int f(t) (e - |t|) dt over |t| < e for side e, so
+the four-fold integral is a 2-D one with the hat as weight, integrated by a
+Gauss rule on each half: (2 order)^2 kernel evaluations per center offset,
+144 at the default order 6.  The coupling depends only on the center offset,
+(i - j) pitch per axis, and is even in each, so one table over the integer
+steps |i - j| holds the block-Toeplitz coupling matrix.  The optimal drive
+vector and its gain follow from one symmetric positive-definite solve.
+Reversing either axis keeps every step, so the matrix splits into four
 reflection-parity blocks (quadrature._fold; Allgower, Boehmer, Georg &
 Miranda, SIAM J. Numer. Anal. 29, 1992), folded from its first-quadrant
 columns by quadrature._fold_matrix and factored as one stacked Cholesky, so
@@ -40,8 +41,9 @@ class SpdaModel:
     nx by ny elements sit pitch apart on each axis, centered on the origin,
     x-major; x and y are the ascending center coordinates per axis.  Each is
     an element_x by element_y rectangle carrying the uniform unit-energy
-    current 1/sqrt(element area), its coupling integrated by an order x order
-    Gauss-Legendre rule.  Neighbouring elements may touch but not overlap.
+    current 1/sqrt(element area); order is the number of Gauss-Legendre points
+    per half of the hat rule that integrates its coupling per axis
+    (_hat_rule).  Neighbouring elements may touch but not overlap.
     """
 
     nx: int
@@ -103,29 +105,28 @@ def element_layout(aperture: Aperture, spacing: float, element_x: float,
     return SpdaModel(nx, ny, float(spacing), float(element_x), float(element_y), order=order)
 
 
-def _difference_rule(side: float, order: int):
-    """Distinct differences of the order-point Gauss nodes on one element side,
-    ascending, with the summed weight products of the node pairs sharing each.
-
-    The nodes are symmetric about 0 to the last bit, so x_a - x_c and
-    x_(q-1-c) - x_(q-1-a) are equal floats and gather without rounding.
-    """
+def _hat_rule(side: float, order: int):
+    """Nodes on [-side, side] and weights of int f(t) (side - |t|) dt: the
+    order-point Gauss rule on each half, weighted by the hat.  Two uniform
+    currents of width side convolve to that hat, so the rule integrates
+    f(u - v) over both sides with 2 order nodes.  The halves mirror each other
+    exactly."""
     rule = legendre_rule(order)
-    nodes = 0.5 * side * rule.nodes
-    weights = 0.5 * side * rule.weights
-    delta, index = np.unique((nodes[:, None] - nodes).ravel(), return_inverse=True)
-    return delta, np.bincount(index.ravel(), weights=np.outer(weights, weights).ravel())
+    t = 0.5 * side * (1.0 + rule.nodes)
+    w = 0.5 * side * rule.weights * (side - t)
+    return np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
 
 
-def _pair_integrals(offsets: np.ndarray, model: SpdaModel, order: int, cfg: PhysicalConfig):
+def _pair_integrals(offsets: np.ndarray, model: SpdaModel, cfg: PhysicalConfig):
     """Kernel integrated over two elements whose centers are offsets (K, 3) apart.
 
     With the uniform current 1/sqrt(area) on both, the integral is
-    sum over (dx, dy) of W_x(dx) W_y(dy) K(offset + (dx, dy, 0)) / area.
+    sum over (tx, ty) of W_x(tx) W_y(ty) K(offset + (tx, ty, 0)) / area for
+    the hat rule of each side.
     """
-    (dx, wx), (dy, wy) = (_difference_rule(side, order)
+    (tx, wx), (ty, wy) = (_hat_rule(side, model.order)
                           for side in (model.element_x, model.element_y))
-    delta = np.stack(np.broadcast_arrays(dx[:, None], dy, 0.0), axis=-1).reshape(-1, 3)
+    delta = np.stack(np.broadcast_arrays(tx[:, None], ty, 0.0), axis=-1).reshape(-1, 3)
     w_xy = np.outer(wx, wy).ravel() / model.element_area
     vals = np.empty(offsets.shape[0])
     # about 2^20 displacements per block: it bounds only the displacement array
@@ -195,19 +196,25 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
     """Pairwise coupling of all elements.
 
     Both modes integrate the kernel over both element surfaces; mode only
-    picks the element rule.  "exact" uses the model's order x order rule;
-    "point" uses the one-node rule at the element center, so every pair,
-    the diagonal included, is the element area times the kernel at the
-    center offset (A K(0) on the diagonal), a sampled positive-definite
-    function.  Either way a pair's value depends only on its per-axis steps
-    (|i - j|, |k - l|) and is tabulated once per distinct pair, at the center
-    offset of those steps times the pitch; the table is all the result keeps.
+    picks the element rule.  "exact" uses the hat rule of the model's order
+    on each axis, (2 order)^2 kernel evaluations per pair; "point" uses the
+    one-node rule at the element center, so every pair, the diagonal
+    included, is the element area times the kernel at the center offset
+    (A K(0) on the diagonal), a sampled positive-definite function.  Either
+    way a pair's value depends only on its per-axis steps (|i - j|, |k - l|)
+    and is tabulated once per distinct pair, at the center offset of those
+    steps times the pitch; the table is all the result keeps.
     """
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
-    order = model.order if mode == "exact" else 1
-    table = _offset_table(np.arange(model.nx), np.arange(model.ny), lambda steps:
-                          _pair_integrals(steps * model.pitch, model, order, cfg))[0]
+
+    def pairs(steps):
+        offsets = steps * model.pitch
+        if mode == "point":
+            return model.element_area * radiation_kernel(offsets, cfg.wavenumber)
+        return _pair_integrals(offsets, model, cfg)
+
+    table = _offset_table(np.arange(model.nx), np.arange(model.ny), pairs)[0]
     # the element current carries unit energy, so its loss is Zs exactly
     return CouplingMatrix(table=table, self_impedance=cfg.surface_resistance)
 

@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import capa
 from capa import NumericError
-from capa._linalg import cholesky
+from capa._linalg import _INVERSE_BASE, _lower_inverse, cholesky
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 1600])
@@ -95,3 +102,73 @@ def test_stacked_cholesky_reports_worst_block_condition():
         cholesky(stack, "stack is bad", "test")
     reported = float(exc.value.args[0].rsplit(" ", 1)[1].rstrip(")"))
     assert reported == pytest.approx(np.linalg.cond(spd), rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 33, 97, 128])
+def test_lower_inverse_matches_general_inverse(n):
+    rng = np.random.default_rng(n + 3)
+    a = rng.standard_normal((3, n, n))
+    lower = np.linalg.cholesky(a @ np.swapaxes(a, 1, 2) + n * np.eye(n))
+    got = _lower_inverse(lower)
+    want = np.linalg.inv(lower)
+    assert np.all(np.triu(got, 1) == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_cholesky_inverts_no_block_larger_than_the_base(monkeypatch):
+    # the panel inverses halve down to _INVERSE_BASE rows before any general inverse
+    sizes = []
+    general = np.linalg.inv
+
+    def counting(matrix):
+        sizes.append(np.shape(matrix)[-1])
+        return general(matrix)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((4, 400, 400))
+    cholesky(a @ np.swapaxes(a, 1, 2) + 400.0 * np.eye(400), "unused", "test")
+    assert sizes and max(sizes) <= _INVERSE_BASE
+
+
+# the lambda/8 lattice of the lattice benchmark and capa spda-spacing (exact
+# coupling, 1,024 elements) and the order-40 closed form on a 1 m aperture,
+# coupled gains printed to the last digit
+_THREAD_PROBE = """
+import json
+import numpy as np
+from capa import Aperture, Direction, PhysicalConfig, build_expansion, far_field_channel
+from capa.kernel_approx import beamform_ka, gram_matrix, inverse_operator
+from capa.spda import (coupling_matrix, discrete_channel, element_layout,
+                       optimal_discrete_beamformer)
+cfg = PhysicalConfig(frequency=2.4e9)
+wl = cfg.wavelength
+channels = [far_field_channel(cfg, Direction(np.deg2rad(t), np.deg2rad(p)), 1000.0)
+            for t, p in ((0.0, 0.0), (35.0, 20.0), (120.0, 55.0))]
+model = element_layout(Aperture(0.5, 0.5), 0.125 * wl, 0.1 * wl, 0.1 * wl)
+coupling = coupling_matrix(model, cfg)
+h = discrete_channel(model, channels[1])
+discrete = [optimal_discrete_beamformer(h, c).gain for c in (coupling, coupling.diagonal_only())]
+aperture = Aperture(1.0, 1.0)
+expansion = build_expansion(cfg, 40)
+inverse = inverse_operator(expansion, gram_matrix(expansion, aperture), cfg.surface_resistance)
+closed = [beamform_ka(cfg, ch, expansion, aperture, inverse=inverse).gain for ch in channels]
+print(json.dumps({"discrete": discrete, "closed": closed}))
+"""
+
+
+def test_gains_reproduce_across_blas_thread_counts():
+    # the closed form's eta - penalty cancels about 1e4-fold, so its gains
+    # carry the rounding of the factorization; the discrete gains do not
+    src = str(Path(capa.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs.append(subprocess.Popen([sys.executable, "-c", _THREAD_PROBE], env=env,
+                                     stdout=subprocess.PIPE, text=True))
+    one, two = (json.loads(run.communicate(timeout=60)[0]) for run in runs)
+    assert all(run.returncode == 0 for run in runs)
+    for key, bound in (("discrete", 1e-13), ("closed", 1e-9)):
+        a, b = np.array(one[key]), np.array(two[key])
+        assert np.max(np.abs(a - b) / a) <= bound, key

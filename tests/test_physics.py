@@ -380,10 +380,27 @@ def _scalar_cases(inputs, value_ids):
             for name, call in inputs.items() for v in value_ids]
 
 
+# positive, finite wavenumbers whose square overflows (1e200) or underflows to
+# 0 (1e-200): Python raised OverflowError on the first three and numpy warned
+# of a division by zero on the last
+_WAVENUMBER_SQUARE_CASES = [
+    pytest.param(lambda cfg, ap, ch, v: wavenumber_kernel([0.0, 0.0], v), 1e200,
+                 id="wavenumber_kernel wavenumber-square overflows"),
+    pytest.param(lambda cfg, ap, ch, v: radiation_kernel([[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0]],
+                                                         v), 1e200,
+                 id="radiation_kernel wavenumber-square overflows"),
+    pytest.param(lambda cfg, ap, ch, v: disk_wavenumber_grid(v, 4), 1e200,
+                 id="disk_wavenumber_grid wavenumber-square overflows"),
+    pytest.param(lambda cfg, ap, ch, v: wavenumber_kernel([1e-300, 0.0], v), 1e-200,
+                 id="wavenumber_kernel wavenumber-square underflows"),
+]
+
+
 # warnings are errors: a guard must refuse the value before numpy warns about it
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, value", _scalar_cases(_POSITIVE_INPUTS, _BAD_SCALARS)
-                         + _scalar_cases(_ANGLE_INPUTS, ("nan", "inf")))
+                         + _scalar_cases(_ANGLE_INPUTS, ("nan", "inf"))
+                         + _WAVENUMBER_SQUARE_CASES)
 def test_non_finite_input_is_domain_error(cfg, aperture, front_channel, call, value):
     with pytest.raises(DomainError):
         call(cfg, aperture, front_channel, value)

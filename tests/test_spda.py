@@ -276,10 +276,10 @@ def test_mirrored_solves_form_no_dense_matrix(cfg, oblique_channel):
         assert "radiation" not in vars(drive) and "matrix" not in vars(drive)
 
 
-def _brute_force_pair(model, cfg, offset):
+def _brute_force_pair(model, cfg, offset, order=None):
     """Coupling of two elements offset apart by an independent 4-D tensor
-    quadrature over both element surfaces."""
-    nodes, weights = np.polynomial.legendre.leggauss(model.order)
+    quadrature over both element surfaces, of the model's order unless given."""
+    nodes, weights = np.polynomial.legendre.leggauss(order or model.order)
     sx = 0.5 * model.element_x * nodes
     wx = 0.5 * model.element_x * weights
     sy = 0.5 * model.element_y * nodes
@@ -310,34 +310,71 @@ def _lattice_offsets(model):
     return (steps[:, None, :] - steps) * model.pitch
 
 
-@settings(max_examples=30, deadline=None)
-@given(order=st.integers(1, 8),
-       sides=st.tuples(st.floats(0.02, 0.2), st.floats(0.02, 0.2)).filter(
-           lambda s: abs(s[0] - s[1]) > 1e-3),
-       gap=st.floats(0.0, 1.5))
-def test_difference_fold_matches_brute_force_pairs(cfg, order, sides, gap):
-    # unequal element sides on a 2 x 3 lattice, lengths in wavelengths; odd
-    # orders put a node at 0
+def _brute_force_hat_pair(model, cfg, offset):
+    """Coupling of two elements offset apart by the hat rule summed node by
+    node: per axis, int f(t) (e - |t|) dt over |t| < e for side e, by a
+    Gauss rule on each half with its weights scaled by e - |t|."""
+    nodes, weights = np.polynomial.legendre.leggauss(model.order)
+    axes = []
+    for e in (model.element_x, model.element_y):
+        t = np.concatenate([lo + 0.5 * e * (nodes + 1.0) for lo in (-e, 0.0)])
+        axes.append((t, 0.5 * e * np.tile(weights, 2) * (e - np.abs(t))))
+    (tx, wx), (ty, wy) = axes
+    disp = np.stack(np.broadcast_arrays(tx[:, None], ty, 0.0), axis=-1) + offset
+    return float(wx @ radiation_kernel(disp, cfg.wavenumber) @ wy) / model.element_area
+
+
+_LATTICE_SIDES = st.tuples(st.floats(0.02, 0.2), st.floats(0.02, 0.2)).filter(
+    lambda s: abs(s[0] - s[1]) > 1e-3)
+_LATTICE_GAPS = st.floats(0.0, 1.5)
+
+
+def _random_lattice(cfg, order, sides, gap):
+    """2 x 3 lattice of unequal element sides, lengths in wavelengths."""
     wl = cfg.wavelength
     ex, ey = sides[0] * wl, sides[1] * wl
-    model = SpdaModel(2, 3, max(ex, ey) + gap * wl, ex, ey, order=order)
+    return SpdaModel(2, 3, max(ex, ey) + gap * wl, ex, ey, order=order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.integers(1, 8), sides=_LATTICE_SIDES, gap=_LATTICE_GAPS)
+def test_hat_rule_matches_brute_force_pairs(cfg, order, sides, gap):
+    model = _random_lattice(cfg, order, sides, gap)
     got = coupling_matrix(model, cfg, mode="exact").radiation
-    want = np.array([[_brute_force_pair(model, cfg, offset) for offset in row]
+    want = np.array([[_brute_force_hat_pair(model, cfg, offset) for offset in row]
                      for row in _lattice_offsets(model)])
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(sides=_LATTICE_SIDES, gap=_LATTICE_GAPS)
+def test_default_hat_rule_matches_converged_product_rule(cfg, sides, gap):
+    # the order-6 hat rule against the order-16 product rule over both element
+    # surfaces, on every table entry, relative to the self term.  Away from
+    # the smallest elements they agree to 5e-14; on 0.02-wavelength elements
+    # both read the kernel at k r of a few 1e-3, where its polarized term
+    # (kr cos kr - sin kr) / (kr)^3 cancels to about 1e-16 / (kr)^2, and they
+    # differ by up to 1.04e-13 (70 draws) while the rule alone, with that term
+    # from its Taylor series, is exact to 3e-16
+    model = _random_lattice(cfg, 6, sides, gap)
+    got = coupling_matrix(model, cfg, mode="exact").table
+    want = np.array([[_brute_force_pair(model, cfg, np.array([i, j, 0.0]) * model.pitch,
+                                        order=16) for j in range(model.ny)]
+                     for i in range(model.nx)])
+    assert np.max(np.abs(got - want)) <= 2e-13 * abs(want[0, 0])
+
+
 @pytest.mark.parametrize("mode, per_offset, side_m, pitch_wl, steps", [
-    pytest.param("exact", 19 ** 2, 0.25, 0.5, 4, id="exact-361"),
+    pytest.param("exact", (2 * 6) ** 2, 0.25, 0.5, 4, id="exact-144"),
     pytest.param("point", 1, 0.25, 0.5, 4, id="point-1"),
     # 32 elements per axis at lambda/8 on 0.5 m: 32 steps per axis, the
     # largest lattice of capa spda-spacing and the lattice benchmark
-    pytest.param("exact", 19 ** 2, 0.5, 0.125, 32, id="exact-361-32x32"),
+    pytest.param("exact", (2 * 6) ** 2, 0.5, 0.125, 32, id="exact-144-32x32"),
 ])
 def test_coupling_evaluates_kernel_once_per_node_difference(cfg, monkeypatch, mode, per_offset,
                                                             side_m, pitch_wl, steps):
     # an n x n lattice has n distinct steps |i - j| per axis, n^2 table
-    # entries; the order-6 rule has 19 distinct node differences per axis,
+    # entries; the order-6 hat rule has 2 x 6 node differences per axis,
     # the point rule 1
     entries = []
 
