@@ -6,17 +6,17 @@ coordinates y = W^1/2 x its operator is H + Zs I, H = W^1/2 K W^1/2.  The grid
 is symmetric about 0 on each axis and the kernel depends only on |dx| and |dy|,
 so H is block diagonal in the basis of grid functions even or odd in each axis
 (quadrature._fold; Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 29,
-1992).  The four blocks are gathered from one kernel table over the distinct
-per-axis |offsets| and folded by quadrature._fold_matrix, as the closed form's
-are; no M^2 x M^2 matrix is formed.  Each block is preconditioned by a
-randomized Nystrom approximation (Frangella, Tropp & Udell, arXiv:2110.02820)
-of fixed seed, whose rank starts at 32 and doubles, reusing the columns drawn,
-until its smallest eigenvalue is at most 10 Zs, capped at half the block's real
-rows; a block of Frobenius norm at most 10 Zs gets rank 0.  The blocks then run
-conjugate-gradient recurrences in lockstep, stopped on the summed weighted
-residual of the unpreconditioned system.  beamform_cg reuses the read-only
-operator and preconditioner of its last call with the same configuration,
-aperture and order, since the steering direction enters only the right-hand side.
+1992).  The four blocks are mirror sums of one kernel table over the distinct
+per-axis |offsets| (quadrature._table_blocks); no M^2 x M^2 matrix is formed.
+Each block is preconditioned by a randomized Nystrom approximation (Frangella,
+Tropp & Udell, arXiv:2110.02820) of fixed seed, whose rank starts at 32 and
+doubles, reusing the columns drawn, until its smallest eigenvalue is at most
+10 Zs, capped at half the block's real rows; a block of Frobenius norm at most
+10 Zs gets rank 0.  The blocks then run conjugate-gradient recurrences in
+lockstep, stopped on the summed weighted residual of the unpreconditioned
+system.  beamform_cg reuses the read-only operator and preconditioner of its
+last call with the same configuration, aperture and order, since the steering
+direction enters only the right-hand side.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, NumericError
 from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _is_count, _require_finite,
                       _require_positive, _require_radiating, radiation_kernel)
-from .quadrature import (ApertureGrid, _fold, _fold_matrix, _offset_table, _parity_rows,
+from .quadrature import (ApertureGrid, _fold, _offset_table, _parity_rows, _table_blocks,
                          _unfold, aperture_grid)
 
 _SKETCH_SEED = 20251
@@ -134,12 +134,10 @@ def discretize_operator(cfg: PhysicalConfig, grid: ApertureGrid) -> DiscretizedO
     m = grid.order
     a = (m + 1) // 2
     axes = grid.points.reshape(m, m, 3)
-    table, kx, ky = _offset_table(axes[:, 0, 0], axes[0, :, 1], lambda offsets:
-                                  radiation_kernel(offsets, cfg.wavenumber))
+    blocks = _table_blocks(*_offset_table(axes[:, 0, 0], axes[0, :, 1], lambda offsets:
+                                          radiation_kernel(offsets, cfg.wavenumber)))
     root = np.sqrt(grid.weights).reshape(m, m)[:a, :a].ravel()
-    columns = table[kx[:, None, :a, None], ky[None, :, None, :a]].reshape(m * m, a * a)
-    blocks = root[:, None] * _fold_matrix(columns, grid.shape)
-    blocks *= root
+    blocks *= np.multiply.outer(root, root)
     blocks.setflags(write=False)
     return DiscretizedOperator(config=cfg, grid=grid, blocks=blocks)
 

@@ -7,7 +7,7 @@ array gain have closed forms involving one dense linear solve whose size is
 the number of expansion terms, independent of any surface discretization.
 The system is unchanged by the reflections x -> -x and y -> -y, so its Gram
 is built directly as four decoupled blocks, even or odd in each axis, of
-about a quarter of that size each; no full Gram is formed.
+about a quarter of that size each, by mirror sums; no full Gram is formed.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from ._linalg import CholeskyFactor, cholesky
 from .errors import DomainError, NumericError
 from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_positive,
                       _require_radiating, wavenumber_kernel)
-from .quadrature import _fold, _fold_matrix, _unfold, disk_wavenumber_grid
+from .quadrature import _fold, _grid_weights, _mirror_sums, _unfold, disk_wavenumber_grid
 
 @dataclass(frozen=True, eq=False)
 class PlaneWaveExpansion:
@@ -114,21 +114,24 @@ def _sinc(t: np.ndarray) -> np.ndarray:
 def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray:
     """Aperture inner products between the expansion's plane waves, as the four
     reflection-parity blocks (4, N, N) of the n x n Gram, N = ceil(M/2)^2, zero
-    on padding: _fold_matrix of its first-quadrant columns c, d < ceil(M/2),
-    n^2/4 sinc evaluations, each the arithmetic of its own pair."""
+    on padding.  Entry (i, l) is area sinc((kx_i - kx_l) L_x/2) sinc((ky_i - ky_l) L_y/2),
+    and a mirror image of term l negates kx_l or ky_l alone, so the mirror sums
+    read one sinc table per axis and sign: 2 N^2 sinc evaluations."""
     m = expansion.order
     a = (m + 1) // 2
+    n = a * a
+    # before any n x n temporary, so that the heap does not grow past them
+    out = np.zeros((2, 2, n, n))
     # kappa_x takes only `order` distinct values, each repeated over one chord
-    kx = expansion.kappa[::m, 0]
-    ky = expansion.kappa[:, 1]
-    qx = _sinc((kx[:, None] - kx[None, :a]) * (0.5 * aperture.length_x))
-    qx *= aperture.area
-    # formed in place: at order 40 the columns are 5 MB
-    columns = ky[:, None] - ky.reshape(m, m)[:a, :a].ravel()
-    columns *= 0.5 * aperture.length_y
-    columns = _sinc(columns).reshape(m, m, a, a)
-    columns *= qx[:, None, :, None]
-    return _fold_matrix(columns.reshape(m * m, a * a), (m, m))
+    kx = expansion.kappa[::m, 0][:a]
+    ky = expansion.kappa[:, 1].reshape(m, m)[:a, :a].ravel()
+    qx, qy = ([_sinc(np.subtract.outer(k, s * k) * (0.5 * side)) for s in (1.0, -1.0)]
+              for k, side in ((kx, aperture.length_x), (ky, aperture.length_y)))
+    _mirror_sums(lambda sx, sy: (qy[sy].reshape(a, a, a, a)
+                                 * (aperture.area * qx[sx])[:, None, :, None]).reshape(n, n), out)
+    scale = 2.0 * _grid_weights((m, m), 0.5).ravel()
+    out *= np.multiply.outer(scale, scale)
+    return out.reshape(4, n, n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,11 +44,11 @@ def _require_positive(what: str, *values, module: str) -> None:
 
 
 def _require_wavenumber(wavenumber: float, module: str) -> None:
-    """DomainError unless the wavenumber and its square are positive and finite:
-    the kernels scale and divide by k^2, which must not overflow or underflow to 0."""
+    """DomainError unless k, k^2 and the kernel prefactor k^2 Z0/(4 pi) are positive and
+    finite: the kernels scale and divide by them, which must not overflow or underflow to 0."""
     _require_positive("wavenumber", wavenumber, module=module)
     k = float(wavenumber)
-    _require_positive("squared wavenumber", k * k, module=module)
+    _require_positive("squared wavenumber", k * k, k * k * Z0 / (4.0 * np.pi), module=module)
 
 
 def _require_finite(what: str, *arrays, module: str) -> None:

@@ -3,14 +3,14 @@
 Two grids are used throughout: a tensor grid over the rectangular aperture
 (for surface integrals) and a nested grid over the propagating disk in the
 wavenumber plane (for spectral integrals).  Both are symmetric about 0 on each
-axis, as is a discrete array's centered uniform lattice, so the closed form,
-CG and the discrete-array solve split their systems into the four
-reflection-parity blocks of _fold.  _fold is the one map from the values on a
-grid of shape (mx, my) to those blocks (the two grids here are square, a
-lattice need not be): _fold_matrix applies it to a symmetric matrix's
-first-quadrant columns.  _offset_table builds CG's kernel table over the node
-offsets of its grid and the discrete-array coupling table over the integer
-steps |i - j| of its lattice, where a pair's step is its table index.
+axis, as is a discrete array's centered uniform lattice (which need not be
+square), so the closed form, CG and the discrete-array solve split their
+systems into four reflection-parity blocks.  _mirror_sums is the one map to
+them, signed sums over the four mirror images of a first-quadrant array: of
+grid values in _fold and _unfold, and of a symmetric matrix's entries at the
+images of its first-quadrant columns in _table_blocks and the Gram.
+_offset_table builds CG's kernel table over the node offsets of its grid and
+the discrete-array coupling table over the integer steps |i - j| of a lattice.
 """
 from __future__ import annotations
 
@@ -129,57 +129,62 @@ def _parity_rows(shape: tuple) -> np.ndarray:
     return np.array([np.multiply.outer(x, y).ravel() for x in px for y in py])
 
 
+def _mirror_sums(pair, out: np.ndarray) -> None:
+    """Add to out[px, py] the sum over sx, sy in (0, 1) of (-1)^(px sx + py sy)
+    pair(sx, sy), a first-quadrant array read at its image mirrored in x if sx
+    and in y if sy.  The images are combined along y, then along x, one sum or
+    difference each, so into a zeroed out a center, its own mirror, has an odd
+    part of exactly 0: the padding."""
+    for sx in (0, 1):
+        near, far = pair(sx, 0), pair(sx, 1)
+        for py, along_y in enumerate((np.add, np.subtract)):
+            part = along_y(near, far)
+            out[0, py] += part
+            (np.subtract if sx else np.add)(out[1, py], part, out=out[1, py])
+
+
 def _fold(x: np.ndarray, shape: tuple) -> np.ndarray:
     """Coordinates of grid-indexed x, (n,) or (n, D), in the reflection-parity
     basis of the grid shape (mx, my): (4, N) or (4, N, D), one block per parity
     on N = ceil(mx/2) ceil(my/2) rows, zero on padding.  The basis is
     orthonormal, so norms carry over."""
-    mx, my = shape
-    ax, ay = (mx + 1) // 2, (my + 1) // 2
-    tail = x.shape[1:]
-    grid = x.reshape((mx, my) + tail)
-    # sums and differences with the mirror along x, then along y; a sum doubles
-    # a center, which its basis vector e_c takes with weight 1/2, and a
-    # difference leaves it exactly 0, the odd part's padding.  Each stage is
-    # written in place: np.stack's temporaries took the order-40 Gram and
-    # resolvent from 17.5 to 20.5 MB at peak
-    half = np.empty((2, ax, my) + tail, dtype=x.dtype)
-    np.add(grid[:ax], grid[::-1][:ax], out=half[0])
-    np.subtract(grid[:ax], grid[::-1][:ax], out=half[1])
-    near, far = half[:, :, :ay], half[:, :, ::-1][:, :, :ay]
-    out = np.empty((2, 2, ax, ay) + tail, dtype=x.dtype)
-    np.add(near, far, out=out[:, 0])
-    np.subtract(near, far, out=out[:, 1])
+    (ax, ay), tail = ((m + 1) // 2 for m in shape), x.shape[1:]
+    grid = x.reshape(shape + tail)
+    out = np.zeros((2, 2, ax, ay) + tail, dtype=x.dtype)
+    # a mirror sum doubles a center, which its basis vector e_c takes with weight 1/2
+    _mirror_sums(lambda sx, sy: grid[::1 - 2 * sx, ::1 - 2 * sy][:ax, :ay], out)
     out *= _grid_weights(shape, 0.5).reshape((ax, ay) + (1,) * len(tail))
     return out.reshape((4, ax * ay) + tail)
 
 
-def _fold_matrix(columns: np.ndarray, shape: tuple) -> np.ndarray:
-    """Parity blocks (4, N, N), zero on padding, of a grid matrix A unchanged by
-    the reflections, from its first-quadrant columns (mx my, N): by the symmetry,
-    A v for a basis vector v has in v's own block the coordinates of A e_c, c its
-    first-quadrant index, divided by v's entry there (1/2, 1/sqrt 2 or 1)."""
-    blocks = _fold(columns, shape)
-    blocks /= _grid_weights(shape, 1.0).ravel()
-    return blocks
-
-
 def _unfold(blocks: np.ndarray, shape: tuple) -> np.ndarray:
     """Inverse of _fold, for parity coordinates that are zero on padding."""
-    mx, my = shape
-    (ax, bx), (ay, by) = (((m + 1) // 2, m // 2) for m in shape)
-    tail = blocks.shape[2:]
+    (ax, ay), tail = ((m + 1) // 2 for m in shape), blocks.shape[2:]
     weights = _grid_weights(shape, 1.0).reshape((ax, ay) + (1,) * len(tail))
-    even, odd = (blocks.reshape((2, 2, ax, ay) + tail) * weights).swapaxes(0, 1)
-    # the even and odd parts along y, then along x, recombined with the mirror;
-    # at odd m the odd part's padding adds nothing to the center
-    half = np.empty((2, ax, my) + tail, dtype=blocks.dtype)
-    half[:, :, :ay] = even + odd
-    half[:, :, my - by:] = (even[:, :, :by] - odd[:, :, :by])[:, :, ::-1]
-    out = np.empty((mx, my) + tail, dtype=blocks.dtype)
-    out[:ax] = half[0] + half[1]
-    out[mx - bx:] = (half[0, :bx] - half[1, :bx])[::-1]
-    return out.reshape((mx * my,) + tail)
+    parts = blocks.reshape((2, 2, ax, ay) + tail) * weights
+    images = np.zeros_like(parts)
+    _mirror_sums(lambda px, py: parts[px, py], images)
+    out = np.empty(shape + tail, dtype=blocks.dtype)
+    # at odd m the odd part's padding adds nothing, so both images of a center agree
+    for sx, sy in np.ndindex(2, 2):
+        out[::1 - 2 * sx, ::1 - 2 * sy][:ax, :ay] = images[sx, sy]
+    return out.reshape((-1,) + tail)
+
+
+def _table_blocks(table: np.ndarray, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """Parity blocks (4, N, N), zero on padding, of the symmetric grid matrix with
+    entry table[kx[i, j], ky[k, l]] between points (i, k) and (j, l) (_offset_table's
+    indices): mirror sums between first-quadrant rows and the images of first-quadrant
+    columns, times 1/sqrt 2 per center index of the row and of the column."""
+    shape = (len(kx), len(ky))
+    ax, ay = ((m + 1) // 2 for m in shape)
+    out = np.zeros((2, 2, ax * ay, ax * ay))
+    ix, iy = ([k[:a, ::1 - 2 * s][:, :a] for s in (0, 1)] for k, a in ((kx, ax), (ky, ay)))
+    _mirror_sums(lambda sx, sy: table[ix[sx][:, None, :, None], iy[sy][None, :, None, :]]
+                 .reshape(out.shape[2:]), out)
+    scale = 2.0 * _grid_weights(shape, 0.5).ravel()
+    out *= np.multiply.outer(scale, scale)
+    return out.reshape(4, ax * ay, ax * ay)
 
 
 def aperture_grid(aperture: Aperture, order: int) -> ApertureGrid:

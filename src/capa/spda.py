@@ -13,9 +13,9 @@ steps |i - j| holds the block-Toeplitz coupling matrix.  The optimal drive
 vector and its gain follow from one symmetric positive-definite solve.
 Reversing either axis keeps every step, so the matrix splits into four
 reflection-parity blocks (quadrature._fold; Allgower, Boehmer, Georg &
-Miranda, SIAM J. Numer. Anal. 29, 1992), folded from its first-quadrant
-columns by quadrature._fold_matrix and factored as one stacked Cholesky, so
-no N x N matrix is gathered.  The coupling-blind model is solved elementwise.
+Miranda, SIAM J. Numer. Anal. 29, 1992), mirror sums of the step table
+(quadrature._table_blocks) factored as one stacked Cholesky, so no N x N
+matrix is gathered.  The coupling-blind model is solved elementwise.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .errors import DomainError, NumericError
 from .kernel_approx import PlaneWaveExpansion, _sinc, beamform_ka
 from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _is_count, _require_finite,
                       _require_positive, radiation_kernel)
-from .quadrature import _fold, _fold_matrix, _offset_table, _unfold, legendre_rule
+from .quadrature import _fold, _offset_table, _table_blocks, _unfold, legendre_rule
 
 _DEFAULT_ELEMENT_ORDER = 6
 
@@ -164,21 +164,14 @@ class CouplingMatrix:
     def size(self) -> int:
         return self.table.size
 
-    def columns(self, cx: int, cy: int) -> np.ndarray:
-        """Radiation between every element and the elements of the first cx
-        x positions and first cy y positions, (N, cx cy), x-major."""
-        # element (a, b) has x coordinate a and y coordinate b, row-major
-        nx, ny = self.shape
-        sx = np.abs(np.arange(nx)[:, None] - np.arange(cx))
-        sy = np.abs(np.arange(ny)[:, None] - np.arange(cy))
-        return self.table[sx[:, None, :, None], sy[None, :, None, :]].reshape(self.size, cx * cy)
-
     @cached_property
     def radiation(self) -> np.ndarray:
         """Pairwise radiation, N x N, or its diagonal (N,) for a diagonal model."""
         if self.diagonal:
             return np.full(self.size, self.table[0, 0])
-        return self.columns(*self.shape)
+        # element (a, b) has x coordinate a and y coordinate b, row-major
+        sx, sy = (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) for n in self.shape)
+        return self.table[sx[:, None, :, None], sy[None, :, None, :]].reshape(self.size, -1)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -244,10 +237,10 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
                                 power: float = 1.0) -> DiscreteBeamformer:
     """Optimal drive vector under the coupling model, with its array gain.
 
-    The coupling matrix is factored as its four parity blocks, folded from
-    its first-quadrant columns, by one stacked Cholesky, and the drive
-    follows by two triangular substitutions.  A diagonal coupling (from
-    diagonal_only) is solved elementwise.
+    The coupling matrix is factored as its four parity blocks, summed from
+    its step table, by one stacked Cholesky, and the drive follows by two
+    triangular substitutions.  A diagonal coupling (from diagonal_only) is
+    solved elementwise.
     """
     _require_positive("transmit power", power, module="spda")
     h = np.asarray(h, dtype=complex)
@@ -266,7 +259,8 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
         # psi = L L^T: h^H psi^-1 h = ||L^-1 h||^2 and psi^-1 h = L^-T (L^-1 h),
         # block by block; the parity basis is orthonormal, so norms carry over
         shape = coupling.shape
-        blocks = _fold_matrix(coupling.columns(*((m + 1) // 2 for m in shape)), shape)
+        steps = (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) for n in shape)
+        blocks = _table_blocks(coupling.table, *steps)
         # every block's diagonal, padding included: a padding row is then a Zs row
         diagonal = np.arange(blocks.shape[-1])
         blocks[:, diagonal, diagonal] += coupling.self_impedance

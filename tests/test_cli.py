@@ -275,11 +275,13 @@ def test_overflowing_setting_exits_with_one_record(capsys, setting, command, cod
     ("frequency=1e-300", ["gain", "--method", "cg"]),
     ("receiver.R0=1e-300", ["gain", "--method", "ka"]),
     ("receiver.R0=1e-300", ["directivity"]),
+    ("frequency=1.2e161", ["kernel", "--samples", "3"]),
 ])
 def test_extreme_setting_is_domain_error(capsys, setting, command):
     # an overflowing square ended in an OverflowError traceback (the first five
-    # and the last two); on the underflowed channel of the rest the closed form
-    # exited 3 and conjugate gradients 2
+    # and the two before the last); on the underflowed channel of the rest but
+    # the last the closed form exited 3 and conjugate gradients 2; an
+    # overflowing kernel prefactor (the last) printed -inf rows and exited 0
     code, out, err = _run(capsys, command + ["--set", setting])
     assert code == 2 and out == ""
     record = json.loads(err)

@@ -179,6 +179,21 @@ def test_gram_blocks_and_resolvent_stay_small(cfg):
     assert peak < 20e6
 
 
+def test_gram_blocks_peak_memory(cfg):
+    # order 40 on 1 m: the blocks (5.1 MB), two sinc tables over the N^2
+    # first-quadrant pairs and the mirror sums' temporaries, 14.16 MB at peak;
+    # 15.43 MB while the first-quadrant columns were folded
+    exp = build_expansion(cfg, 40)
+    aperture = Aperture(1.0, 1.0)
+    tracemalloc.start()
+    try:
+        gram_matrix(exp, aperture)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.8e6
+
+
 @pytest.mark.parametrize("inner_rule", ["chebyshev", "legendre"])
 def test_expansion_is_reflection_symmetric_bit_for_bit(cfg, inner_rule):
     # the parity split of gram_matrix and inverse_operator rests on these
@@ -194,9 +209,12 @@ def test_expansion_is_reflection_symmetric_bit_for_bit(cfg, inner_rule):
         assert np.array_equal(rho[:, ::-1], rho), order
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 6, 7, pytest.param((3, 4), id="3x4")])
+@pytest.mark.parametrize("order", [1, 2, 3, 6, 7, pytest.param((3, 4), id="3x4"),
+                                   pytest.param((1, 6), id="1x6"), pytest.param((6, 1), id="6x1"),
+                                   pytest.param((5, 4), id="5x4")])
 def test_parity_fold_is_orthonormal(order):
-    # the blocks' rows are an orthonormal basis of the terms; padding rows are 0
+    # the blocks' rows are an orthonormal basis of the terms; padding rows are
+    # 0, a whole block of them where an axis has a single index
     shape = order if isinstance(order, tuple) else (order, order)
     n = shape[0] * shape[1]
     basis = _fold(np.eye(n), shape).reshape(-1, n)

@@ -381,8 +381,9 @@ def _scalar_cases(inputs, value_ids):
 
 
 # positive, finite wavenumbers whose square overflows (1e200) or underflows to
-# 0 (1e-200): Python raised OverflowError on the first three and numpy warned
-# of a division by zero on the last
+# 0 (1e-200), or whose kernel prefactor k^2 Z0 / (4 pi) overflows (2.5e153):
+# Python raised OverflowError on the first three, numpy warned of a division
+# by zero on the fourth, and radiation_kernel returned inf on the last
 _WAVENUMBER_SQUARE_CASES = [
     pytest.param(lambda cfg, ap, ch, v: wavenumber_kernel([0.0, 0.0], v), 1e200,
                  id="wavenumber_kernel wavenumber-square overflows"),
@@ -393,6 +394,8 @@ _WAVENUMBER_SQUARE_CASES = [
                  id="disk_wavenumber_grid wavenumber-square overflows"),
     pytest.param(lambda cfg, ap, ch, v: wavenumber_kernel([1e-300, 0.0], v), 1e-200,
                  id="wavenumber_kernel wavenumber-square underflows"),
+    pytest.param(lambda cfg, ap, ch, v: radiation_kernel([0.0, 0.0, 0.0], v), 2.5e153,
+                 id="radiation_kernel prefactor overflows"),
 ]
 
 

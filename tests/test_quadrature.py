@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capa import Aperture, DomainError, PhysicalConfig, build_expansion
-from capa.quadrature import (aperture_grid, disk_wavenumber_grid,
-                             legendre_rule)
+from capa.quadrature import (_parity_rows, _table_blocks, aperture_grid,
+                             disk_wavenumber_grid, legendre_rule)
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 20, 64, 256, 512])
@@ -122,3 +122,21 @@ def test_disk_grid_rejects_bad_inputs(cfg):
         disk_wavenumber_grid(cfg.wavenumber, 0)
     with pytest.raises(DomainError):
         disk_wavenumber_grid(cfg.wavenumber, 10, inner_rule="simpson")
+
+
+def test_table_blocks_equal_dense_fold(dense_fold):
+    # a (7, 4) integer-step table: an odd axis with a center and padding, and
+    # an even one; the blocks against the parity fold of the gathered matrix,
+    # with padding rows and columns exactly zero
+    shape = (7, 4)
+    table = np.random.default_rng(7).standard_normal(shape)
+    kx, ky = (np.abs(np.subtract.outer(np.arange(m), np.arange(m))) for m in shape)
+    dense = table[kx[:, None, :, None], ky[None, :, None, :]].reshape(28, 28)
+    want, _ = dense_fold(dense, shape)
+    blocks = _table_blocks(table, kx, ky)
+    assert blocks.shape == want.shape == (4, 8, 8)
+    assert np.max(np.abs(blocks - want)) <= 1e-14 * np.max(np.abs(table))
+    padding = ~_parity_rows(shape)
+    assert padding.sum() == 4
+    assert np.all(blocks[padding] == 0.0)
+    assert np.all(blocks.transpose(0, 2, 1)[padding] == 0.0)
