@@ -5,22 +5,22 @@ element is a small rectangle carrying the uniform unit-energy current;
 mutual coupling between elements integrates the radiation kernel over both
 element surfaces.  Per axis, the two uniform currents convolve to a hat,
 int int f(u - v) du dv = int f(t) (e - |t|) dt over |t| < e for side e, so
-the four-fold integral is a 2-D one with the hat as weight, integrated by a
-Gauss rule on each half: (2 order)^2 kernel evaluations per center offset,
-144 at the default order 6.  The coupling depends only on the center offset,
-(i - j) pitch per axis, and is even in each, so one table over the integer
-steps |i - j| holds the block-Toeplitz coupling matrix.  The optimal drive
-vector and its gain follow from one symmetric positive-definite solve.
-Reversing either axis keeps every step, so the matrix splits into four
+the four-fold integral is a 2-D one, taken by the Gauss rule of the hat weight
+(the kink is the weight's, not the kernel's): order^2 kernel evaluations per
+center offset, 64 at the default order 8.  The coupling depends only on the
+center offset, (i - j) pitch per axis, and is even in each, so one table over
+the integer steps |i - j| holds the block-Toeplitz coupling matrix.  The
+optimal drive vector and its gain follow from one symmetric positive-definite
+solve.  Reversing either axis keeps every step, so the matrix splits into four
 reflection-parity blocks (quadrature._fold; Allgower, Boehmer, Georg &
 Miranda, SIAM J. Numer. Anal. 29, 1992), mirror sums of the step table
 (quadrature._table_blocks) factored as one stacked Cholesky, so no N x N
-matrix is gathered.  The coupling-blind model is solved elementwise.
+matrix is gathered.  A coupling-blind model is solved elementwise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _is_count, _req
                       _require_positive, radiation_kernel)
 from .quadrature import _fold, _offset_table, _table_blocks, _unfold, legendre_rule
 
-_DEFAULT_ELEMENT_ORDER = 6
+_DEFAULT_ELEMENT_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,10 @@ class SpdaModel:
     nx by ny elements sit pitch apart on each axis, centered on the origin,
     x-major; x and y are the ascending center coordinates per axis.  Each is
     an element_x by element_y rectangle carrying the uniform unit-energy
-    current 1/sqrt(element area); order is the number of Gauss-Legendre points
-    per half of the hat rule that integrates its coupling per axis
-    (_hat_rule).  Neighbouring elements may touch but not overlap.
+    current 1/sqrt(element area); order counts the nodes per axis of the hat
+    rule that integrates its coupling (_hat_rule), 1 being the point rule.
+    Order 8 holds elements up to a wavelength to 6e-7 of the self term and
+    order 10 two wavelengths to 4e-4.  Elements may touch but not overlap.
     """
 
     nx: int
@@ -105,16 +106,40 @@ def element_layout(aperture: Aperture, spacing: float, element_x: float,
     return SpdaModel(nx, ny, float(spacing), float(element_x), float(element_y), order=order)
 
 
-def _hat_rule(side: float, order: int):
-    """Nodes on [-side, side] and weights of int f(t) (side - |t|) dt: the
-    order-point Gauss rule on each half, weighted by the hat.  Two uniform
-    currents of width side convolve to that hat, so the rule integrates
-    f(u - v) over both sides with 2 order nodes.  The halves mirror each other
-    exactly."""
+# typed, like legendre_rule, so that 8.0 and True are checked rather than served
+@lru_cache(maxsize=None, typed=True)
+def _unit_hat_rule(order: int):
+    """Order-node Gauss rule of the weight 1 - |x| on [-1, 1], nodes ascending.
+
+    Discretized Stieltjes (Gautschi 2004) on order Gauss-Legendre nodes per
+    half, exact for every moment it reads (degree <= 2 order - 2; the
+    diagonal is 0 by symmetry), then Golub-Welsch (Math. Comp. 23, 1969) on
+    the Jacobi matrix, mirrored so the halves match bit for bit.
+    """
     rule = legendre_rule(order)
-    t = 0.5 * side * (1.0 + rule.nodes)
-    w = 0.5 * side * rule.weights * (side - t)
-    return np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
+    t = 0.5 * (1.0 + rule.nodes)
+    half = 0.5 * rule.weights * (1.0 - t)
+    x, w = np.concatenate([-t[::-1], t]), np.concatenate([half[::-1], half])
+    # orthonormal recurrence p_(k+1) b_(k+1) = x p_k - b_k p_(k-1); the unit hat has mass 1
+    p_prev, p, b = np.zeros_like(x), np.ones_like(x), np.zeros(order)
+    for k in range(1, order):
+        q = x * p - b[k - 1] * p_prev
+        b[k] = np.sqrt(w @ (q * q))
+        p_prev, p = p, q / b[k]
+    nodes, vectors = np.linalg.eigh(np.diag(b[1:], -1))
+    weights = vectors[0] ** 2
+    nodes, weights = 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _hat_rule(side: float, order: int):
+    """Nodes on [-side, side] and weights of int f(t) (side - |t|) dt, the
+    hat two uniform currents of width side convolve to: the unit hat rule
+    scaled to side."""
+    nodes, weights = _unit_hat_rule(order)
+    return side * nodes, side * side * weights
 
 
 def _pair_integrals(offsets: np.ndarray, model: SpdaModel, cfg: PhysicalConfig):
@@ -122,7 +147,7 @@ def _pair_integrals(offsets: np.ndarray, model: SpdaModel, cfg: PhysicalConfig):
 
     With the uniform current 1/sqrt(area) on both, the integral is
     sum over (tx, ty) of W_x(tx) W_y(ty) K(offset + (tx, ty, 0)) / area for
-    the hat rule of each side.
+    the hat rule of each side: order^2 kernel evaluations per offset.
     """
     (tx, wx), (ty, wy) = (_hat_rule(side, model.order)
                           for side in (model.element_x, model.element_y))
@@ -190,7 +215,7 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
 
     Both modes integrate the kernel over both element surfaces; mode only
     picks the element rule.  "exact" uses the hat rule of the model's order
-    on each axis, (2 order)^2 kernel evaluations per pair; "point" uses the
+    on each axis, order^2 kernel evaluations per pair; "point" uses the
     one-node rule at the element center, so every pair, the diagonal
     included, is the element area times the kernel at the center offset
     (A K(0) on the diagonal), a sampled positive-definite function.  Either

@@ -15,6 +15,7 @@ from capa import (
     NumericError,
     PhysicalConfig,
     aperture_grid,
+    beamform_ka,
     build_expansion,
     far_field_channel,
     radiation_kernel,
@@ -315,16 +316,28 @@ def _lattice_offsets(model):
     return (steps[:, None, :] - steps) * model.pitch
 
 
-def _brute_force_hat_pair(model, cfg, offset):
-    """Coupling of two elements offset apart by the hat rule summed node by
-    node: per axis, int f(t) (e - |t|) dt over |t| < e for side e, by a
-    Gauss rule on each half with its weights scaled by e - |t|."""
-    nodes, weights = np.polynomial.legendre.leggauss(model.order)
-    axes = []
-    for e in (model.element_x, model.element_y):
-        t = np.concatenate([lo + 0.5 * e * (nodes + 1.0) for lo in (-e, 0.0)])
-        axes.append((t, 0.5 * e * np.tile(weights, 2) * (e - np.abs(t))))
-    (tx, wx), (ty, wy) = axes
+@pytest.mark.parametrize("order", [*range(1, 13), 40])
+def test_unit_hat_rule_is_gauss_rule_of_hat_weight(order):
+    # order nodes integrate x^2k (1 - |x|) over [-1, 1], 2 / ((2k+1)(2k+2)),
+    # for every k < order (the odd moments vanish); measured 3.2e-15 up to
+    # order 12 and 2.3e-14 at order 40
+    nodes, weights = spda._unit_hat_rule(order)
+    k = np.arange(order)
+    moments = (nodes[:, None] ** (2 * k)).T @ weights
+    exact = 2.0 / ((2 * k + 1) * (2 * k + 2))
+    assert np.max(np.abs(moments / exact - 1.0)) <= (1e-13 if order > 12 else 1e-14)
+    assert np.max(np.abs((nodes[:, None] ** (2 * k + 1)).T @ weights)) <= 1e-16
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert np.all(weights > 0.0) and np.all(np.abs(nodes) < 1.0)
+    if order == 1:
+        assert nodes.tolist() == [0.0] and weights.tolist() == [1.0]
+
+
+def _per_pair_hat_sum(model, cfg, offset):
+    """Coupling of two elements offset apart by the hat rule of each side
+    summed node by node for this one offset."""
+    (tx, wx), (ty, wy) = (spda._hat_rule(e, model.order)
+                          for e in (model.element_x, model.element_y))
     disp = np.stack(np.broadcast_arrays(tx[:, None], ty, 0.0), axis=-1) + offset
     return float(wx @ radiation_kernel(disp, cfg.wavenumber) @ wy) / model.element_area
 
@@ -346,7 +359,7 @@ def _random_lattice(cfg, order, sides, gap):
 def test_hat_rule_matches_brute_force_pairs(cfg, order, sides, gap):
     model = _random_lattice(cfg, order, sides, gap)
     got = coupling_matrix(model, cfg, mode="exact").radiation
-    want = np.array([[_brute_force_hat_pair(model, cfg, offset) for offset in row]
+    want = np.array([[_per_pair_hat_sum(model, cfg, offset) for offset in row]
                      for row in _lattice_offsets(model)])
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -354,14 +367,13 @@ def test_hat_rule_matches_brute_force_pairs(cfg, order, sides, gap):
 @settings(max_examples=30, deadline=None)
 @given(sides=_LATTICE_SIDES, gap=_LATTICE_GAPS)
 def test_default_hat_rule_matches_converged_product_rule(cfg, sides, gap):
-    # the order-6 hat rule against the order-16 product rule over both element
+    # the default hat rule against the order-16 product rule over both element
     # surfaces, on every table entry, relative to the self term.  Away from
-    # the smallest elements they agree to 5e-14; on 0.02-wavelength elements
-    # both read the kernel at k r of a few 1e-3, where its polarized term
-    # (kr cos kr - sin kr) / (kr)^3 cancels to about 1e-16 / (kr)^2, and they
-    # differ by up to 1.04e-13 (70 draws) while the rule alone, with that term
-    # from its Taylor series, is exact to 3e-16
-    model = _random_lattice(cfg, 6, sides, gap)
+    # the smallest elements they agree to 1.3e-14 on a grid of the domain; on
+    # 0.02-wavelength elements both read the kernel at k r of a few 1e-3,
+    # where its polarized term (kr cos kr - sin kr) / (kr)^3 cancels to about
+    # 1e-16 / (kr)^2, and they differ by up to 5.7e-14 on that grid
+    model = _random_lattice(cfg, spda._DEFAULT_ELEMENT_ORDER, sides, gap)
     got = coupling_matrix(model, cfg, mode="exact").table
     want = np.array([[_brute_force_pair(model, cfg, np.array([i, j, 0.0]) * model.pitch,
                                         order=16) for j in range(model.ny)]
@@ -370,17 +382,17 @@ def test_default_hat_rule_matches_converged_product_rule(cfg, sides, gap):
 
 
 @pytest.mark.parametrize("mode, per_offset, side_m, pitch_wl, steps", [
-    pytest.param("exact", (2 * 6) ** 2, 0.25, 0.5, 4, id="exact-144"),
+    pytest.param("exact", 8 ** 2, 0.25, 0.5, 4, id="exact-64"),
     pytest.param("point", 1, 0.25, 0.5, 4, id="point-1"),
     # 32 elements per axis at lambda/8 on 0.5 m: 32 steps per axis, the
     # largest lattice of capa spda-spacing and the lattice benchmark
-    pytest.param("exact", (2 * 6) ** 2, 0.5, 0.125, 32, id="exact-144-32x32"),
+    pytest.param("exact", 8 ** 2, 0.5, 0.125, 32, id="exact-64-32x32"),
 ])
 def test_coupling_evaluates_kernel_once_per_node_difference(cfg, monkeypatch, mode, per_offset,
                                                             side_m, pitch_wl, steps):
     # an n x n lattice has n distinct steps |i - j| per axis, n^2 table
-    # entries; the order-6 hat rule has 2 x 6 node differences per axis,
-    # the point rule 1
+    # entries; the order-8 hat rule has 8 node differences per axis, the
+    # point rule 1
     entries = []
 
     def counting(displacement, *args, **kwargs):
@@ -390,10 +402,94 @@ def test_coupling_evaluates_kernel_once_per_node_difference(cfg, monkeypatch, mo
     monkeypatch.setattr(spda, "radiation_kernel", counting)
     side = 0.1 * cfg.wavelength
     model = element_layout(Aperture(side_m, side_m), pitch_wl * cfg.wavelength, side, side)
-    assert model.n_elements == steps ** 2 and model.order == 6
+    assert model.n_elements == steps ** 2 and model.order == 8
     coupling = coupling_matrix(model, cfg, mode=mode)
     assert coupling.table.shape == (steps, steps)
     assert sum(entries) == steps ** 2 * per_offset
+
+
+def _split_hat_table(model, cfg, per_half):
+    """Step table of the hat integral by an independent split rule: per axis,
+    per_half Gauss-Legendre points on each half of [-e, e], weighted by
+    e - |t|, summed for every step offset at once."""
+    nodes, weights = np.polynomial.legendre.leggauss(per_half)
+    axes = []
+    for e in (model.element_x, model.element_y):
+        t = np.concatenate([lo + 0.5 * e * (nodes + 1.0) for lo in (-e, 0.0)])
+        axes.append((t, 0.5 * e * np.tile(weights, 2) * (e - np.abs(t))))
+    (tx, wx), (ty, wy) = axes
+    steps = np.stack(np.meshgrid(np.arange(model.nx), np.arange(model.ny), 0,
+                                 indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
+    disp = np.stack(np.broadcast_arrays(tx[:, None], ty, 0.0), axis=-1) + steps * model.pitch
+    vals = radiation_kernel(disp, cfg.wavenumber) @ wy @ wx / model.element_area
+    return vals.reshape(model.nx, model.ny)
+
+
+@pytest.mark.parametrize("side_wl, bound", [
+    (0.1, 5e-15), (0.25, 1e-14), (0.5, 1e-11), (1.0, 7e-7),
+])
+def test_default_hat_rule_matches_converged_split_rule(cfg, side_wl, bound):
+    # 4 x 4 tiles, pitch = side, against 30 points per half, relative to the
+    # self term: measured 2.8e-15, 1.1e-15, 4.5e-12 and 5.9e-7
+    side = side_wl * cfg.wavelength
+    model = SpdaModel(4, 4, side, side, side)
+    got = coupling_matrix(model, cfg, mode="exact").table
+    want = _split_hat_table(model, cfg, 30)
+    assert np.max(np.abs(got - want)) <= bound * abs(want[0, 0])
+
+
+def test_exact_mode_at_order_one_is_point_mode(cfg):
+    # the one-node hat rule is the node 0 with weight side^2 per axis, so the
+    # pair integral is the element area times the kernel at the center offset
+    wl = cfg.wavelength
+    tiles = element_layout(Aperture(0.25, 0.25), wl / 8, wl / 8, wl / 8)
+    for model in (tiles, SpdaModel(3, 4, 0.55 * wl, 0.08 * wl, 0.05 * wl)):
+        exact = coupling_matrix(replace(model, order=1), cfg, mode="exact").table
+        point = coupling_matrix(model, cfg, mode="point").table
+        assert np.max(np.abs(exact - point)) <= 1e-15 * abs(point[0, 0])
+
+
+def test_exact_coupling_peak_memory(cfg):
+    # lambda/8, 32 x 32: the step table and one block of displacements, 64
+    # per offset; measured 5.11 MiB at peak
+    side = 0.1 * cfg.wavelength
+    model = element_layout(Aperture(0.5, 0.5), 0.125 * cfg.wavelength, side, side)
+    coupling_matrix(model, cfg)
+    tracemalloc.start()
+    try:
+        coupling_matrix(model, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 5.11 * 2 ** 20
+
+
+@pytest.mark.parametrize("phi, richardson_tol", [
+    pytest.param(0.0, 5e-4, id="front-fire"),
+    pytest.param(np.pi / 3, 3e-4, id="phi-60"),
+])
+def test_tiles_converge_to_closed_form_at_second_order(cfg, phi, richardson_tol):
+    # tiles that cover 0.25 m (element = pitch = L / n) are a piecewise-constant
+    # Galerkin discretization: the gain gap to the closed form falls as
+    # pitch^2, so successive differences shrink about 4-fold and Richardson
+    # extrapolation lands near the closed form.  Measured: ratios 3.32 (front
+    # fire) and 5.55 (phi = 60 deg); extrapolated gaps -4.68e-4 and 2.51e-4
+    length = 0.25
+    channel = far_field_channel(cfg, Direction(0.0, phi), 50.0)
+    order = int(np.ceil(1.2 * cfg.wavenumber * length)) + 8
+    assert order == 24
+    reference = beamform_ka(cfg, channel, build_expansion(cfg, order),
+                            Aperture(length, length)).gain
+    gaps = []
+    for n in (8, 16, 32):
+        tiles = SpdaModel(n, n, length / n, length / n, length / n)
+        coupling = coupling_matrix(tiles, cfg, mode="exact")
+        gain = optimal_discrete_beamformer(discrete_channel(tiles, channel), coupling).gain
+        gaps.append(gain / reference - 1.0)
+    g8, g16, g32 = gaps
+    assert g8 < g16 < g32 < 0.0
+    assert 3.0 <= (g16 - g8) / (g32 - g16) <= 6.0
+    assert abs(g32 + (g32 - g16) / 3.0) <= richardson_tol
 
 
 @pytest.mark.parametrize("mode", ["exact", "point"])
