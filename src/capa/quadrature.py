@@ -5,12 +5,13 @@ Two grids are used throughout: a tensor grid over the rectangular aperture
 wavenumber plane (for spectral integrals).  Both are symmetric about 0 on each
 axis, as is a discrete array's centered uniform lattice (which need not be
 square), so the closed form, CG and the discrete-array solve split their
-systems into four reflection-parity blocks.  _mirror_sums is the one map to
+systems into four reflection-parity blocks.  _mirror_sums is the map to
 them, signed sums over the four mirror images of a first-quadrant array: of
 grid values in _fold and _unfold, and of a symmetric matrix's entries at the
-images of its first-quadrant columns in _table_blocks and the Gram.
-_offset_table builds CG's kernel table over the node offsets of its grid and
-the discrete-array coupling table over the integer steps |i - j| of a lattice.
+images of its first-quadrant columns in the Gram; _table_blocks forms the
+same sums, y images first, a few table rows at a time.  _offset_table
+builds CG's kernel table over the node offsets of its grid and the
+discrete-array coupling table over the integer steps |i - j| of a lattice.
 """
 from __future__ import annotations
 
@@ -171,19 +172,38 @@ def _unfold(blocks: np.ndarray, shape: tuple) -> np.ndarray:
     return out.reshape((-1,) + tail)
 
 
+# entries per gathered image in _table_blocks: a few output rows at a time
+_BLOCK_ENTRIES = 2 ** 15
+
+
 def _table_blocks(table: np.ndarray, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
     """Parity blocks (4, N, N), zero on padding, of the symmetric grid matrix with
     entry table[kx[i, j], ky[k, l]] between points (i, k) and (j, l) (_offset_table's
-    indices): mirror sums between first-quadrant rows and the images of first-quadrant
-    columns, times 1/sqrt 2 per center index of the row and of the column."""
+    indices), times 1/sqrt 2 per center index of the row and of the column.
+
+    The images are combined axis by axis, as _mirror_sums does: for a few
+    first-quadrant x rows i at a time, the table rows kx[i, :] are read at the
+    first-quadrant y columns and at their mirrors, summed and differenced along
+    y over every x column, then the x columns and their mirrors are summed and
+    differenced into the blocks, so no (N, N) image is gathered."""
     shape = (len(kx), len(ky))
-    ax, ay = ((m + 1) // 2 for m in shape)
-    out = np.zeros((2, 2, ax * ay, ax * ay))
-    ix, iy = ([k[:a, ::1 - 2 * s][:, :a] for s in (0, 1)] for k, a in ((kx, ax), (ky, ay)))
-    _mirror_sums(lambda sx, sy: table[ix[sx][:, None, :, None], iy[sy][None, :, None, :]]
-                 .reshape(out.shape[2:]), out)
-    scale = 2.0 * _grid_weights(shape, 0.5).ravel()
-    out *= np.multiply.outer(scale, scale)
+    (mx, _), (ax, ay) = shape, ((m + 1) // 2 for m in shape)
+    near, far = ky[:ay, :ay], ky[:ay, ::-1][:, :ay]
+    scale = 2.0 * _grid_weights(shape, 0.5)
+    out = np.empty((2, 2, ax, ay, ax, ay))
+    rows = max(1, _BLOCK_ENTRIES // (mx * ay * ay))
+    for start in range(0, ax, rows):
+        i = slice(start, min(start + rows, ax))
+        gathered = table[kx[i]]
+        images = gathered[..., near], gathered[..., far]
+        # out[px, py, i] indexed (i, j, k, l), as the images are
+        block = out[:, :, i].transpose(0, 1, 2, 4, 3, 5)
+        for py, along_y in enumerate((np.add, np.subtract)):
+            part = along_y(*images)
+            same, mirror = part[:, :ax], part[:, ::-1][:, :ax]
+            np.add(same, mirror, out=block[0, py])
+            np.subtract(same, mirror, out=block[1, py])
+        out[:, :, i] *= np.multiply.outer(scale[i], scale)
     return out.reshape(4, ax * ay, ax * ay)
 
 

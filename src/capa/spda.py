@@ -6,10 +6,14 @@ mutual coupling between elements integrates the radiation kernel over both
 element surfaces.  Per axis, the two uniform currents convolve to a hat,
 int int f(u - v) du dv = int f(t) (e - |t|) dt over |t| < e for side e, so
 the four-fold integral is a 2-D one, taken by the Gauss rule of the hat weight
-(the kink is the weight's, not the kernel's): order^2 kernel evaluations per
-center offset, 64 at the default order 8.  The coupling depends only on the
-center offset, (i - j) pitch per axis, and is even in each, so one table over
-the integer steps |i - j| holds the block-Toeplitz coupling matrix.  The
+(the kink is the weight's, not the kernel's).  The kernel is entire, so the
+rule's error falls with the element's width in wavelengths (Trefethen, SIAM
+Review 50, 2008): by default each axis takes the fewest nodes q with
+(k e / 2)^(2q) / (2q)! <= 1e-14 for its side e, qx qy kernel evaluations per
+center offset, 36 for the default tenth-of-a-wavelength element, 64 at a
+quarter wavelength and 196 at one wavelength.  The coupling depends only on
+the center offset, (i - j) pitch per axis, and is even in each, so one table
+over the integer steps |i - j| holds the block-Toeplitz coupling matrix.  The
 optimal drive vector and its gain follow from one symmetric positive-definite
 solve.  Reversing either axis keeps every step, so the matrix splits into four
 reflection-parity blocks (quadrature._fold; Allgower, Boehmer, Georg &
@@ -19,6 +23,7 @@ matrix is gathered.  A coupling-blind model is solved elementwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -29,9 +34,10 @@ from .errors import DomainError, NumericError
 from .kernel_approx import PlaneWaveExpansion, _sinc, beamform_ka
 from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _is_count, _require_finite,
                       _require_positive, radiation_kernel)
-from .quadrature import _fold, _offset_table, _table_blocks, _unfold, legendre_rule
+from .quadrature import _MAX_ORDER, _fold, _offset_table, _table_blocks, _unfold, legendre_rule
 
-_DEFAULT_ELEMENT_ORDER = 8
+# log of the Gauss error term (k e / 2)^(2q) / (2q)! a derived hat rule reaches
+_LOG_HAT_RULE_TOL = math.log(1e-14)
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,13 @@ class SpdaModel:
     an element_x by element_y rectangle carrying the uniform unit-energy
     current 1/sqrt(element area); order counts the nodes per axis of the hat
     rule that integrates its coupling (_hat_rule), 1 being the point rule.
-    Order 8 holds elements up to a wavelength to 6e-7 of the self term and
-    order 10 two wavelengths to 4e-4.  Elements may touch but not overlap.
+    By default (None) each axis takes the fewest nodes that hold its side at
+    the coupling's wavenumber to a Gauss error term of 1e-14 (_hat_order):
+    4 nodes at 0.02 wavelengths, 6 at 0.1, 8 at 0.25, 10 at 0.5, 14 at 1 and
+    19 at 2, within 2.1e-14 of the self term on 4 x 4 tiles from 0.1
+    wavelengths up (2.8e-14 at 0.02, the kernel's small-kr cancellation).
+    A side that would need more than 512 nodes, about 117 wavelengths, is
+    refused when its coupling is built.  Elements may touch but not overlap.
     """
 
     nx: int
@@ -52,14 +63,15 @@ class SpdaModel:
     pitch: float
     element_x: float
     element_y: float
-    order: int = _DEFAULT_ELEMENT_ORDER
+    order: int | None = None
 
     def __post_init__(self):
         if not (_is_count(self.nx) and _is_count(self.ny)):
             raise DomainError("element counts must be integers of at least 1", module="spda")
         _require_positive("lattice pitch", self.pitch, module="spda")
         _require_positive("element side lengths", self.element_x, self.element_y, module="spda")
-        legendre_rule(self.order)  # DomainError unless an integer in [1, 512]
+        if self.order is not None:
+            legendre_rule(self.order)  # DomainError unless an integer in [1, 512]
         for name, count, side in (("x", self.nx, self.element_x), ("y", self.ny, self.element_y)):
             if count > 1 and self.pitch < side - 1e-12:
                 raise DomainError(f"element surfaces overlap: the pitch must be at least "
@@ -89,7 +101,7 @@ class SpdaModel:
 
 
 def element_layout(aperture: Aperture, spacing: float, element_x: float,
-                   element_y: float, order: int = _DEFAULT_ELEMENT_ORDER) -> SpdaModel:
+                   element_y: float, order: int | None = None) -> SpdaModel:
     """Centered lattice of identical elements filling the aperture at a pitch.
 
     The element count per axis is the number of whole pitches that fit; the
@@ -142,14 +154,30 @@ def _hat_rule(side: float, order: int):
     return side * nodes, side * side * weights
 
 
+def _hat_order(side: float, wavenumber: float) -> int:
+    """Nodes per axis of the hat rule for side at wavenumber k: the fewest q
+    with (k side / 2)^(2q) / (2q)! <= 1e-14.  That is the q-node Gauss error
+    term, up to a factor of order q, of an integrand whose 2q-th derivative
+    is k^(2q) times its size, as the radiation kernel's is: the q-th monic
+    orthogonal polynomial on [-side, side] is of size (side / 2)^q.
+    DomainError when q would exceed legendre_rule's 512."""
+    log_half = math.log(0.5 * wavenumber * side)
+    for q in range(1, _MAX_ORDER + 1):
+        if 2 * q * log_half - math.lgamma(2 * q + 1) <= _LOG_HAT_RULE_TOL:
+            return q
+    raise DomainError(f"element side {side:g} m needs more than {_MAX_ORDER} hat-rule nodes "
+                      f"per axis", module="spda")
+
+
 def _pair_integrals(offsets: np.ndarray, model: SpdaModel, cfg: PhysicalConfig):
     """Kernel integrated over two elements whose centers are offsets (K, 3) apart.
 
     With the uniform current 1/sqrt(area) on both, the integral is
     sum over (tx, ty) of W_x(tx) W_y(ty) K(offset + (tx, ty, 0)) / area for
-    the hat rule of each side: order^2 kernel evaluations per offset.
+    the hat rule of each side, of the model's order or else _hat_order's:
+    qx qy kernel evaluations per offset.
     """
-    (tx, wx), (ty, wy) = (_hat_rule(side, model.order)
+    (tx, wx), (ty, wy) = (_hat_rule(side, model.order or _hat_order(side, cfg.wavenumber))
                           for side in (model.element_x, model.element_y))
     delta = np.stack(np.broadcast_arrays(tx[:, None], ty, 0.0), axis=-1).reshape(-1, 3)
     w_xy = np.outer(wx, wy).ravel() / model.element_area
@@ -214,14 +242,15 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
     """Pairwise coupling of all elements.
 
     Both modes integrate the kernel over both element surfaces; mode only
-    picks the element rule.  "exact" uses the hat rule of the model's order
-    on each axis, order^2 kernel evaluations per pair; "point" uses the
-    one-node rule at the element center, so every pair, the diagonal
-    included, is the element area times the kernel at the center offset
-    (A K(0) on the diagonal), a sampled positive-definite function.  Either
-    way a pair's value depends only on its per-axis steps (|i - j|, |k - l|)
-    and is tabulated once per distinct pair, at the center offset of those
-    steps times the pitch; the table is all the result keeps.
+    picks the element rule.  "exact" uses the hat rule of the model's order,
+    or of each side's derived order (_hat_order), on each axis, qx qy kernel
+    evaluations per pair; "point" uses the one-node rule at the element
+    center, so every pair, the diagonal included, is the element area times
+    the kernel at the center offset (A K(0) on the diagonal), a sampled
+    positive-definite function.  Either way a pair's value depends only on
+    its per-axis steps (|i - j|, |k - l|) and is tabulated once per distinct
+    pair, at the center offset of those steps times the pitch; the table is
+    all the result keeps.
     """
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")

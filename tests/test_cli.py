@@ -585,6 +585,30 @@ def test_every_key_is_read():
     assert read | model == set(cli._KEYS)
 
 
+@pytest.mark.parametrize("command", ["spda-spacing", "spda-aperture"])
+def test_discrete_gains_reproduce_across_blas_thread_counts(command):
+    # each printed gain at OPENBLAS_NUM_THREADS 1 and 2; measured drift: one
+    # gain_coupled by 1.4e-14, the others 0; the closed-form gain_reference
+    # carries its factorization's rounding, up to 8.9e-11
+    src = os.path.dirname(os.path.dirname(capa.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs.append(subprocess.Popen([sys.executable, "-m", "capa.cli", command], env=env,
+                                     stdout=subprocess.PIPE, text=True))
+    outputs = [run.communicate(timeout=60)[0] for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    (header, one), (_, two) = (_csv_rows(out) for out in outputs)
+    assert len(one) == len(two) > 0
+    bounds = {"gain_coupled": 5e-14, "gain_uncoupled": 5e-14, "gain_discrete": 5e-14,
+              "gain_reference": 2e-10}
+    for column, name in enumerate(header):
+        if name.startswith("gain"):
+            a, b = (np.array([float(row[column]) for row in rows]) for rows in (one, two))
+            assert np.max(np.abs(a - b) / a) <= bounds[name], name
+
+
 def test_runtime_imports_no_scipy():
     # numpy is the only declared runtime dependency; scipy may be installed
     src = os.path.dirname(os.path.dirname(capa.__file__))

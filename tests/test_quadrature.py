@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capa import Aperture, DomainError, PhysicalConfig, build_expansion
-from capa.quadrature import (_parity_rows, _table_blocks, aperture_grid,
-                             disk_wavenumber_grid, legendre_rule)
+from capa import Aperture, DomainError, PhysicalConfig, build_expansion, radiation_kernel
+from capa.quadrature import (_grid_weights, _mirror_sums, _offset_table, _parity_rows,
+                             _table_blocks, aperture_grid, disk_wavenumber_grid, legendre_rule)
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 20, 64, 256, 512])
@@ -140,3 +140,43 @@ def test_table_blocks_equal_dense_fold(dense_fold):
     assert padding.sum() == 4
     assert np.all(blocks[padding] == 0.0)
     assert np.all(blocks.transpose(0, 2, 1)[padding] == 0.0)
+
+
+def _per_entry_table_blocks(table, kx, ky):
+    """_table_blocks as a per-entry gather: each of the four mirror images
+    (N, N) read from the table entry by entry, combined by _mirror_sums and
+    scaled by the center weights of its row and column."""
+    shape = (len(kx), len(ky))
+    ax, ay = ((m + 1) // 2 for m in shape)
+    out = np.zeros((2, 2, ax * ay, ax * ay))
+    ix, iy = ([k[:a, ::1 - 2 * s][:, :a] for s in (0, 1)] for k, a in ((kx, ax), (ky, ay)))
+    _mirror_sums(lambda sx, sy: table[ix[sx][:, None, :, None], iy[sy][None, :, None, :]]
+                 .reshape(out.shape[2:]), out)
+    scale = 2.0 * _grid_weights(shape, 0.5).ravel()
+    out *= np.multiply.outer(scale, scale)
+    return out.reshape(4, ax * ay, ax * ay)
+
+
+def _cg_table(order):
+    cfg = PhysicalConfig(frequency=2.4e9)
+    nodes = aperture_grid(Aperture(0.3, 0.5), order).points.reshape(order, order, 3)
+    return _offset_table(nodes[:, 0, 0], nodes[0, :, 1],
+                         lambda offsets: radiation_kernel(offsets, cfg.wavenumber))
+
+
+def _lattice_table(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    return _offset_table(np.arange(shape[0]), np.arange(shape[1]),
+                         lambda offsets: rng.standard_normal(len(offsets)))
+
+
+@pytest.mark.parametrize("build, size", [
+    *(pytest.param(_cg_table, m, id=f"cg-{m}") for m in (1, 2, 3, 7, 12, 25, 40)),
+    *(pytest.param(_lattice_table, s, id=f"lattice-{s[0]}x{s[1]}")
+      for s in ((1, 1), (3, 4), (2, 7), (32, 32))),
+])
+def test_table_blocks_match_per_entry_gather(build, size):
+    # the axis-by-axis gather forms the same sums in the same order as the
+    # per-entry one, so the blocks agree bit for bit
+    args = build(size)
+    assert np.array_equal(_table_blocks(*args), _per_entry_table_blocks(*args))

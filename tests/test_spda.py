@@ -367,13 +367,14 @@ def test_hat_rule_matches_brute_force_pairs(cfg, order, sides, gap):
 @settings(max_examples=30, deadline=None)
 @given(sides=_LATTICE_SIDES, gap=_LATTICE_GAPS)
 def test_default_hat_rule_matches_converged_product_rule(cfg, sides, gap):
-    # the default hat rule against the order-16 product rule over both element
-    # surfaces, on every table entry, relative to the self term.  Away from
-    # the smallest elements they agree to 1.3e-14 on a grid of the domain; on
-    # 0.02-wavelength elements both read the kernel at k r of a few 1e-3,
-    # where its polarized term (kr cos kr - sin kr) / (kr)^3 cancels to about
-    # 1e-16 / (kr)^2, and they differ by up to 5.7e-14 on that grid
-    model = _random_lattice(cfg, spda._DEFAULT_ELEMENT_ORDER, sides, gap)
+    # the derived hat rule (4 to 6 nodes per axis here) against the order-16
+    # product rule over both element surfaces, on every table entry, relative
+    # to the self term.  On a 10 x 10 x 7 grid of the domain they agree to
+    # 1.9e-14 away from the smallest elements; on 0.02-wavelength elements
+    # both read the kernel at k r of a few 1e-3, where its polarized term
+    # (kr cos kr - sin kr) / (kr)^3 cancels to about 1e-16 / (kr)^2, and they
+    # differ by up to 2.2e-14 there (5.7e-14 on another grid)
+    model = _random_lattice(cfg, None, sides, gap)
     got = coupling_matrix(model, cfg, mode="exact").table
     want = np.array([[_brute_force_pair(model, cfg, np.array([i, j, 0.0]) * model.pitch,
                                         order=16) for j in range(model.ny)]
@@ -381,18 +382,21 @@ def test_default_hat_rule_matches_converged_product_rule(cfg, sides, gap):
     assert np.max(np.abs(got - want)) <= 2e-13 * abs(want[0, 0])
 
 
-@pytest.mark.parametrize("mode, per_offset, side_m, pitch_wl, steps", [
-    pytest.param("exact", 8 ** 2, 0.25, 0.5, 4, id="exact-64"),
-    pytest.param("point", 1, 0.25, 0.5, 4, id="point-1"),
+@pytest.mark.parametrize("mode, per_offset, sides_wl, side_m, pitch_wl, steps", [
+    pytest.param("exact", 6 ** 2, (0.1, 0.1), 0.25, 0.5, 4, id="exact-36"),
+    pytest.param("point", 1, (0.1, 0.1), 0.25, 0.5, 4, id="point-1"),
     # 32 elements per axis at lambda/8 on 0.5 m: 32 steps per axis, the
     # largest lattice of capa spda-spacing and the lattice benchmark
-    pytest.param("exact", 8 ** 2, 0.5, 0.125, 32, id="exact-64-32x32"),
+    pytest.param("exact", 6 ** 2, (0.1, 0.1), 0.5, 0.125, 32, id="exact-36-32x32"),
+    # unequal sides take their own node counts
+    pytest.param("exact", 5 * 8, (0.05, 0.25), 0.25, 0.5, 4, id="exact-40-unequal"),
 ])
 def test_coupling_evaluates_kernel_once_per_node_difference(cfg, monkeypatch, mode, per_offset,
-                                                            side_m, pitch_wl, steps):
+                                                            sides_wl, side_m, pitch_wl, steps):
     # an n x n lattice has n distinct steps |i - j| per axis, n^2 table
-    # entries; the order-8 hat rule has 8 node differences per axis, the
-    # point rule 1
+    # entries; the derived hat rule has 6 node differences per axis on a
+    # tenth of a wavelength, 5 on a twentieth and 8 on a quarter, the point
+    # rule 1
     entries = []
 
     def counting(displacement, *args, **kwargs):
@@ -400,9 +404,9 @@ def test_coupling_evaluates_kernel_once_per_node_difference(cfg, monkeypatch, mo
         return radiation_kernel(displacement, *args, **kwargs)
 
     monkeypatch.setattr(spda, "radiation_kernel", counting)
-    side = 0.1 * cfg.wavelength
-    model = element_layout(Aperture(side_m, side_m), pitch_wl * cfg.wavelength, side, side)
-    assert model.n_elements == steps ** 2 and model.order == 8
+    sides = (s * cfg.wavelength for s in sides_wl)
+    model = element_layout(Aperture(side_m, side_m), pitch_wl * cfg.wavelength, *sides)
+    assert model.n_elements == steps ** 2 and model.order is None
     coupling = coupling_matrix(model, cfg, mode=mode)
     assert coupling.table.shape == (steps, steps)
     assert sum(entries) == steps ** 2 * per_offset
@@ -426,16 +430,31 @@ def _split_hat_table(model, cfg, per_half):
 
 
 @pytest.mark.parametrize("side_wl, bound", [
-    (0.1, 5e-15), (0.25, 1e-14), (0.5, 1e-11), (1.0, 7e-7),
+    (0.1, 5e-15), (0.25, 1e-14), (0.5, 1e-11), (1.0, 7e-7), (1.0, 1e-13), (2.0, 1e-13),
 ])
 def test_default_hat_rule_matches_converged_split_rule(cfg, side_wl, bound):
     # 4 x 4 tiles, pitch = side, against 30 points per half, relative to the
-    # self term: measured 2.8e-15, 1.1e-15, 4.5e-12 and 5.9e-7
+    # self term, with 6, 8, 10, 14 and 19 nodes per axis: measured 6.9e-16,
+    # 1.5e-15, 2.6e-15, 1.0e-14 and 2.1e-14 (8 nodes: 2.8e-15, 1.5e-15,
+    # 4.5e-12, 5.9e-7 and 2.5e-2)
     side = side_wl * cfg.wavelength
     model = SpdaModel(4, 4, side, side, side)
     got = coupling_matrix(model, cfg, mode="exact").table
     want = _split_hat_table(model, cfg, 30)
     assert np.max(np.abs(got - want)) <= bound * abs(want[0, 0])
+
+
+def test_element_beyond_node_cap_is_domain_error(cfg):
+    # 117 wavelengths would need more than legendre_rule's 512 nodes per
+    # axis; 116 take 510.  An explicit order is honored at any side
+    wl = cfg.wavelength
+    assert spda._hat_order(116 * wl, cfg.wavenumber) == 510
+    for sides in ((117 * wl, 0.1 * wl), (0.1 * wl, 117 * wl)):
+        model = SpdaModel(1, 1, 117 * wl, *sides)
+        with pytest.raises(DomainError, match="512"):
+            coupling_matrix(model, cfg)
+        coupling_matrix(model, cfg, mode="point")
+    coupling_matrix(SpdaModel(1, 1, 117 * wl, 117 * wl, 117 * wl, order=2), cfg)
 
 
 def test_exact_mode_at_order_one_is_point_mode(cfg):
@@ -450,8 +469,8 @@ def test_exact_mode_at_order_one_is_point_mode(cfg):
 
 
 def test_exact_coupling_peak_memory(cfg):
-    # lambda/8, 32 x 32: the step table and one block of displacements, 64
-    # per offset; measured 5.11 MiB at peak
+    # lambda/8, 32 x 32: the step table and one block of displacements, 36
+    # per offset; measured 4.24 MiB at peak (5.11 MiB at 64 per offset)
     side = 0.1 * cfg.wavelength
     model = element_layout(Aperture(0.5, 0.5), 0.125 * cfg.wavelength, side, side)
     coupling_matrix(model, cfg)
@@ -461,7 +480,7 @@ def test_exact_coupling_peak_memory(cfg):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * 5.11 * 2 ** 20
+    assert peak <= 1.05 * 4.24 * 2 ** 20
 
 
 @pytest.mark.parametrize("phi, richardson_tol", [
@@ -505,7 +524,7 @@ def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode):
     for i, row in enumerate(_lattice_offsets(model)):
         for j, offset in enumerate(row):
             if mode == "exact":
-                want[i, j] = _brute_force_pair(model, cfg, offset)
+                want[i, j] = _brute_force_pair(model, cfg, offset, order=8)
             else:
                 want[i, j] = model.element_area * radiation_kernel(offset, cfg.wavenumber)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
