@@ -55,6 +55,9 @@ class _Key(NamedTuple):
     flag: tuple[str, str] | None = None
 
 
+# spda.mode's choices and each one's element hat-rule order (None derives it)
+_ELEMENT_ORDER = {"exact": None, "point": 1}
+
 _KEYS: dict[str, _Key] = {
     "frequency": _Key(2.4e9, "pos_float"),
     "material.mu_s": _Key(MU0, "pos_float"),
@@ -91,7 +94,7 @@ _KEYS: dict[str, _Key] = {
     "beampattern.theta_step_deg": _Key(4.0, "pos_float"),
     "spda.spacing_wl": _Key(0.5, "pos_float"),
     "spda.element_wl": _Key(0.1, "pos_float"),
-    "spda.mode": _Key("exact", "choice", ("exact", "point")),
+    "spda.mode": _Key("exact", "choice", tuple(_ELEMENT_ORDER)),
     "spda.spacings_wl": _Key([1.0, 0.5, 0.25, 0.125], "pos_float_list", None,
                              ("spda-spacing", "--spacings")),
     "spda.sides_m": _Key([0.25, 0.35, 0.45, 0.55, 0.65, 0.75], "pos_float_list", None,
@@ -393,7 +396,7 @@ def _run_spda_spacing(config: ExperimentConfig, seed):
     spacings = [s * wavelength for s in v["spda.spacings_wl"]]
     table = spacing_sweep(config.physical, _expansion(config), config.aperture,
                           channel, spacings, element_x=element, element_y=element,
-                          mode=v["spda.mode"])
+                          order=_ELEMENT_ORDER[v["spda.mode"]])
     rows = [(row.spacing / wavelength, row.spacing, row.n_elements,
              row.gain_coupled, row.gain_uncoupled, row.gain_reference)
             for row in table]
@@ -412,7 +415,7 @@ def _run_spda_aperture(config: ExperimentConfig, seed):
     channel = _channel(config, Aperture(largest, largest))
     table = aperture_sweep(config.physical, _expansion(config), spacing, channel,
                            apertures, element_x=element, element_y=element,
-                           mode=v["spda.mode"])
+                           order=_ELEMENT_ORDER[v["spda.mode"]])
     rows = [(side, row.area, row.n_elements, row.gain_discrete,
              row.gain_reference)
             for side, row in zip(v["spda.sides_m"], table)]

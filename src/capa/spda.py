@@ -11,21 +11,23 @@ rule's error falls with the element's width in wavelengths (Trefethen, SIAM
 Review 50, 2008): by default each axis takes the fewest nodes q with
 (k e / 2)^(2q) / (2q)! <= 1e-14 for its side e, qx qy kernel evaluations per
 center offset, 36 for the default tenth-of-a-wavelength element, 64 at a
-quarter wavelength and 196 at one wavelength.  The coupling depends only on
-the center offset, (i - j) pitch per axis, and is even in each, so one table
-over the integer steps |i - j| holds the block-Toeplitz coupling matrix.  The
-optimal drive vector and its gain follow from one symmetric positive-definite
-solve.  Reversing either axis keeps every step, so the matrix splits into four
-reflection-parity blocks (quadrature._fold; Allgower, Boehmer, Georg &
-Miranda, SIAM J. Numer. Anal. 29, 1992), mirror sums of the step table
-(quadrature._table_blocks) factored as one stacked Cholesky, so no N x N
-matrix is gathered.  A coupling-blind model is solved elementwise.
+quarter wavelength and 196 at one wavelength; point coupling, the element
+area times the kernel at the center offset, is the one-node rule (order 1).
+The coupling depends only on the center offset, (i - j) pitch per axis, and is
+even in each, so one table over the integer steps |i - j| holds the
+block-Toeplitz coupling matrix.  The optimal drive vector and its gain follow
+from one symmetric positive-definite solve.  Reversing either axis keeps every
+step, so the matrix splits into four reflection-parity blocks
+(quadrature._fold; Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal.
+29, 1992), mirror sums of the step table (quadrature._table_blocks) factored
+as one stacked Cholesky, so no N x N matrix is gathered.  A coupling-blind
+model is solved elementwise.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,9 +201,7 @@ class CouplingMatrix:
     (|i - j|, |k - l|) lattice steps apart, the zero offset first, so each
     pair's table index is its step per axis; the full matrix adds the
     per-element self impedance on the diagonal.  A coupling-blind model
-    (diagonal) keeps only the zero-offset entry on the diagonal.  radiation
-    and matrix are dense views, gathered on first use; the beamformer does
-    not need them.
+    (diagonal) keeps only the zero-offset entry on the diagonal.
     """
 
     table: np.ndarray = field(repr=False)
@@ -217,21 +217,6 @@ class CouplingMatrix:
     def size(self) -> int:
         return self.table.size
 
-    @cached_property
-    def radiation(self) -> np.ndarray:
-        """Pairwise radiation, N x N, or its diagonal (N,) for a diagonal model."""
-        if self.diagonal:
-            return np.full(self.size, self.table[0, 0])
-        # element (a, b) has x coordinate a and y coordinate b, row-major
-        sx, sy = (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) for n in self.shape)
-        return self.table[sx[:, None, :, None], sy[None, :, None, :]].reshape(self.size, -1)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = np.diag(self.radiation) if self.diagonal else self.radiation.copy()
-        m.flat[::m.shape[0] + 1] += self.self_impedance
-        return m
-
     def diagonal_only(self) -> "CouplingMatrix":
         """Coupling-blind variant: off-diagonal radiation terms dropped."""
         return replace(self, diagonal=True)
@@ -241,27 +226,23 @@ def coupling_matrix(model: SpdaModel, cfg: PhysicalConfig,
                     mode: str = "exact") -> CouplingMatrix:
     """Pairwise coupling of all elements.
 
-    Both modes integrate the kernel over both element surfaces; mode only
-    picks the element rule.  "exact" uses the hat rule of the model's order,
-    or of each side's derived order (_hat_order), on each axis, qx qy kernel
-    evaluations per pair; "point" uses the one-node rule at the element
-    center, so every pair, the diagonal included, is the element area times
-    the kernel at the center offset (A K(0) on the diagonal), a sampled
-    positive-definite function.  Either way a pair's value depends only on
-    its per-axis steps (|i - j|, |k - l|) and is tabulated once per distinct
-    pair, at the center offset of those steps times the pitch; the table is
-    all the result keeps.
+    Each pair integrates the kernel over both element surfaces by the hat
+    rule of the model's order, or of each side's derived order (_hat_order),
+    on each axis, qx qy kernel evaluations per pair.  Order 1 is the point
+    rule: every pair, the diagonal included, is the element area times the
+    kernel at the center offset (A K(0) on the diagonal), a sampled
+    positive-definite function.  mode "point" is shorthand for order 1, kept
+    for existing callers; "exact" keeps the model's order.  A pair's value
+    depends only on its per-axis steps (|i - j|, |k - l|) and is tabulated
+    once per distinct pair, at the center offset of those steps times the
+    pitch; the table is all the result keeps.
     """
     if mode not in ("exact", "point"):
         raise DomainError("mode must be 'exact' or 'point'", module="spda")
-
-    def pairs(steps):
-        offsets = steps * model.pitch
-        if mode == "point":
-            return model.element_area * radiation_kernel(offsets, cfg.wavenumber)
-        return _pair_integrals(offsets, model, cfg)
-
-    table = _offset_table(np.arange(model.nx), np.arange(model.ny), pairs)[0]
+    if mode == "point":
+        model = replace(model, order=1)
+    table = _offset_table(np.arange(model.nx), np.arange(model.ny),
+                          lambda steps: _pair_integrals(steps * model.pitch, model, cfg))[0]
     # the element current carries unit energy, so its loss is Zs exactly
     return CouplingMatrix(table=table, self_impedance=cfg.surface_resistance)
 
@@ -330,14 +311,15 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
 
 def _lattice_gains(cfg: PhysicalConfig, channel: FarFieldChannel, aperture: Aperture,
                    spacing: float, element_x: float | None, element_y: float | None,
-                   mode: str) -> tuple:
+                   order: int | None) -> tuple:
     """Element count, coupled gain and coupling-blind gain of element_layout's
-    lattice on aperture at spacing; element sides default to a tenth of a
+    lattice on aperture at spacing, its coupling integrated by the hat rule of
+    order (None derives it per side); element sides default to a tenth of a
     wavelength.  The coupling-blind drive is solved elementwise."""
     ex = 0.1 * cfg.wavelength if element_x is None else element_x
     ey = 0.1 * cfg.wavelength if element_y is None else element_y
-    model = element_layout(aperture, spacing, ex, ey)
-    coupling = coupling_matrix(model, cfg, mode=mode)
+    model = element_layout(aperture, spacing, ex, ey, order)
+    coupling = coupling_matrix(model, cfg)
     h = discrete_channel(model, channel)
     return (model.n_elements, optimal_discrete_beamformer(h, coupling).gain,
             optimal_discrete_beamformer(h, coupling.diagonal_only()).gain)
@@ -354,18 +336,20 @@ class SpacingSweepRow:
 
 def spacing_sweep(cfg: PhysicalConfig, expansion: PlaneWaveExpansion, aperture: Aperture,
                   channel: FarFieldChannel, spacings, element_x: float | None = None,
-                  element_y: float | None = None, mode: str = "exact") -> list[SpacingSweepRow]:
+                  element_y: float | None = None,
+                  order: int | None = None) -> list[SpacingSweepRow]:
     """Coupled and coupling-blind discrete gains versus lattice pitch.
 
-    Element sides default to a tenth of a wavelength.  Every row carries the
-    same reference: the closed-form gain of the continuous surface under
-    expansion, for the same aperture and channel.
+    Element sides default to a tenth of a wavelength, and the coupling takes
+    the hat rule of order, derived per side by default (1 is point coupling).
+    Every row carries the same reference: the closed-form gain of the
+    continuous surface under expansion, for the same aperture and channel.
     """
     reference = beamform_ka(cfg, channel, expansion, aperture).gain
     rows = []
     for d in np.asarray(spacings, dtype=float):
         n, coupled, blind = _lattice_gains(cfg, channel, aperture, float(d), element_x,
-                                           element_y, mode)
+                                           element_y, order)
         rows.append(SpacingSweepRow(spacing=float(d), n_elements=n, gain_coupled=coupled,
                                     gain_uncoupled=blind, gain_reference=reference))
     return rows
@@ -382,14 +366,15 @@ class ApertureSweepRow:
 def aperture_sweep(cfg: PhysicalConfig, expansion: PlaneWaveExpansion, spacing: float,
                    channel: FarFieldChannel, apertures, element_x: float | None = None,
                    element_y: float | None = None,
-                   mode: str = "exact") -> list[ApertureSweepRow]:
+                   order: int | None = None) -> list[ApertureSweepRow]:
     """Coupled discrete gain versus aperture size, with the closed-form gain of
     the continuous surface under expansion as each row's reference.  Element
-    sides default to a tenth of a wavelength."""
+    sides default to a tenth of a wavelength, and the coupling takes the hat
+    rule of order, derived per side by default (1 is point coupling)."""
     rows = []
     for ap in apertures:
         reference = beamform_ka(cfg, channel, expansion, ap).gain
-        n, coupled, _ = _lattice_gains(cfg, channel, ap, spacing, element_x, element_y, mode)
+        n, coupled, _ = _lattice_gains(cfg, channel, ap, spacing, element_x, element_y, order)
         rows.append(ApertureSweepRow(area=ap.area, n_elements=n, gain_discrete=coupled,
                                      gain_reference=reference))
     return rows

@@ -47,6 +47,28 @@ def dense_fold():
     return _dense_fold
 
 
+def _dense_coupling(coupling, radiation_only=False):
+    # element (a, b) has x coordinate a and y coordinate b, row-major: the pair
+    # of grid rows (a, b) and (c, d) reads table[|a - c|, |b - d|]
+    if coupling.diagonal:
+        matrix = np.diag(np.full(coupling.size, coupling.table[0, 0]))
+    else:
+        sx, sy = (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) for n in coupling.shape)
+        matrix = coupling.table[sx[:, None, :, None], sy[None, :, None, :]].reshape(
+            coupling.size, -1)
+    if not radiation_only:
+        matrix.flat[::coupling.size + 1] += coupling.self_impedance
+    return matrix
+
+
+@pytest.fixture(scope="session")
+def dense_coupling():
+    """The N x N coupling matrix of a CouplingMatrix gathered from its step
+    table, with the self impedance on the diagonal unless radiation_only: the
+    dense oracle for every table-based solve."""
+    return _dense_coupling
+
+
 @pytest.fixture(scope="session")
 def cfg():
     return PhysicalConfig(frequency=2.4e9)

@@ -118,24 +118,23 @@ def test_array_holding_dataclasses_compare_by_identity(cfg):
         assert len({first, first, second}) == 2
 
 
-def test_single_element_gain_formula(cfg, front_channel):
+def test_single_element_gain_formula(cfg, front_channel, dense_coupling):
     side = 0.1 * cfg.wavelength
     model = SpdaModel(1, 1, side, side, side)
     coupling = coupling_matrix(model, cfg)
     h = discrete_channel(model, front_channel)
     bf = optimal_discrete_beamformer(h, coupling)
-    want = 2.0 * abs(h[0]) ** 2 / coupling.matrix[0, 0]
+    want = 2.0 * abs(h[0]) ** 2 / dense_coupling(coupling)[0, 0]
     assert bf.gain == pytest.approx(want, rel=1e-12)
     # uniform unit-energy profile: loss part of the diagonal is the sheet resistance
     assert coupling.self_impedance == cfg.surface_resistance
 
 
-def test_coupling_matrix_symmetric_positive_definite(cfg):
+def test_coupling_matrix_symmetric_positive_definite(cfg, dense_coupling):
     d = 0.5 * cfg.wavelength
     side = 0.1 * cfg.wavelength
     model = element_layout(Aperture(0.2, 0.2), d, side, side)
-    coupling = coupling_matrix(model, cfg)
-    psi = coupling.matrix
+    psi = dense_coupling(coupling_matrix(model, cfg))
     assert np.isrealobj(psi)
     assert np.array_equal(psi, psi.T)
     assert np.min(np.linalg.eigvalsh(psi)) > 0.0
@@ -143,12 +142,12 @@ def test_coupling_matrix_symmetric_positive_definite(cfg):
         coupling_matrix(model, cfg, mode="centroid")
 
 
-def test_point_mode_approximates_exact(cfg):
+def test_point_mode_approximates_exact(cfg, dense_coupling):
     d = 0.5 * cfg.wavelength
     side = 0.1 * cfg.wavelength
     model = element_layout(Aperture(0.25, 0.25), d, side, side)
-    exact = coupling_matrix(model, cfg, mode="exact").radiation
-    point = coupling_matrix(model, cfg, mode="point").radiation
+    exact = dense_coupling(coupling_matrix(model, cfg, mode="exact"), radiation_only=True)
+    point = dense_coupling(coupling_matrix(model, cfg, mode="point"), radiation_only=True)
     # the one-node rule's diagonal is the point limit A K(0)
     self_point = model.element_area * radiation_kernel(np.zeros(3), cfg.wavenumber)
     assert np.allclose(np.diag(point), self_point, rtol=1e-14, atol=0.0)
@@ -157,14 +156,14 @@ def test_point_mode_approximates_exact(cfg):
     assert np.max(rel) < 0.05
 
 
-def test_point_mode_vanishes_at_kernel_null(cfg):
+def test_point_mode_vanishes_at_kernel_null(cfg, dense_coupling):
     null_sep = 0.71514832656364891 * cfg.wavelength
     model = _two_element_model(cfg, null_sep)
-    psi = coupling_matrix(model, cfg, mode="point")
-    assert abs(psi.radiation[0, 1]) / psi.radiation[0, 0] < 1e-10
+    psi = dense_coupling(coupling_matrix(model, cfg, mode="point"), radiation_only=True)
+    assert abs(psi[0, 1]) / psi[0, 0] < 1e-10
     regular = _two_element_model(cfg, 0.5 * cfg.wavelength)
-    psi_reg = coupling_matrix(regular, cfg, mode="point")
-    assert abs(psi_reg.radiation[0, 1]) / psi_reg.radiation[0, 0] > 1e-3
+    psi_reg = dense_coupling(coupling_matrix(regular, cfg, mode="point"), radiation_only=True)
+    assert abs(psi_reg[0, 1]) / psi_reg[0, 0] > 1e-3
 
 
 def test_broadside_channel_is_uniform(cfg, front_channel):
@@ -192,7 +191,7 @@ def test_discrete_channel_matches_element_quadrature(cfg, theta, phi):
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
-def test_beamformer_power_and_optimality(cfg, oblique_channel):
+def test_beamformer_power_and_optimality(cfg, oblique_channel, dense_coupling):
     d = 0.5 * cfg.wavelength
     side = 0.1 * cfg.wavelength
     model = element_layout(Aperture(0.25, 0.25), d, side, side)
@@ -200,7 +199,7 @@ def test_beamformer_power_and_optimality(cfg, oblique_channel):
     h = discrete_channel(model, oblique_channel)
     power = 1.7
     bf = optimal_discrete_beamformer(h, coupling, power=power)
-    psi = coupling.matrix
+    psi = dense_coupling(coupling)
     quad = 0.5 * np.real(np.vdot(bf.weights, psi @ bf.weights))
     assert quad == pytest.approx(power, rel=1e-10)
 
@@ -215,15 +214,16 @@ def test_beamformer_power_and_optimality(cfg, oblique_channel):
         assert achieved(w) <= bf.gain * (1.0 + 1e-12)
 
 
-def test_diagonal_coupling_reduces_to_matched_filter(cfg, oblique_channel):
+def test_diagonal_coupling_reduces_to_matched_filter(cfg, oblique_channel, dense_coupling):
     d = 0.5 * cfg.wavelength
     side = 0.1 * cfg.wavelength
     model = element_layout(Aperture(0.25, 0.25), d, side, side)
     coupling = coupling_matrix(model, cfg, mode="point").diagonal_only()
     h = discrete_channel(model, oblique_channel)
     bf = optimal_discrete_beamformer(h, coupling)
-    diag = coupling.matrix[0, 0]
-    assert np.allclose(np.diag(coupling.matrix), diag)
+    psi = dense_coupling(coupling)
+    diag = psi[0, 0]
+    assert np.allclose(np.diag(psi), diag)
     want = 2.0 * float(np.sum(np.abs(h) ** 2)) / diag
     assert bf.gain == pytest.approx(want, rel=1e-12)
     matched = h / np.linalg.norm(h)
@@ -234,9 +234,9 @@ def test_diagonal_coupling_reduces_to_matched_filter(cfg, oblique_channel):
         optimal_discrete_beamformer(h, lossy)
 
 
-def _dense_drive(h, coupling):
+def _dense_drive(h, psi):
     """Gain and drive from np.linalg.cholesky of the gathered dense matrix."""
-    lower = np.linalg.cholesky(coupling.matrix)
+    lower = np.linalg.cholesky(psi)
     whitened = np.linalg.solve(lower, h)
     inner = np.vdot(whitened, whitened).real
     return 2.0 * inner, np.sqrt(2.0 / inner) * np.linalg.solve(lower.T, whitened)
@@ -250,15 +250,15 @@ def _dense_drive(h, coupling):
     pytest.param((0.09, 0.4), 0.5, "exact", (1, 6), id="1x6"),    # two padding blocks
     pytest.param((0.4, 0.09), 0.5, "point", (6, 1), id="6x1"),
 ])
-def test_parity_solve_matches_dense_cholesky(cfg, oblique_channel, sides, pitch_wl, mode,
-                                             counts):
+def test_parity_solve_matches_dense_cholesky(cfg, oblique_channel, dense_coupling, sides,
+                                             pitch_wl, mode, counts):
     side = 0.1 * cfg.wavelength
     model = element_layout(Aperture(*sides), pitch_wl * cfg.wavelength, side, side)
     assert (model.nx, model.ny) == counts
     coupling = coupling_matrix(model, cfg, mode=mode)
     h = discrete_channel(model, oblique_channel)
     bf = optimal_discrete_beamformer(h, coupling)
-    gain, weights = _dense_drive(h, coupling)
+    gain, weights = _dense_drive(h, dense_coupling(coupling))
     assert bf.gain == pytest.approx(gain, rel=1e-12)
     assert np.max(np.abs(bf.weights - weights)) <= 1e-10 * np.max(np.abs(weights))
 
@@ -279,7 +279,6 @@ def test_mirrored_solves_form_no_dense_matrix(cfg, oblique_channel):
         finally:
             tracemalloc.stop()
         assert peak < 5.75e6, drive.diagonal
-        assert "radiation" not in vars(drive) and "matrix" not in vars(drive)
 
 
 def _brute_force_pair(model, cfg, offset, order=None):
@@ -298,13 +297,13 @@ def _brute_force_pair(model, cfg, offset, order=None):
     return float(pw @ kern @ pw)
 
 
-def test_exact_mode_matches_brute_force_pair(cfg):
+def test_exact_mode_matches_brute_force_pair(cfg, dense_coupling):
     model = _two_element_model(cfg, 0.3 * cfg.wavelength, element_wl=0.08, order=6)
-    got = coupling_matrix(model, cfg, mode="exact").radiation[0, 1]
+    got = dense_coupling(coupling_matrix(model, cfg, mode="exact"), radiation_only=True)[0, 1]
     want = _brute_force_pair(model, cfg, np.array([0.0, -model.pitch, 0.0]))
     assert got == pytest.approx(want, rel=1e-10)
     refined = replace(model, order=12)
-    finer = coupling_matrix(refined, cfg, mode="exact").radiation[0, 1]
+    finer = dense_coupling(coupling_matrix(refined, cfg, mode="exact"), radiation_only=True)[0, 1]
     assert got == pytest.approx(finer, rel=1e-6)
 
 
@@ -356,9 +355,9 @@ def _random_lattice(cfg, order, sides, gap):
 
 @settings(max_examples=30, deadline=None)
 @given(order=st.integers(1, 8), sides=_LATTICE_SIDES, gap=_LATTICE_GAPS)
-def test_hat_rule_matches_brute_force_pairs(cfg, order, sides, gap):
+def test_hat_rule_matches_brute_force_pairs(cfg, dense_coupling, order, sides, gap):
     model = _random_lattice(cfg, order, sides, gap)
-    got = coupling_matrix(model, cfg, mode="exact").radiation
+    got = dense_coupling(coupling_matrix(model, cfg, mode="exact"), radiation_only=True)
     want = np.array([[_per_pair_hat_sum(model, cfg, offset) for offset in row]
                      for row in _lattice_offsets(model)])
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -459,13 +458,17 @@ def test_element_beyond_node_cap_is_domain_error(cfg):
 
 def test_exact_mode_at_order_one_is_point_mode(cfg):
     # the one-node hat rule is the node 0 with weight side^2 per axis, so the
-    # pair integral is the element area times the kernel at the center offset
+    # pair integral is the element area times the kernel at the center offset,
+    # written out here over the lattice steps; mode "point" is that order
     wl = cfg.wavelength
     tiles = element_layout(Aperture(0.25, 0.25), wl / 8, wl / 8, wl / 8)
     for model in (tiles, SpdaModel(3, 4, 0.55 * wl, 0.08 * wl, 0.05 * wl)):
-        exact = coupling_matrix(replace(model, order=1), cfg, mode="exact").table
-        point = coupling_matrix(model, cfg, mode="point").table
-        assert np.max(np.abs(exact - point)) <= 1e-15 * abs(point[0, 0])
+        got = coupling_matrix(replace(model, order=1), cfg).table
+        i, j = np.meshgrid(np.arange(model.nx), np.arange(model.ny), indexing="ij")
+        steps = np.stack([i, j, np.zeros_like(i)], axis=-1)
+        want = model.element_area * radiation_kernel(steps * model.pitch, cfg.wavenumber)
+        assert np.max(np.abs(got - want)) <= 1e-15 * abs(want[0, 0])
+        assert np.array_equal(coupling_matrix(model, cfg, mode="point").table, got)
 
 
 def test_exact_coupling_peak_memory(cfg):
@@ -512,13 +515,13 @@ def test_tiles_converge_to_closed_form_at_second_order(cfg, phi, richardson_tol)
 
 
 @pytest.mark.parametrize("mode", ["exact", "point"])
-def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode):
+def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, dense_coupling, mode):
     # 3 x 4 lattice: every pair's table entry against its own integral at the
     # center offset (i - j) pitch
     wl = cfg.wavelength
     side = 0.08 * wl
     model = SpdaModel(3, 4, 0.55 * wl, side, side)
-    got = coupling_matrix(model, cfg, mode=mode).radiation
+    got = dense_coupling(coupling_matrix(model, cfg, mode=mode), radiation_only=True)
     assert np.array_equal(got, got.T)
     want = np.empty_like(got)
     for i, row in enumerate(_lattice_offsets(model)):
@@ -530,21 +533,21 @@ def test_offset_gather_matches_per_pair_on_rectangular_grid(cfg, mode):
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
 
 
-def test_point_mode_is_positive_definite(cfg, aperture):
+def test_point_mode_is_positive_definite(cfg, aperture, dense_coupling):
     # A K(c_i - c_j) samples a positive-definite function, so the radiation
     # part is positive semidefinite and Psi's spectrum stays above Zs
     side = 0.1 * cfg.wavelength
     for pitch_wl in (1.0, 0.5, 0.25, 0.125):
         model = element_layout(aperture, pitch_wl * cfg.wavelength, side, side)
         coupling = coupling_matrix(model, cfg, mode="point")
-        smallest = np.linalg.eigvalsh(coupling.matrix)[0]
+        smallest = np.linalg.eigvalsh(dense_coupling(coupling))[0]
         assert smallest > 0.5 * coupling.self_impedance, pitch_wl
 
 
 def test_spacing_sweep_table_shape(cfg, front_channel):
     wl = cfg.wavelength
     rows = spacing_sweep(cfg, build_expansion(cfg, 20), Aperture(0.125, 0.125),
-                         front_channel, [0.5 * wl, 0.25 * wl], mode="exact")
+                         front_channel, [0.5 * wl, 0.25 * wl])
     assert len(rows) == 2
     refs = {row.gain_reference for row in rows}
     assert len(refs) == 1
@@ -558,7 +561,7 @@ def test_aperture_sweep_plateau_between_pitch_multiples(cfg, front_channel):
     wl = cfg.wavelength
     d = 0.5 * wl
     rows = aperture_sweep(cfg, build_expansion(cfg, 20), d, front_channel,
-                          [Aperture(0.30, 0.30), Aperture(0.31, 0.31)], mode="point")
+                          [Aperture(0.30, 0.30), Aperture(0.31, 0.31)], order=1)
     assert rows[0].n_elements == rows[1].n_elements == 16
     assert rows[1].gain_discrete == pytest.approx(rows[0].gain_discrete, rel=1e-12)
     assert rows[1].gain_reference > rows[0].gain_reference
