@@ -76,8 +76,8 @@ _KEYS: dict[str, _Key] = {
     "power.P_t": _Key(1.0, "pos_float"),
     "kernel.polarized": _Key(True, "bool"),
     "kernel.line": _Key("x", "choice", ("x", "y"), ("kernel", "--line")),
-    # eps = 2 pi r / lambda: the polarized kernel's eps^3 overflows past about
-    # 9e101 wavelengths, and past about 2e153 its eps^2 too and it reads NaN
+    # eps = 2 pi r / lambda: radiation_kernel refuses eps from the cube root of
+    # the largest float on, about 9e101 wavelengths, far below where eps^2 overflows
     "kernel.rmax_wl": _Key(2.5, "pos_float", (0.0, 1e100), ("kernel", "--rmax")),
     "kernel.samples": _Key(1000, "pos_int", None, ("kernel", "--samples")),
     # kernel_nulls bisects each null in about 1 ms, on a bracket grid of 200 per null

@@ -18,10 +18,7 @@ Z0 = 120.0 * np.pi            # free-space wave impedance [ohm]
 MU0 = 4.0e-7 * np.pi          # vacuum permeability [H/m]
 COPPER_CONDUCTIVITY = 5.8e7   # [S/m]
 
-# Below this separation (in wavelengths) the direct kernel formula loses
-# precision to cancellation and the analytic zero-separation limit is used.
-_SMALL_SEPARATION_WL = 1e-6
-# radiation_kernel's polarized terms divide by (k r)^3, which overflows from here
+# radiation_kernel refuses eps = k r from here, where its eps^2 is far from overflow
 _MAX_EPS = float(np.cbrt(np.finfo(float).max))
 # rows per block of radiation_kernel: 2^15 doubles, 256 KB, per temporary
 _KERNEL_BLOCK = 2 ** 15
@@ -153,6 +150,11 @@ def _steering(wavenumber: float, theta, phi):
     return kx, ky, pol
 
 
+def _y_dipole(b0, b2, u2):
+    """Y-dipole coupling over pref, (1 - u2) b0 + (3 u2 - 1) b1/x, in b0 and b2 (DLMF 10.51.1)."""
+    return 2.0 / 3.0 * b0 + (u2 - 1.0 / 3.0) * b2
+
+
 def _kernel_block(s: np.ndarray, wavenumber: float, polarized: bool) -> np.ndarray:
     """radiation_kernel on the displacement rows s, shape (n, 3)."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,21 +162,23 @@ def _kernel_block(s: np.ndarray, wavenumber: float, polarized: bool) -> np.ndarr
         eps = wavenumber * r
     # NaN and inf fail the comparison too
     if not np.all(eps < _MAX_EPS):
-        raise DomainError("separation k*r must be finite and below "
-                          f"{_MAX_EPS:.3g}, where (k*r)^3 overflows", module="physics")
-    small = eps < 2.0 * np.pi * _SMALL_SEPARATION_WL
-    e = np.where(small, 1.0, eps)
-    sin_e, cos_e = np.sin(e), np.cos(e)
+        raise DomainError(f"separation k*r must be finite and below {_MAX_EPS:.3g}, "
+                          "which keeps (k*r)^2 far from overflow", module="physics")
     pref = wavenumber ** 2 * Z0 / (4.0 * np.pi)
+    j0 = np.divide(np.sin(eps), eps, out=np.ones_like(eps), where=eps > 0.0)
     if not polarized:
-        return np.where(small, pref, pref * sin_e / e)
-    u2 = (s[:, 1] / np.where(small, 1.0, r)) ** 2
-    # radial-derivative pieces of the sinc propagator
-    e_cos, e3 = e * cos_e, e ** 3
-    first = (e_cos - sin_e) / e3
-    second = (2.0 * sin_e - 2.0 * e_cos - e ** 2 * sin_e) / e3
-    out = pref * (sin_e / e + u2 * second + (1.0 - u2) * first)
-    return np.where(small, pref * (2.0 / 3.0), out)
+        return pref * j0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        j2 = 3.0 * (j0 - np.cos(eps)) / eps ** 2 - j0
+    # that form cancels below eps = 1: there nine terms of t/15 (1 - t/14 (1 - ...)), t = eps^2
+    near = np.flatnonzero(eps < 1.0)
+    t, series = eps[near] ** 2, 1.0
+    for m in range(8, 0, -1):
+        series = 1.0 - series * t / (2 * m * (2 * m + 5))
+    j2[near] = series * t / 15.0
+    # u2 multiplies j2(0) = 0 at r = 0
+    u2 = np.divide(s[:, 1], r, out=np.zeros_like(r), where=r > 0.0) ** 2
+    return pref * _y_dipole(j0, j2, u2)
 
 
 def radiation_kernel(displacement, wavenumber: float, *, polarized: bool = True):
@@ -186,14 +190,13 @@ def radiation_kernel(displacement, wavenumber: float, *, polarized: bool = True)
     displacement : array_like, shape (..., 3)
         Separation vector(s) between surface points.
     polarized : bool, keyword-only
-        With the default True the y-polarization term (second y-derivative of
-        the sinc propagator) is included.  False drops it, leaving the
-        isotropic kernel whose zeros sit at half-wavelength multiples.
+        With the default True the y-polarized kernel pref (2/3 j0 + (u^2 - 1/3) j2),
+        pref = k^2 Z0/(4 pi), u = s_y/r, in spherical Bessel functions of eps = k r
+        (DLMF 10.49.3, 10.53.1); False keeps pref j0, zero at half-wavelengths.
 
     Raises DomainError for a wavenumber that is not positive and finite or whose
-    square overflows or underflows, for a non-finite displacement and for a
-    separation eps = k r at or above the cube root of the largest float, about
-    5.6e102, where eps^3 overflows.
+    square overflows or underflows, for a non-finite displacement and for eps at or
+    above the cube root of the largest float, about 5.6e102, so eps^2 stays finite.
     """
     s = np.asarray(displacement, dtype=float)
     if s.shape[-1] != 3:
@@ -347,8 +350,8 @@ def far_field_channel(cfg: PhysicalConfig, direction: Direction, distance: float
 def exact_channel(cfg: PhysicalConfig, receiver, points):
     """Channel to an arbitrary receiver point without the far-field approximation.
 
-    Evaluates the y-polarized field coupling -j*k*Z0*(g + d2g/dy2 / k^2) of the
-    spherical-wave propagator g between surface points and the receiver.
+    The y-polarized coupling -j k Z0 (g + d2g/dy2 / k^2) of g = exp(j k d)/(4 pi d) is
+    radiation_kernel's form in spherical Hankel functions h0, h2 of x = k d (DLMF 10.49.6).
     """
     r = np.asarray(receiver, dtype=float)
     s = np.asarray(points, dtype=float)
@@ -357,11 +360,8 @@ def exact_channel(cfg: PhysicalConfig, receiver, points):
     dist = np.linalg.norm(d, axis=-1)
     if np.any(dist == 0.0):
         raise DomainError("receiver coincides with a surface point", module="physics")
-    k0 = cfg.wavenumber
-    g = np.exp(1j * k0 * dist) / (4.0 * np.pi * dist)
-    dg = g * (1j * k0 - 1.0 / dist)
-    d2g = g * (-k0 ** 2 - 2j * k0 / dist + 2.0 / dist ** 2)
-    u2 = (d[..., 1] / dist) ** 2
-    d2y = d2g * u2 + dg * (1.0 - u2) / dist
-    out = -1j * k0 * Z0 * (g + d2y / k0 ** 2)
+    x = cfg.wavenumber * dist
+    h0 = -1j * np.exp(1j * x) / x
+    h2 = h0 * (3.0 / x ** 2 - 3j / x - 1.0)
+    out = cfg.wavenumber ** 2 * Z0 / (4.0 * np.pi) * _y_dipole(h0, h2, (d[..., 1] / dist) ** 2)
     return complex(out) if out.ndim == 0 else out

@@ -54,8 +54,8 @@ class SpdaModel:
     By default (None) each axis takes the fewest nodes that hold its side at
     the coupling's wavenumber to a Gauss error term of 1e-14 (_hat_order):
     4 nodes at 0.02 wavelengths, 6 at 0.1, 8 at 0.25, 10 at 0.5, 14 at 1 and
-    19 at 2, within 2.1e-14 of the self term on 4 x 4 tiles from 0.1
-    wavelengths up (2.8e-14 at 0.02, the kernel's small-kr cancellation).
+    19 at 2, within 2.1e-14 of the self term on 4 x 4 tiles at each of these
+    sides (8.8e-16 at 0.02).
     A side that would need more than 512 nodes, about 117 wavelengths, is
     refused when its coupling is built.  Elements may touch but not overlap.
     """

@@ -107,18 +107,6 @@ def test_kernel_small_separation_limit(cfg):
     assert iso == pytest.approx(k0 ** 2 * Z0 / (4.0 * np.pi), rel=1e-12)
 
 
-def test_kernel_continuous_at_branch_threshold(cfg):
-    # Just above the cutoff the closed formula loses digits to cancellation,
-    # so the match is loose there and tight where the formula is stable.
-    k0 = cfg.wavenumber
-    below = radiation_kernel(np.array([0.99e-6 * cfg.wavelength, 0.0, 0.0]), k0)
-    above = radiation_kernel(np.array([1.01e-6 * cfg.wavelength, 0.0, 0.0]), k0)
-    assert below == pytest.approx(above, rel=1e-5)
-    limit = k0 ** 2 * Z0 / (6.0 * np.pi)
-    stable = radiation_kernel(np.array([1e-3 * cfg.wavelength, 0.0, 0.0]), k0)
-    assert stable == pytest.approx(limit, rel=1e-4)
-
-
 def test_kernel_axis_values_match_independent_algebra(cfg):
     k0 = cfg.wavenumber
     pref = k0 ** 2 * Z0 / (4.0 * np.pi)
@@ -134,29 +122,85 @@ def test_kernel_axis_values_match_independent_algebra(cfg):
 
 
 def _kernel_formula(displacement, wavenumber, polarized):
-    # the kernel written out plainly, one array per term
+    # the kernel written out plainly on every row: pref (2/3 j0 + (u^2 - 1/3) j2),
+    # j2 by its closed form from eps = 1 on and by nine terms of its series below
     s = np.asarray(displacement, dtype=float)
     r = np.linalg.norm(s, axis=-1)
     eps = wavenumber * r
-    small = eps < 2.0 * np.pi * 1e-6
-    e = np.where(small, 1.0, eps)
-    sin_e, cos_e = np.sin(e), np.cos(e)
     pref = wavenumber ** 2 * Z0 / (4.0 * np.pi)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        j0 = np.where(eps > 0.0, np.sin(eps) / eps, 1.0)
+        if not polarized:
+            return pref * j0
+        t = eps ** 2
+        closed = 3.0 * (j0 - np.cos(eps)) / t - j0
+        series = 1.0
+        for m in range(8, 0, -1):
+            series = 1.0 - series * t / (2 * m * (2 * m + 5))
+        j2 = np.where(eps < 1.0, series * t / 15.0, closed)
+        u2 = np.where(r > 0.0, s[..., 1] / r, 0.0) ** 2
+    return pref * (2.0 / 3.0 * j0 + (u2 - 1.0 / 3.0) * j2)
+
+
+def _kernel_longdouble(displacement, wavenumber, polarized):
+    # the same kernel over pref in extended precision, with j2 by its series
+    # below eps = 2 (summed to 25 terms) and by its closed form above
+    s = np.asarray(displacement, dtype=np.longdouble)
+    eps = np.longdouble(wavenumber) * np.sqrt(np.sum(s * s, axis=-1))
+    j0 = np.sin(eps) / eps
     if not polarized:
-        return np.where(small, pref, pref * sin_e / e)
-    u2 = (s[..., 1] / np.where(small, 1.0, r)) ** 2
-    first = (e * cos_e - sin_e) / e ** 3
-    second = (2.0 * sin_e - 2.0 * e * cos_e - e ** 2 * sin_e) / e ** 3
-    out = pref * (sin_e / e + u2 * second + (1.0 - u2) * first)
-    return np.where(small, pref * (2.0 / 3.0), out)
+        return j0
+    t = eps * eps
+    term, series = np.full_like(t, np.longdouble(1) / 15), np.zeros_like(t)
+    for m in range(1, 26):
+        series += term
+        term *= -t / (2 * m * (2 * m + 5))
+    j2 = np.where(eps < 2, t * series, (3 / t - 1) * j0 - 3 * np.cos(eps) / t)
+    u2 = s[..., 1] ** 2 / np.sum(s * s, axis=-1)
+    return 2 * j0 / 3 + (u2 - np.longdouble(1) / 3) * j2
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("polarized", [True, False])
+@pytest.mark.parametrize("band", [(1e-7, 1e-5), (1e-5, 1e-3), (1e-3, 0.1), (0.1, 1.0),
+                                  (1.0, 5.0), (5.0, 50.0)])
+def test_kernel_matches_extended_precision(cfg, band, polarized):
+    # every separation band from 1e-7 to 50 wavelengths, on the x and y axes,
+    # in the plane and off it, to 1e-15 of pref = k^2 Z0/(4 pi)
+    rng = np.random.default_rng(17)
+    r = np.exp(rng.uniform(*np.log(band), 400)) * cfg.wavelength
+    ray = rng.standard_normal((400, 3))
+    ray[:100] = [1.0, 0.0, 0.0]
+    ray[100:200] = [0.0, 1.0, 0.0]
+    ray[200:300, 2] = 0.0
+    disp = r[:, None] * ray / np.linalg.norm(ray, axis=-1, keepdims=True)
+    k0 = cfg.wavenumber
+    pref = k0 ** 2 * Z0 / (4.0 * np.pi)
+    got = radiation_kernel(disp, k0, polarized=polarized) / pref
+    want = _kernel_longdouble(disp, k0, polarized)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_exact_channel_real_part_is_the_kernel(cfg):
+    # Re h_n = j_n: the channel from a surface point to a receiver s away has
+    # the kernel at s as its real part, in the plane and off it
+    rng = np.random.default_rng(19)
+    r = rng.uniform(0.5, 50.0, 300) * cfg.wavelength
+    ray = rng.standard_normal((300, 3))
+    ray[:100, 2] = 0.0
+    s = r[:, None] * ray / np.linalg.norm(ray, axis=-1, keepdims=True)
+    k0 = cfg.wavenumber
+    got = exact_channel(cfg, s, np.zeros(3)).real
+    assert np.max(np.abs(got - radiation_kernel(s, k0))) <= 1e-14 * k0 ** 2 * Z0 / (4.0 * np.pi)
 
 
 @pytest.mark.parametrize("polarized", [True, False])
 def test_kernel_bit_identical_to_plain_formula(cfg, polarized):
     # the blocked evaluation applies the formula's operations, operands and
-    # order to each block of rows; separations from zero through below and
-    # above the small-separation threshold (1e-6 wavelengths) to 30 m, off the
-    # plane too
+    # order to each block of rows; separations from zero through both sides of
+    # eps = 1, where j2 turns from its series to its closed form, to 30 m, off
+    # the plane too
     rng = np.random.default_rng(11)
     scales = rng.choice([0.0, 1e-9, 1e-7, 1.2e-7, 1e-3, 0.05, 1.0, 30.0], size=(20000, 1))
     disp = rng.standard_normal((20000, 3)) * scales
@@ -165,12 +209,11 @@ def test_kernel_bit_identical_to_plain_formula(cfg, polarized):
     got = radiation_kernel(disp.reshape(100, 200, 3), k0, polarized=polarized)
     assert got.shape == (100, 200)
     assert np.array_equal(got, _kernel_formula(disp, k0, polarized).reshape(100, 200))
-    # two full blocks and a tail, every block with separations on both sides
-    # of the threshold
+    # two full blocks and a tail, every block with rows on both sides of eps = 1
     rows = 2 * _KERNEL_BLOCK + 17
     many = rng.standard_normal((rows, 3)) * rng.choice([0.0, 1e-9, 1e-7, 0.05, 1.0], (rows, 1))
     for block in (many[:_KERNEL_BLOCK], many[_KERNEL_BLOCK:2 * _KERNEL_BLOCK], many[-17:]):
-        near = np.linalg.norm(block, axis=-1) * k0 < 2.0 * np.pi * 1e-6
+        near = np.linalg.norm(block, axis=-1) * k0 < 1.0
         assert near.any() and not near.all()
     got = radiation_kernel(many, k0, polarized=polarized)
     assert np.array_equal(got, _kernel_formula(many, k0, polarized))
@@ -194,7 +237,8 @@ def test_kernel_refuses_non_finite_or_overflowing_separation(cfg):
     for k in (np.nan, np.inf):
         with pytest.raises(DomainError):
             radiation_kernel([0.1, 0.0, 0.0], k)
-    # (k r)^3 overflows from the cube root of the largest float on
+    # k r is refused from the cube root of the largest float on, far below
+    # where its square overflows
     edge = float(np.cbrt(np.finfo(float).max))
     with pytest.raises(DomainError):
         radiation_kernel([edge, 0.0, 0.0], 1.0)
