@@ -16,10 +16,9 @@ from .analysis import (Beampattern, UncoupledBeamformer, beampattern,
                        coupling_ratio, directivity_factor, half_power_width,
                        infinite_aperture_gain, steered_gain_profile,
                        uncoupled_beamformer)
-from .spda import (ApertureSweepRow, CouplingMatrix, DiscreteBeamformer,
-                   SpacingSweepRow, SpdaModel, aperture_sweep, coupling_matrix,
-                   discrete_channel, element_layout, optimal_discrete_beamformer,
-                   spacing_sweep)
+from .spda import (CouplingMatrix, DiscreteBeamformer, SpdaModel, coupling_matrix,
+                   discrete_channel, element_layout, lattice_gains,
+                   optimal_discrete_beamformer)
 from .errors import ConfigError, ConvergenceError, DomainError, NumericError
 
 __version__ = "0.1.0"

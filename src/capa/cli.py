@@ -38,7 +38,7 @@ from .kernel_approx import beamform_ka, build_expansion
 from .physics import (COPPER_CONDUCTIVITY, MU0, Aperture, Direction,
                       PhysicalConfig, far_field_channel, kernel_nulls,
                       radiation_kernel, wavenumber_kernel)
-from .spda import aperture_sweep, spacing_sweep
+from .spda import lattice_gains
 
 
 class _Key(NamedTuple):
@@ -393,13 +393,14 @@ def _run_spda_spacing(config: ExperimentConfig, seed):
     wavelength = config.physical.wavelength
     channel = _channel(config)
     element = v["spda.element_wl"] * wavelength
-    spacings = [s * wavelength for s in v["spda.spacings_wl"]]
-    table = spacing_sweep(config.physical, _expansion(config), config.aperture,
-                          channel, spacings, element_x=element, element_y=element,
-                          order=_ELEMENT_ORDER[v["spda.mode"]])
-    rows = [(row.spacing / wavelength, row.spacing, row.n_elements,
-             row.gain_coupled, row.gain_uncoupled, row.gain_reference)
-            for row in table]
+    order = _ELEMENT_ORDER[v["spda.mode"]]
+    reference = beamform_ka(config.physical, channel, _expansion(config), config.aperture).gain
+    rows = []
+    for spacing in (s * wavelength for s in v["spda.spacings_wl"]):
+        gains = lattice_gains(config.physical, channel, config.aperture, spacing,
+                              element, element, order)
+        # spacing_m / wavelength, which can differ from the configured value in the last bit
+        rows.append((spacing / wavelength, spacing, *gains, reference))
     return ("spacing_wl", "spacing_m", "n_elements", "gain_coupled",
             "gain_uncoupled", "gain_reference"), rows, None
 
@@ -409,16 +410,18 @@ def _run_spda_aperture(config: ExperimentConfig, seed):
     wavelength = config.physical.wavelength
     element = v["spda.element_wl"] * wavelength
     spacing = v["spda.spacing_wl"] * wavelength
-    apertures = [Aperture(side, side) for side in v["spda.sides_m"]]
+    order = _ELEMENT_ORDER[v["spda.mode"]]
     # the largest swept side has the farthest far-field boundary
     largest = max(v["spda.sides_m"])
     channel = _channel(config, Aperture(largest, largest))
-    table = aperture_sweep(config.physical, _expansion(config), spacing, channel,
-                           apertures, element_x=element, element_y=element,
-                           order=_ELEMENT_ORDER[v["spda.mode"]])
-    rows = [(side, row.area, row.n_elements, row.gain_discrete,
-             row.gain_reference)
-            for side, row in zip(v["spda.sides_m"], table)]
+    expansion = _expansion(config)
+    rows = []
+    for side in v["spda.sides_m"]:
+        aperture = Aperture(side, side)
+        reference = beamform_ka(config.physical, channel, expansion, aperture).gain
+        n, coupled, _ = lattice_gains(config.physical, channel, aperture, spacing,
+                                      element, element, order)
+        rows.append((side, aperture.area, n, coupled, reference))
     return ("side_m", "area_m2", "n_elements", "gain_discrete",
             "gain_reference"), rows, None
 

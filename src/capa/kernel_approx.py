@@ -19,7 +19,7 @@ import numpy as np
 from ._linalg import CholeskyFactor, cholesky
 from .errors import DomainError, NumericError
 from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _require_positive,
-                      _require_radiating, wavenumber_kernel)
+                      _require_radiating, _sinc, wavenumber_kernel)
 from .quadrature import _fold, _grid_weights, _mirror_sums, _unfold, disk_wavenumber_grid
 
 @dataclass(frozen=True, eq=False)
@@ -100,15 +100,6 @@ def build_expansion(cfg: PhysicalConfig, order: int,
     is at least about k L.
     """
     return PlaneWaveExpansion(cfg.wavenumber, order, inner_rule)
-
-
-def _sinc(t: np.ndarray) -> np.ndarray:
-    """sin(t)/t with the removable singularity filled, overwriting t; the steps
-    of np.sinc(t / pi), bit for bit, without its full-size temporaries."""
-    t /= np.pi
-    t *= np.pi
-    t[t == 0.0] = np.finfo(float).eps
-    return np.divide(np.sin(t), t, out=t)
 
 
 def gram_matrix(expansion: PlaneWaveExpansion, aperture: Aperture) -> np.ndarray:

@@ -54,6 +54,15 @@ def _require_finite(what: str, *arrays, module: str) -> None:
         raise DomainError(f"{what} must be finite", module=module)
 
 
+def _sinc(t: np.ndarray) -> np.ndarray:
+    """sin(t)/t with the removable singularity filled, overwriting t; the steps
+    of np.sinc(t / pi), bit for bit, without its full-size temporaries."""
+    t /= np.pi
+    t *= np.pi
+    t[t == 0.0] = np.finfo(float).eps
+    return np.divide(np.sin(t), t, out=t)
+
+
 def surface_resistance(frequency: float, mu_s: float = MU0,
                        sigma_s: float = COPPER_CONDUCTIVITY) -> float:
     """Surface resistance of a good conductor, sqrt(pi*f*mu/sigma)."""

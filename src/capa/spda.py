@@ -33,9 +33,8 @@ import numpy as np
 
 from ._linalg import cholesky
 from .errors import DomainError, NumericError
-from .kernel_approx import PlaneWaveExpansion, _sinc, beamform_ka
 from .physics import (Aperture, FarFieldChannel, PhysicalConfig, _is_count, _require_finite,
-                      _require_positive, radiation_kernel)
+                      _require_positive, _sinc, radiation_kernel)
 from .quadrature import _MAX_ORDER, _fold, _offset_table, _table_blocks, _unfold, legendre_rule
 
 # log of the Gauss error term (k e / 2)^(2q) / (2q)! a derived hat rule reaches
@@ -72,6 +71,7 @@ class SpdaModel:
             raise DomainError("element counts must be integers of at least 1", module="spda")
         _require_positive("lattice pitch", self.pitch, module="spda")
         _require_positive("element side lengths", self.element_x, self.element_y, module="spda")
+        _require_positive("element area", self.element_area, module="spda")
         if self.order is not None:
             legendre_rule(self.order)  # DomainError unless an integer in [1, 512]
         for name, count, side in (("x", self.nx, self.element_x), ("y", self.ny, self.element_y)):
@@ -309,72 +309,15 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
     return DiscreteBeamformer(weights=weights, gain=2.0 * inner, power=power)
 
 
-def _lattice_gains(cfg: PhysicalConfig, channel: FarFieldChannel, aperture: Aperture,
-                   spacing: float, element_x: float | None, element_y: float | None,
-                   order: int | None) -> tuple:
+def lattice_gains(cfg: PhysicalConfig, channel: FarFieldChannel, aperture: Aperture,
+                  spacing: float, element_x: float, element_y: float,
+                  order: int | None = None) -> tuple:
     """Element count, coupled gain and coupling-blind gain of element_layout's
     lattice on aperture at spacing, its coupling integrated by the hat rule of
-    order (None derives it per side); element sides default to a tenth of a
-    wavelength.  The coupling-blind drive is solved elementwise."""
-    ex = 0.1 * cfg.wavelength if element_x is None else element_x
-    ey = 0.1 * cfg.wavelength if element_y is None else element_y
-    model = element_layout(aperture, spacing, ex, ey, order)
+    order (None derives it per side, 1 is point coupling).  The coupling-blind
+    drive is solved elementwise."""
+    model = element_layout(aperture, spacing, element_x, element_y, order)
     coupling = coupling_matrix(model, cfg)
     h = discrete_channel(model, channel)
     return (model.n_elements, optimal_discrete_beamformer(h, coupling).gain,
             optimal_discrete_beamformer(h, coupling.diagonal_only()).gain)
-
-
-@dataclass(frozen=True)
-class SpacingSweepRow:
-    spacing: float
-    n_elements: int
-    gain_coupled: float
-    gain_uncoupled: float
-    gain_reference: float
-
-
-def spacing_sweep(cfg: PhysicalConfig, expansion: PlaneWaveExpansion, aperture: Aperture,
-                  channel: FarFieldChannel, spacings, element_x: float | None = None,
-                  element_y: float | None = None,
-                  order: int | None = None) -> list[SpacingSweepRow]:
-    """Coupled and coupling-blind discrete gains versus lattice pitch.
-
-    Element sides default to a tenth of a wavelength, and the coupling takes
-    the hat rule of order, derived per side by default (1 is point coupling).
-    Every row carries the same reference: the closed-form gain of the
-    continuous surface under expansion, for the same aperture and channel.
-    """
-    reference = beamform_ka(cfg, channel, expansion, aperture).gain
-    rows = []
-    for d in np.asarray(spacings, dtype=float):
-        n, coupled, blind = _lattice_gains(cfg, channel, aperture, float(d), element_x,
-                                           element_y, order)
-        rows.append(SpacingSweepRow(spacing=float(d), n_elements=n, gain_coupled=coupled,
-                                    gain_uncoupled=blind, gain_reference=reference))
-    return rows
-
-
-@dataclass(frozen=True)
-class ApertureSweepRow:
-    area: float
-    n_elements: int
-    gain_discrete: float
-    gain_reference: float
-
-
-def aperture_sweep(cfg: PhysicalConfig, expansion: PlaneWaveExpansion, spacing: float,
-                   channel: FarFieldChannel, apertures, element_x: float | None = None,
-                   element_y: float | None = None,
-                   order: int | None = None) -> list[ApertureSweepRow]:
-    """Coupled discrete gain versus aperture size, with the closed-form gain of
-    the continuous surface under expansion as each row's reference.  Element
-    sides default to a tenth of a wavelength, and the coupling takes the hat
-    rule of order, derived per side by default (1 is point coupling)."""
-    rows = []
-    for ap in apertures:
-        reference = beamform_ka(cfg, channel, expansion, ap).gain
-        n, coupled, _ = _lattice_gains(cfg, channel, ap, spacing, element_x, element_y, order)
-        rows.append(ApertureSweepRow(area=ap.area, n_elements=n, gain_discrete=coupled,
-                                     gain_reference=reference))
-    return rows

@@ -36,10 +36,10 @@ from capa.cg_solver import apply_operator, discretize_operator, solve_fredholm, 
 from capa.cli import main
 from capa.quadrature import legendre_rule
 from capa.spda import (
-    aperture_sweep,
     coupling_matrix,
     discrete_channel,
     element_layout,
+    lattice_gains,
     optimal_discrete_beamformer,
 )
 
@@ -290,22 +290,22 @@ def test_criterion_09_gain_linearity_and_plateaus():
     fitted = slope * areas + intercept
     r2 = 1.0 - np.sum((gains - fitted) ** 2) / np.sum((gains - gains.mean()) ** 2)
 
-    rows = aperture_sweep(cfg, expansion, 0.5 * wl, channel,
-                          [Aperture(s, s) for s in (0.30, 0.31, 0.3125, 0.33)],
-                          element_x=0.1 * wl, element_y=0.1 * wl)
-    plateau = (rows[0].n_elements == rows[1].n_elements
-               and rows[1].gain_discrete == pytest.approx(rows[0].gain_discrete, rel=1e-12)
-               and rows[2].n_elements == rows[3].n_elements
-               and rows[3].gain_discrete == pytest.approx(rows[2].gain_discrete, rel=1e-12)
-               and rows[2].gain_discrete > rows[1].gain_discrete)
-    for s, row in zip((0.30, 0.31, 0.3125, 0.33), rows):
+    sides = (0.30, 0.31, 0.3125, 0.33)
+    counts, discrete = zip(*(lattice_gains(cfg, channel, Aperture(s, s), 0.5 * wl,
+                                           0.1 * wl, 0.1 * wl)[:2] for s in sides))
+    plateau = (counts[0] == counts[1]
+               and discrete[1] == pytest.approx(discrete[0], rel=1e-12)
+               and counts[2] == counts[3]
+               and discrete[3] == pytest.approx(discrete[2], rel=1e-12)
+               and discrete[2] > discrete[1])
+    for s, gain in zip(sides, discrete):
         ch_bound = 2.0 * s * s * abs(channel.amplitude) ** 2 / cfg.surface_resistance
-        BOUNDS.append((f"discrete side {s:g} m", row.gain_discrete, ch_bound))
+        BOUNDS.append((f"discrete side {s:g} m", gain, ch_bound))
 
     elapsed = time.monotonic() - t0
     ok = r2 > 0.99 and plateau and elapsed < 60.0
     _report(9, ok, f"linear fit R^2 {r2:.6f} (tol 0.99), slope {slope:.1f} per m^2, "
-                   f"discrete plateaus at N {rows[0].n_elements}/{rows[2].n_elements}, "
+                   f"discrete plateaus at N {counts[0]}/{counts[2]}, "
                    f"{elapsed:.1f}s")
 
 

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import capa
-from capa import C0, ConfigError, beamform_cg, build_expansion, cli, steered_gain_profile
+from capa import (C0, Aperture, ConfigError, beamform_cg, beamform_ka, build_expansion, cli,
+                  far_field_channel, lattice_gains, steered_gain_profile)
 from capa.cli import load_config, main
 
 X_FIRST_NULL_EPS = 2.7437072699727789
@@ -276,12 +277,15 @@ def test_overflowing_setting_exits_with_one_record(capsys, setting, command, cod
     ("receiver.R0=1e-300", ["gain", "--method", "ka"]),
     ("receiver.R0=1e-300", ["directivity"]),
     ("frequency=1.2e161", ["kernel", "--samples", "3"]),
+    ("spda.element_wl=1e-200", ["spda-aperture", "--sides", "0.3"]),
 ])
 def test_extreme_setting_is_domain_error(capsys, setting, command):
     # an overflowing square ended in an OverflowError traceback (the first five
-    # and the two before the last); on the underflowed channel of the rest but
-    # the last the closed form exited 3 and conjugate gradients 2; an
-    # overflowing kernel prefactor (the last) printed -inf rows and exited 0
+    # and the two receiver.R0=1e-300 rows); on the underflowed channel of the
+    # six rows between, the closed form exited 3 and conjugate gradients 2; an
+    # overflowing kernel prefactor (frequency=1.2e161) printed -inf rows and
+    # exited 0; an element area that underflows to 0 (the last) exited 3 after
+    # a RuntimeWarning record
     code, out, err = _run(capsys, command + ["--set", setting])
     assert code == 2 and out == ""
     record = json.loads(err)
@@ -357,6 +361,43 @@ def test_spda_point_mode_runs_at_defaults(capsys, command):
     column, want = _POINT_GAINS[command]
     got = [float(row[header.index(column)]) for row in rows]
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "point"])
+def test_spda_rows_equal_direct_library_calls(capsys, mode):
+    # each printed number, read back from its 17 significant digits, is the
+    # lattice_gains or beamform_ka value bit for bit
+    config = load_config(overrides=(f"spda.mode={mode}",))
+    cfg, wl = config.physical, config.physical.wavelength
+    order = {"exact": None, "point": 1}[mode]
+    element = 0.1 * wl
+    expansion = build_expansion(cfg, config.order, inner_rule=config.inner_rule)
+
+    channel = far_field_channel(cfg, config.direction, config.distance, config.aperture)
+    reference = beamform_ka(cfg, channel, expansion, config.aperture).gain
+    want = []
+    for spacing in (0.135 * wl, 0.3 * wl):
+        gains = lattice_gains(cfg, channel, config.aperture, spacing, element, element, order)
+        want.append([spacing / wl, spacing, *gains, reference])
+    code, out, _ = _run(capsys, ["spda-spacing", "--spacings", "0.135,0.3",
+                                 "--set", f"spda.mode={mode}"])
+    assert code == 0
+    got = [[float(cell) for cell in row] for row in _csv_rows(out)[1]]
+    assert got == want
+    # the pitch column is spacing_m / wavelength, not the configured 0.135
+    assert got[0][0] != 0.135
+
+    channel = far_field_channel(cfg, config.direction, config.distance, Aperture(0.31, 0.31))
+    want = []
+    for side in (0.3, 0.31):
+        aperture = Aperture(side, side)
+        n, coupled, _ = lattice_gains(cfg, channel, aperture, 0.5 * wl, element, element, order)
+        want.append([side, aperture.area, n, coupled,
+                     beamform_ka(cfg, channel, expansion, aperture).gain])
+    code, out, _ = _run(capsys, ["spda-aperture", "--sides", "0.3,0.31",
+                                 "--set", f"spda.mode={mode}"])
+    assert code == 0
+    assert [[float(cell) for cell in row] for row in _csv_rows(out)[1]] == want
 
 
 def test_linalg_error_exits_three_with_record(capsys, monkeypatch):
@@ -652,9 +693,10 @@ def _printed_numbers(command, text):
 # _printed_numbers key, at its measured size: convergence's closed-form
 # gain_ka at order 30 moves 2.1e-11 (its resolvent factorization splits by
 # thread), and every other value of these four subcommands, CG's included, is
-# byte-identical.  A CG gain at an odd order sits on a rounding floor of about
-# 6.5e-13 (FOUND in CHANGES.md, on cg_solver), so the 5e-14 bar on gain_cg
-# holds only while the CG operator's sums do not split by thread
+# byte-identical.  A CG gain sits on a rounding floor (FOUND in CHANGES.md, on
+# cg_solver): about 6.5e-13 at an odd order, and 2.6e-12 to 9.5e-10 at order
+# 10, a default convergence order, so the 5e-14 bar on gain_cg holds only
+# while the CG operator's sums do not split by thread
 _THREAD_DRIFT = {"convergence": {"gain_ka.value": 1e-10}}
 
 
@@ -677,6 +719,24 @@ def test_runtime_imports_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_spda_imports_no_solver_analysis_or_driver():
+    # discrete arrays build on physics and quadrature; the CLI pairs them
+    # with the closed-form reference
+    path = os.path.join(os.path.dirname(capa.__file__), "spda.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        parts.update(part for name in names for part in name.split("."))
+    assert not parts & {"kernel_approx", "cg_solver", "analysis", "cli"}
 
 
 def test_source_imports_only_numpy_and_stdlib():

@@ -23,12 +23,11 @@ from capa import (
 )
 from capa.spda import (
     SpdaModel,
-    aperture_sweep,
     coupling_matrix,
     discrete_channel,
     element_layout,
+    lattice_gains,
     optimal_discrete_beamformer,
-    spacing_sweep,
 )
 
 
@@ -544,22 +543,24 @@ def test_point_mode_is_positive_definite(cfg, aperture, dense_coupling):
 
 def test_spacing_sweep_table_shape(cfg, front_channel):
     wl = cfg.wavelength
-    rows = spacing_sweep(cfg, build_expansion(cfg, 20), Aperture(0.125, 0.125),
-                         front_channel, [0.5 * wl, 0.25 * wl])
+    side = 0.1 * wl
+    rows = [lattice_gains(cfg, front_channel, Aperture(0.125, 0.125), d, side, side)
+            for d in (0.5 * wl, 0.25 * wl)]
     assert len(rows) == 2
-    refs = {row.gain_reference for row in rows}
-    assert len(refs) == 1
-    assert rows[1].n_elements > rows[0].n_elements
-    for row in rows:
-        assert row.gain_coupled > 0.0
-        assert row.gain_uncoupled > 0.0
+    assert rows[1][0] > rows[0][0]
+    for _, coupled, blind in rows:
+        assert coupled > 0.0
+        assert blind > 0.0
 
 
 def test_aperture_sweep_plateau_between_pitch_multiples(cfg, front_channel):
     wl = cfg.wavelength
     d = 0.5 * wl
-    rows = aperture_sweep(cfg, build_expansion(cfg, 20), d, front_channel,
-                          [Aperture(0.30, 0.30), Aperture(0.31, 0.31)], order=1)
-    assert rows[0].n_elements == rows[1].n_elements == 16
-    assert rows[1].gain_discrete == pytest.approx(rows[0].gain_discrete, rel=1e-12)
-    assert rows[1].gain_reference > rows[0].gain_reference
+    side = 0.1 * wl
+    expansion = build_expansion(cfg, 20)
+    apertures = [Aperture(0.30, 0.30), Aperture(0.31, 0.31)]
+    rows = [lattice_gains(cfg, front_channel, ap, d, side, side, order=1) for ap in apertures]
+    refs = [beamform_ka(cfg, front_channel, expansion, ap).gain for ap in apertures]
+    assert rows[0][0] == rows[1][0] == 16
+    assert rows[1][1] == pytest.approx(rows[0][1], rel=1e-12)
+    assert refs[1] > refs[0]
