@@ -54,12 +54,15 @@ class CholeskyFactor:
         return (out[..., :d] + 1j * out[..., d:]).reshape(x.shape)
 
 
-def cholesky(matrix: np.ndarray, message: str, module: str) -> CholeskyFactor:
-    """Cholesky factor L L^T = matrix, of one matrix (n, n) or of each matrix of
-    a stack (b, n, n); a matrix that is not positive definite raises
-    NumericError with message and a condition estimate, on a stack the largest
-    of its matrices'.  So does a matrix that is not finite, which OpenBLAS
-    factors to NaN without failing."""
+def cholesky(matrix: np.ndarray, message: str, module: str, shift: float = 0.0) -> CholeskyFactor:
+    """Cholesky factor L L^T = matrix + shift I, of one matrix (n, n) or of each
+    matrix of a stack (b, n, n).  shift is added to every diagonal entry in
+    place, so a zero padding row of a parity-block stack becomes sqrt(shift) in
+    L.  A matrix that is not positive definite raises NumericError with message
+    and a condition estimate, on a stack the largest of its matrices'.  So does
+    a matrix that is not finite, which OpenBLAS factors to NaN without failing."""
+    diagonal = np.arange(matrix.shape[-1])
+    matrix[..., diagonal, diagonal] += shift
     if not np.all(np.isfinite(matrix)):
         raise NumericError(f"{message}: matrix is not finite", module=module)
     try:

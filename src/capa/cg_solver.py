@@ -177,6 +177,7 @@ class CgState:
     gain -4 J(v*) of the grid solution v* before iteration i by (-4 J(v_i),
     -4 J(v_i) + 2 r_i^H W P^-1 r_i / Zs), J the functional: J(v_i) - J(v*) is
     |v_i - v*|_A^2 / 2, and every eigenvalue of P^-1 A is at least Zs.
+    functional_values, J(v_i), is the first column over -4, exactly.
     """
 
     values: np.ndarray = field(repr=False)
@@ -184,9 +185,12 @@ class CgState:
     iterations: int
     converged: bool
     residual_norms: np.ndarray = field(repr=False)
-    functional_values: np.ndarray = field(repr=False)
     gain_bounds: np.ndarray = field(repr=False)
     preconditioner_rank: int
+
+    @property
+    def functional_values(self) -> np.ndarray:
+        return -0.25 * self.gain_bounds[:, 0]
 
 
 def solve_fredholm(op: DiscretizedOperator, rhs: np.ndarray, tol: float = 1e-8,
@@ -199,8 +203,8 @@ def solve_fredholm(op: DiscretizedOperator, rhs: np.ndarray, tol: float = 1e-8,
     (three of four at front-fire) stays as it is.  residual_norms[i] is the
     weighted residual norm of the unpreconditioned system, summed over the
     blocks, before iteration i, relative to that of rhs; the solve converges
-    when it falls below tol.  functional_values tracks the quadratic objective
-    whose stationary point is the solution, which must decrease monotonically.
+    when it falls below tol.  gain_bounds[i, 0] is -4 J(v_i), J the quadratic
+    objective whose minimizer is the solution, so it must increase monotonically.
     A non-finite residual or a curvature that is not positive raises NumericError.
     """
     _require_positive("tolerance", tol, module="cg_solver")
@@ -229,9 +233,8 @@ def solve_fredholm(op: DiscretizedOperator, rhs: np.ndarray, tol: float = 1e-8,
         z = precond.apply(r)
         rz = _dot(r, z)
         # J(y) = y^H (H + Zs) y / 2 - Re b^H y, with (H + Zs) y = b - r
-        functional = float(np.sum(0.5 * _dot(y, b - r) - _dot(b, y)))
-        history.append((rel, functional, -4.0 * functional,
-                        -4.0 * functional + 2.0 * np.sum(rz) / op.surface_resistance))
+        gain = -4.0 * float(np.sum(0.5 * _dot(y, b - r) - _dot(b, y)))
+        history.append((rel, gain, gain + 2.0 * np.sum(rz) / op.surface_resistance))
         return rel, z, rz
 
     iterations = 0
@@ -255,8 +258,7 @@ def solve_fredholm(op: DiscretizedOperator, rhs: np.ndarray, tol: float = 1e-8,
     converged = rel < tol
     history = np.array(history)
     state = CgState(values=_unfolded(op, y), residual=_unfolded(op, r), iterations=iterations,
-                    converged=converged, residual_norms=history[:, 0],
-                    functional_values=history[:, 1], gain_bounds=history[:, 2:],
+                    converged=converged, residual_norms=history[:, 0], gain_bounds=history[:, 1:],
                     preconditioner_rank=sum(precond.ranks))
     if not converged:
         raise ConvergenceError(f"conjugate gradients did not reach tol {tol:.1e} "
@@ -270,21 +272,20 @@ class FredholmSolution:
     """Normalized beamformer synthesized from a grid solution.
 
     The object is callable on surface points and evaluates the continuous
-    transmit distribution; grid_values holds the unnormalized solution on the
-    quadrature grid and scale the power normalization factor.
+    transmit distribution; state holds the unnormalized grid solution, scale
+    the power normalization factor.  gain is -4 J of CG's last iterate, J the
+    functional CG minimizes, so its error is second order in the iterate's.
     """
 
     operator: DiscretizedOperator
     channel: FarFieldChannel
     power: float
-    grid_values: np.ndarray = field(repr=False)
     scale: complex
-    matched_inner: complex
-    state: CgState | None = field(default=None, repr=False)
+    state: CgState = field(repr=False)
 
     @property
     def gain(self) -> float:
-        return 2.0 * float(np.real(self.matched_inner))
+        return float(self.state.gain_bounds[-1, 0])
 
     def solution_field(self, points) -> np.ndarray:
         """Continuous unnormalized solution off the grid.
@@ -293,10 +294,9 @@ class FredholmSolution:
         convolution of the grid solution, over the surface resistance.
         """
         s = np.asarray(points, dtype=float)
-        grid_pts = self.operator.grid.points
-        disp = s[..., None, :] - grid_pts
+        disp = s[..., None, :] - self.operator.grid.points
         kern = radiation_kernel(disp, self.operator.config.wavenumber)
-        conv = kern @ (self.operator.grid.weights * self.grid_values)
+        conv = kern @ (self.operator.grid.weights * self.state.values)
         out = (np.conj(self.channel(s)) - conv) / self.operator.surface_resistance
         return complex(out) if np.ndim(out) == 0 else out
 
@@ -306,7 +306,7 @@ class FredholmSolution:
 
 def synthesize_beamformer(op: DiscretizedOperator, channel: FarFieldChannel,
                           state: CgState, power: float = 1.0) -> FredholmSolution:
-    """Power-normalize a grid solution into a transmit beamformer."""
+    """Power-normalize a grid solution into a transmit beamformer by its matched inner product."""
     _require_positive("transmit power", power, module="cg_solver")
     h = channel(op.grid.points)
     inner = np.sum(op.grid.weights * h * state.values)
@@ -315,8 +315,7 @@ def synthesize_beamformer(op: DiscretizedOperator, channel: FarFieldChannel,
                            "solution is inconsistent", module="cg_solver")
     scale = np.sqrt(2.0 * power / inner)
     return FredholmSolution(operator=op, channel=channel, power=power,
-                            grid_values=state.values, scale=complex(scale),
-                            matched_inner=complex(inner), state=state)
+                            scale=complex(scale), state=state)
 
 
 # One slot: callers loop over directions inside one order, and a larger cache

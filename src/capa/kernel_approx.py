@@ -171,10 +171,8 @@ def inverse_operator(expansion: PlaneWaveExpansion, gram: np.ndarray,
         root = np.sqrt(lam).reshape(m, m)[:a, :a].ravel()
         system = gram * root[:, None]
         system *= root
-        # every block's diagonal, padding included: a padding row is then an identity row
-        diagonal = np.arange(a * a)
-        system[:, diagonal, diagonal] += 1.0
-    factor = cholesky(system, "resolvent system is not positive definite", "kernel_approx")
+    factor = cholesky(system, "resolvent system is not positive definite", "kernel_approx",
+                      shift=1.0)
     return InverseOperatorData(order=m, lambda_diag=lam, factor=factor)
 
 

@@ -296,10 +296,8 @@ def optimal_discrete_beamformer(h: np.ndarray, coupling: CouplingMatrix,
         shape = coupling.shape
         steps = (np.abs(np.subtract.outer(np.arange(n), np.arange(n))) for n in shape)
         blocks = _table_blocks(coupling.table, *steps)
-        # every block's diagonal, padding included: a padding row is then a Zs row
-        diagonal = np.arange(blocks.shape[-1])
-        blocks[:, diagonal, diagonal] += coupling.self_impedance
-        factor = cholesky(blocks, "coupling matrix is not positive definite", "spda")
+        factor = cholesky(blocks, "coupling matrix is not positive definite", "spda",
+                          shift=coupling.self_impedance)
         whitened = factor.solve(_fold(h, shape))
         direction = _unfold(factor.solve(whitened, transpose=True), shape)
     inner = float(np.vdot(whitened, whitened).real)

@@ -165,7 +165,7 @@ def test_criterion_05_power_constraint_equality():
     op = discretize_operator(cfg, grid)
     state = solve_fredholm(op, np.conj(channel(grid.points)))
     sol = synthesize_beamformer(op, channel, state)
-    vals = sol.scale * sol.grid_values
+    vals = sol.scale * sol.state.values
     cg_power = 0.5 * np.real(np.vdot(vals, grid.weights * apply_operator(op, vals)))
     cg_err = abs(cg_power - 1.0)
 

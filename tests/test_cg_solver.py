@@ -133,7 +133,7 @@ def test_normalized_power_identity(cfg, aperture, oblique_channel):
     state = solve_fredholm(op, rhs, tol=1e-10)
     power = 2.5
     sol = synthesize_beamformer(op, oblique_channel, state, power=power)
-    vals = sol.scale * sol.grid_values
+    vals = sol.scale * sol.state.values
     quad = 0.5 * np.real(np.vdot(vals, grid.weights * apply_operator(op, vals)))
     assert quad == pytest.approx(power, rel=1e-6)
 
@@ -142,7 +142,7 @@ def test_callable_agrees_with_grid_solution(cfg, aperture, front_channel):
     sol = beamform_cg(cfg, front_channel, aperture, order=12, tol=1e-10)
     grid = sol.operator.grid
     on_grid = sol(grid.points)
-    expected = sol.scale * sol.grid_values
+    expected = sol.scale * sol.state.values
     err = np.max(np.abs(on_grid - expected)) / np.max(np.abs(expected))
     assert err < 1e-5
 
@@ -215,15 +215,18 @@ def test_apply_operator_matches_dense_product(cfg, aperture, oblique_channel):
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
 
 
-def test_gains_match_dense_solve_at_order_20(cfg, aperture):
-    grid = aperture_grid(aperture, 20)
+@pytest.mark.parametrize("order", [10, 15, 20, 25, 30])
+def test_gains_match_dense_solve_at_default_tol(cfg, aperture, order):
+    # the gain is -4 J of CG's last iterate, second order in its error:
+    # measured within 2.8e-14 of the grid optimum at the default tol
+    grid = aperture_grid(aperture, order)
     op = discretize_operator(cfg, grid)
     dense = _dense_system(cfg, grid)
     for channel in _criterion_04_channels(cfg):
         h = channel(grid.points)
         sol = synthesize_beamformer(op, channel, solve_fredholm(op, np.conj(h)))
         want = 2.0 * np.real(np.sum(grid.weights * h * np.linalg.solve(dense, np.conj(h))))
-        assert abs(sol.gain - want) / want < 1e-11
+        assert abs(sol.gain - want) / want < 1e-13
 
 
 @pytest.mark.parametrize("order", [20, 30])
@@ -253,7 +256,7 @@ def test_identical_solves_are_bit_identical(cfg, aperture, oblique_channel):
     first = beamform_cg(cfg, oblique_channel, aperture, order=20)
     second = beamform_cg(cfg, oblique_channel, aperture, order=20)
     assert first.gain == second.gain
-    assert np.array_equal(first.grid_values, second.grid_values)
+    assert np.array_equal(first.state.values, second.state.values)
 
 
 def test_non_finite_input_raises_numeric_error_at_once(cfg, aperture, front_channel):
@@ -290,7 +293,7 @@ def test_shared_operator_matches_fresh_build(cfg, aperture):
         assert shared.gain == fresh.gain
         assert shared.state.iterations == fresh.state.iterations
         assert np.array_equal(shared.state.residual_norms, fresh.state.residual_norms)
-        assert np.array_equal(shared.grid_values, fresh.grid_values)
+        assert np.array_equal(shared.state.values, fresh.state.values)
 
 
 def test_operator_memo_holds_one_operator(cfg, aperture, front_channel):

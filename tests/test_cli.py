@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import capa
-from capa import (C0, Aperture, ConfigError, beamform_cg, beamform_ka, build_expansion, cli,
-                  far_field_channel, lattice_gains, steered_gain_profile)
+from capa import (C0, Aperture, ConfigError, beamform_cg, beamform_ka, build_expansion,
+                  cg_solver, cli, far_field_channel, lattice_gains, steered_gain_profile)
 from capa.cli import load_config, main
 
 X_FIRST_NULL_EPS = 2.7437072699727789
@@ -693,10 +693,9 @@ def _printed_numbers(command, text):
 # _printed_numbers key, at its measured size: convergence's closed-form
 # gain_ka at order 30 moves 2.1e-11 (its resolvent factorization splits by
 # thread), and every other value of these four subcommands, CG's included, is
-# byte-identical.  A CG gain sits on a rounding floor (FOUND in CHANGES.md, on
-# cg_solver): about 6.5e-13 at an odd order, and 2.6e-12 to 9.5e-10 at order
-# 10, a default convergence order, so the 5e-14 bar on gain_cg holds only
-# while the CG operator's sums do not split by thread
+# byte-identical.  A CG gain is -4 J of the last iterate, second order in its
+# error, and moves at most 1.8e-14 when the kernel rounds differently
+# (test_cg_gains_reproduce_under_kernel_rounding), inside the 5e-14 bar
 _THREAD_DRIFT = {"convergence": {"gain_ka.value": 1e-10}}
 
 
@@ -709,6 +708,34 @@ def test_outputs_reproduce_across_blas_thread_counts(command):
         a, b = np.array(one[key]), np.array(two[key])
         bound = _THREAD_DRIFT.get(command, {}).get(key, 5e-14)
         assert a.shape == b.shape and np.all(np.abs(a - b) <= bound * np.abs(a)), key
+
+
+def test_cg_gains_reproduce_under_kernel_rounding(monkeypatch):
+    # the kernel's values times 1 + u, |u| within one ulp, move CG's gains at
+    # two default convergence orders by at most 1.8e-14 (measured): the gain
+    # is -4 J of the last iterate, second order in CG's stopping error
+    config = load_config()
+    channel = cli._channel(config)
+    kernel = cg_solver.radiation_kernel
+
+    def gains():
+        cg_solver._operator.cache_clear()
+        return np.array([cli._solve_cg(config, channel, order, None).gain for order in (10, 25)])
+
+    want = gains()
+    try:
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+
+            def perturbed(offsets, wavenumber):
+                values = kernel(offsets, wavenumber)
+                return values * (1.0 + rng.uniform(-2.2e-16, 2.2e-16, np.shape(values)))
+
+            monkeypatch.setattr(cg_solver, "radiation_kernel", perturbed)
+            assert np.all(np.abs(gains() - want) <= 1e-13 * want), seed
+    finally:
+        # no later solve may reuse an operator of the perturbed kernel
+        cg_solver._operator.cache_clear()
 
 
 def test_runtime_imports_no_scipy():

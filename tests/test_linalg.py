@@ -93,6 +93,21 @@ def test_identity_padded_rows_solve_to_zero(size):
         assert np.allclose(got[1, :size], want, rtol=1e-13, atol=0.0)
 
 
+def test_shift_covers_zero_padding_rows():
+    # shift goes on every diagonal entry in place, padding included, so a
+    # zero-padded block factors as itself plus shift I, padding rows as sqrt(shift)
+    rng = np.random.default_rng(11)
+    n, size, shift = 300, 130, 2.5
+    a = rng.standard_normal((2, n, n))
+    stack = a @ np.swapaxes(a, 1, 2)
+    stack[1, size:] = stack[1, :, size:] = 0.0
+    want = cholesky(stack + shift * np.eye(n), "unused", "test").lower
+    factor = cholesky(stack, "unused", "test", shift=shift)
+    assert np.array_equal(stack[1, size:, size:], shift * np.eye(n - size))
+    assert np.array_equal(factor.lower, want)
+    assert np.array_equal(factor.lower[1, size:], np.sqrt(shift) * np.eye(n)[size:])
+
+
 def test_stacked_cholesky_reports_worst_block_condition():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((50, 50))
